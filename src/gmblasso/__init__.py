@@ -12,25 +12,8 @@ from .measures import (
     tv_norm,
     weight_function,
 )
-from .kernel import (
-    KernelContext,
-    data_witness,
-    grad1_k,
-    grad1_grad2_k,
-    k_norm,
-    lambda_pair,
-    riemannian_hessian2_k,
-    semi_distance,
-)
-from .geometry import (
-    christoffel,
-    fisher_rao_distance,
-    geodesic_point,
-    geodesic_spec,
-    metric_at,
-    region_of,
-    riemannian_norm,
-)
+from .kernel import KernelContext, data_witness, lambda_pair
+from .geometry import geodesic_spec
 from .certificates import (
     CertificateSolution,
     CertificateSystem,
@@ -41,7 +24,6 @@ from .certificates import (
     build_upsilon,
     eval_certificate,
     eval_certificate_gradient,
-    kernel_operator_norms,
     lpc_constants,
     separation_check,
     solve_certificates,
@@ -76,14 +58,11 @@ __version__ = "0.1.0"
 __all__ = [
     "DiscreteMeasure", "DomainBox", "Location", "min_pairwise_semidistance",
     "reparametrize", "tv_norm", "weight_function",
-    "KernelContext", "data_witness", "grad1_k", "grad1_grad2_k", "k_norm",
-    "lambda_pair", "riemannian_hessian2_k", "semi_distance",
-    "christoffel", "fisher_rao_distance", "geodesic_point", "geodesic_spec",
-    "metric_at", "region_of", "riemannian_norm",
+    "KernelContext", "data_witness", "lambda_pair", "geodesic_spec",
     "CertificateSolution", "CertificateSystem", "GridSpec", "LpcConstants",
     "NondegeneracyReport", "SingularSystemError", "build_upsilon",
-    "eval_certificate", "eval_certificate_gradient", "kernel_operator_norms",
-    "lpc_constants", "separation_check", "solve_certificates",
+    "eval_certificate", "eval_certificate_gradient", "lpc_constants",
+    "separation_check", "solve_certificates",
     "verify_nondegeneracy",
     "ObjectiveContext", "RecommendedParameters", "SolverConfig", "SolverResult",
     "acceptance_check", "cpgd_solve", "initial_measure", "objective",

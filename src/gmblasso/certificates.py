@@ -41,7 +41,7 @@ from .kernel import (
     rhess2_batch,
     semi_distance_pairs,
 )
-from .measures import DiscreteMeasure, Location
+from .measures import DiscreteMeasure
 
 __all__ = [
     "CertificateSystem",
@@ -59,7 +59,6 @@ __all__ = [
     "lpc_constants",
     "separation_check",
     "verify_nondegeneracy",
-    "kernel_operator_norms",
     "operator_norms_batch",
 ]
 
@@ -78,15 +77,12 @@ class SingularSystemError(RuntimeError):
 @dataclass(frozen=True)
 class CertificateSystem:
     upsilon: np.ndarray
-    anchors: tuple[Location, ...]
+    anchors: np.ndarray         # (s, 2d)
     ctx: KernelContext
 
     @property
     def s(self) -> int:
         return len(self.anchors)
-
-    def anchors_array(self) -> np.ndarray:
-        return np.stack([a.as_array() for a in self.anchors])
 
 
 @dataclass(frozen=True)
@@ -100,12 +96,11 @@ class CertificateSolution:
 
 
 def build_upsilon(anchors, ctx: KernelContext) -> CertificateSystem:
-    """Assemble the interpolation system at the given anchor locations."""
-    anchors = tuple(a if isinstance(a, Location) else Location.from_array(np.asarray(a, float))
-                    for a in anchors)
-    if not anchors:
+    """Assemble the interpolation system at anchor coordinates (s, 2d)."""
+    pts = np.array(anchors, dtype=float)
+    if pts.size == 0:
         raise ValueError("need at least one anchor")
-    pts = np.stack([a.as_array() for a in anchors])
+    pts = np.atleast_2d(pts)
     s, dim2 = pts.shape
     if dim2 != 2 * ctx.d:
         raise ValueError("anchor dimension disagrees with kernel context")
@@ -127,7 +122,7 @@ def build_upsilon(anchors, ctx: KernelContext) -> CertificateSystem:
             U[i * m, j * m + 1:(j + 1) * m] = G1[j, i]
             U[i * m + 1:(i + 1) * m, j * m] = G1[i, j]
             U[i * m + 1:(i + 1) * m, j * m + 1:(j + 1) * m] = M12[j, i].T
-    return CertificateSystem(U, anchors, ctx)
+    return CertificateSystem(U, pts, ctx)
 
 
 def _solve_system(U: np.ndarray, rhs: np.ndarray):
@@ -180,7 +175,7 @@ def solve_certificates(system: CertificateSystem):
 def _eval_batch(sol: CertificateSolution, system: CertificateSystem, P: np.ndarray,
                 kernel_cache=None):
     """eta at coordinate rows P (m, 2d); optionally reuse (K, G1) across calls."""
-    pts = system.anchors_array()
+    pts = system.anchors
     if kernel_cache is None:
         K = kernel_values(pts[:, None, :], P[None, :, :], system.ctx)
         G1 = grad1_batch(pts[:, None, :], P[None, :, :], system.ctx)
@@ -191,15 +186,14 @@ def _eval_batch(sol: CertificateSolution, system: CertificateSystem, P: np.ndarr
 
 
 def eval_certificate(sol: CertificateSolution, system: CertificateSystem, x) -> float:
-    P = (x.as_array() if isinstance(x, Location) else np.asarray(x, float))[None, :]
-    vals, _ = _eval_batch(sol, system, P)
+    vals, _ = _eval_batch(sol, system, np.asarray(x, float)[None, :])
     return float(vals[0])
 
 
 def eval_certificate_gradient(sol: CertificateSolution, system: CertificateSystem,
                               x) -> np.ndarray:
-    pts = system.anchors_array()
-    P = (x.as_array() if isinstance(x, Location) else np.asarray(x, float))[None, :]
+    pts = system.anchors
+    P = np.asarray(x, float)[None, :]
     G2 = grad2_batch(pts[:, None, :], P[None, :, :], system.ctx)       # (s,1,2d)
     M12 = grad12_batch(pts[:, None, :], P[None, :, :], system.ctx)     # (s,1,2d,2d)
     grad = np.einsum("j,jmd->md", sol.alpha, G2)
@@ -343,13 +337,6 @@ def operator_norms_batch(X: np.ndarray, Y: np.ndarray, ctx: KernelContext) -> di
     return out
 
 
-def kernel_operator_norms(x, y, ctx: KernelContext) -> dict:
-    a = x.as_array() if isinstance(x, Location) else np.asarray(x, float)
-    b = y.as_array() if isinstance(y, Location) else np.asarray(y, float)
-    batch = operator_norms_batch(a[None, :], b[None, :], ctx)
-    return {k: float(v[0]) for k, v in batch.items()}
-
-
 # --------------------------------------------------------------------------
 # non-degeneracy verification
 # --------------------------------------------------------------------------
@@ -379,7 +366,7 @@ class ClauseReport:
     name: str
     n_points: int
     worst_margin: float          # max over samples of lhs - rhs; <= tol passes
-    worst_point: Optional[Location]
+    worst_point: Optional[np.ndarray]
     violations: int
     passed: bool
 
@@ -488,7 +475,7 @@ def _clause(name, margins, P, tol) -> ClauseReport:
     worst = float(margins[i])
     nviol = int(np.sum(margins > tol))
     return ClauseReport(name, len(margins), worst,
-                        Location.from_array(P[i]), nviol, nviol == 0)
+                        P[i].copy(), nviol, nviol == 0)
 
 
 def verify_nondegeneracy(global_sol: CertificateSolution,
@@ -503,7 +490,7 @@ def verify_nondegeneracy(global_sol: CertificateSolution,
     sides of the quadratic clauses vanish.
     """
     ctx = system.ctx
-    anchors = system.anchors_array()
+    anchors = system.anchors
     if mu0.s != system.s or not np.array_equal(mu0.locations_array(), anchors):
         raise ValueError("measure atoms disagree with certificate anchors")
     sep = separation_check(mu0, ctx, consts)

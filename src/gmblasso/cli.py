@@ -39,7 +39,7 @@ from .certificates import (
     verify_nondegeneracy,
 )
 from .experiments import GroundTruthMixture, rate_sweep, sample
-from .geometry import geodesic_point, metric_diag_batch
+from .geometry import geodesic_spec, metric_diag_batch
 from .kernel import (
     KernelContext,
     _christoffel_coeffs,
@@ -59,6 +59,7 @@ from .solver import (
     cpgd_solve,
     initial_measure,
     recommended_parameters,
+    resolve_tau,
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "build_run_config", "main"]
@@ -363,10 +364,10 @@ def _write_csv(path: str, header, rows, resolved: dict, extra: Optional[dict] = 
         fh.write("\n")
 
 
-def _point_repr(loc) -> str:
-    if loc is None:
+def _point_repr(point) -> str:
+    if point is None:
         return ""
-    return " ".join(repr(float(v)) for v in loc.as_array())
+    return " ".join(repr(float(v)) for v in point)
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def _cmd_certify(args) -> int:
     )]
     all_pass = sep.satisfied
     try:
-        system = build_upsilon(mu0.locations, ctx)
+        system = build_upsilon(mu0.coords, ctx)
         global_sol, local_sols = solve_certificates(system)
         for sol in (global_sol, *local_sols):
             bound_sq = 2.0 * mu0.s if sol.kind == "global" else 2.0
@@ -425,12 +426,6 @@ def _cmd_certify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _resolve_solve_tau(run: RunConfig, n: int) -> float:
-    if run.tau_rule == "fixed":
-        return run.tau
-    return math.sqrt(2.0) * run.box.u_min / math.sqrt(math.log(n))
-
-
 def _cmd_solve(args) -> int:
     run = _load_run_config(args)
     os.makedirs(run.out_dir, exist_ok=True)
@@ -441,9 +436,14 @@ def _cmd_solve(args) -> int:
             raise ConfigError("give either experiment.n or data.file, not both")
         if not os.path.isfile(run.data_file):
             raise ConfigError(f"data file not found: {run.data_file}")
-        X = np.loadtxt(run.data_file, ndmin=2)
+        try:
+            X = np.loadtxt(run.data_file, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse data file: {exc}") from None
         if X.shape[1] != run.d:
             raise ConfigError(f"data file has {X.shape[1]} columns, expected {run.d}")
+        if not np.all(np.isfinite(X)):
+            raise ConfigError("data file holds a non-finite value")
     else:
         if run.n is None:
             raise ConfigError("experiment.n is required when no data.file is given")
@@ -452,7 +452,10 @@ def _cmd_solve(args) -> int:
     if n < 2:
         raise ConfigError("need at least 2 observations")
 
-    tau = _resolve_solve_tau(run, n)
+    try:
+        tau = resolve_tau(run.tau_rule, run.tau, run.box, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     ctx = KernelContext(run.d, tau, run.box)
     if X is None:
         X = sample(run.mixture, n, rng)
@@ -460,23 +463,23 @@ def _cmd_solve(args) -> int:
         kappa = run.kappa_override
     else:
         rec = recommended_parameters(n, run.d, tau, run.box, s_hint=run.mixture.s)
-        kappa = {"agnostic": rec.kappa_agnostic,
-                 "s_dependent": rec.kappa_s_dependent,
-                 "small_reg": rec.kappa_small_reg}[run.kappa_rule]
+        kappa = rec.kappa(run.kappa_rule)
 
     octx = ObjectiveContext(X, kappa, ctx)
     result = cpgd_solve(initial_measure(octx, run.solver, rng), octx, run.solver)
     accepted = acceptance_check(result.measure, run.mixture.omega_measure(tau), octx)
 
     d = run.d
+    mu = result.measure
     measure_rows = [
-        (i, float(w)) + tuple(float(v) for v in loc.as_array())
-        for i, (w, loc) in enumerate(result.measure.atoms())
+        (i, float(w)) + tuple(float(v) for v in row)
+        for i, (w, row) in enumerate(zip(mu.weights, mu.coords))
     ]
     header = ("atom", "weight") + tuple(f"t_{k}" for k in range(d)) + \
         tuple(f"u_{k}" for k in range(d))
     extra = {"n": n, "tau": tau, "kappa": kappa, "converged": result.converged,
-             "aborted": result.aborted, "abort_reason": result.abort_reason,
+             "stalled": result.stalled, "aborted": result.aborted,
+             "abort_reason": result.abort_reason,
              "iterations_run": result.iterations_run, "acceptance": accepted}
     _write_csv(os.path.join(run.out_dir, "solve_measure.csv"), header,
                measure_rows, run.resolved, extra)
@@ -607,8 +610,8 @@ def _kernel_check_suite(samples: int, seed: int):
         err = 0.0
         for i in range(min(m, 200)):
             a, b = X[i], Y[i]
-            p0 = geodesic_point(a, b, 0.0, ctx).as_array()
-            p1 = geodesic_point(a, b, 1.0, ctx).as_array()
+            spec = geodesic_spec(a, b, ctx)
+            p0, p1 = spec.point(0.0), spec.point(1.0)
             err = max(err, float(np.max(np.abs(p0 - a))),
                       float(np.max(np.abs(p1 - b))))
         yield f"d={d} geodesic endpoints", err, 1e-10

@@ -31,6 +31,7 @@ from .solver import (
     cpgd_solve,
     initial_measure,
     recommended_parameters,
+    resolve_tau,
 )
 
 __all__ = [
@@ -71,9 +72,9 @@ class GroundTruthMixture:
             raise ValueError("mixture dimension disagrees with context")
         if abs(float(np.sum(self.measure.weights)) - 1.0) > 1e-12:
             raise ValueError("component weights must sum to 1")
-        for loc in self.measure.locations:
-            if not self.ctx.box.contains(loc):
-                raise ValueError(f"component {loc} outside the domain box")
+        for row in self.measure.coords:
+            if not self.ctx.box.contains(row):
+                raise ValueError(f"component {row.tolist()} outside the domain box")
 
     @property
     def s(self) -> int:
@@ -276,25 +277,6 @@ def fit_slopes(aggregates: Sequence[AggregateRow]) -> dict:
     return slopes
 
 
-def _resolve_tau(tau_rule: str, base: GroundTruthMixture, n: int) -> float:
-    if tau_rule == "fixed":
-        return base.ctx.tau
-    if tau_rule == "prediction":
-        return math.sqrt(2.0) * base.ctx.box.u_min / math.sqrt(math.log(n))
-    raise ValueError(f"unknown tau rule {tau_rule!r}")
-
-
-def _resolve_kappa(kappa_rule: str, rec) -> float:
-    table = {
-        "agnostic": rec.kappa_agnostic,
-        "s_dependent": rec.kappa_s_dependent,
-        "small_reg": rec.kappa_small_reg,
-    }
-    if kappa_rule not in table:
-        raise ValueError(f"unknown kappa rule {kappa_rule!r}")
-    return table[kappa_rule]
-
-
 def _one_replication(scenario: GroundTruthMixture, n: int, n_index: int, rep: int,
                      kappa_rule: str, tau_rule: str, master_seed: int,
                      solver_cfg: SolverConfig, radii: tuple) -> RateRow:
@@ -302,10 +284,10 @@ def _one_replication(scenario: GroundTruthMixture, n: int, n_index: int, rep: in
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, n_index, rep)))
     try:
         X = sample(scenario, n, rng)
-        tau = _resolve_tau(tau_rule, scenario, n)
+        tau = resolve_tau(tau_rule, scenario.ctx.tau, scenario.ctx.box, n)
         ctx = KernelContext(scenario.d, tau, scenario.ctx.box)
         rec = recommended_parameters(n, scenario.d, tau, ctx.box, s_hint=scenario.s)
-        kappa = _resolve_kappa(kappa_rule, rec)
+        kappa = rec.kappa(kappa_rule)
         octx = ObjectiveContext(X, kappa, ctx)
         if solver_cfg.prune_threshold is None:
             # atoms below the regularization scale are noise; pruning at

@@ -20,82 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelContext, _christoffel_coeffs, _split, semi_distance_pairs
-from .measures import DiscreteMeasure, Location
+from .kernel import KernelContext, _split, semi_distance_pairs
 
 __all__ = [
-    "MetricAt",
     "GeodesicSpec",
-    "metric_at",
-    "riemannian_norm",
-    "christoffel",
-    "fisher_rao_distance",
+    "metric_diag_batch",
+    "fr_distance_pairs",
     "geodesic_spec",
-    "geodesic_point",
-    "region_of",
+    "region_index_batch",
 ]
 
 _U_FLOOR = 1e-12          # guards sqrt(h^2 - tau^2/2) against rounding
 _VERTICAL_RTOL = 1e-9     # |dt| below this times scale -> vertical branch
 
 
-@dataclass(frozen=True)
-class MetricAt:
-    """Diagonal Fisher-Rao metric at a point, ordered like Location arrays."""
-
-    diag: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-    def inv_diag(self) -> np.ndarray:
-        return 1.0 / self.diag
-
-    def sqrt_diag(self) -> np.ndarray:
-        return np.sqrt(self.diag)
-
-
 def metric_diag_batch(x, tau: float) -> np.ndarray:
     _, u = _split(x)
     B = 2 * u**2 + tau**2
     return np.concatenate([1.0 / B, 2 * u**2 / B**2], axis=-1)
-
-
-def _coords(x) -> np.ndarray:
-    return x.as_array() if isinstance(x, Location) else np.asarray(x, dtype=float)
-
-
-def metric_at(x, ctx: KernelContext) -> MetricAt:
-    return MetricAt(metric_diag_batch(_coords(x), ctx.tau))
-
-
-def riemannian_norm(v, x, ctx: KernelContext) -> float:
-    """sqrt(v^T g_x v) for a tangent vector v ordered (t..., u...)."""
-    v = np.asarray(v, dtype=float)
-    g = metric_diag_batch(_coords(x), ctx.tau)
-    return float(np.sqrt(np.sum(g * v**2, axis=-1)))
-
-
-def christoffel(x, ctx: KernelContext):
-    """Christoffel matrices (Gamma^{t_k})_k and (Gamma^{u_k})_k at x.
-
-    Each is a symmetric 2d x 2d matrix with the only nonzero entries
-    Gamma^{t_k}_{u_k t_k} = -2u_k/(2u_k^2+tau^2), Gamma^{u_k}_{t_k t_k} = 1/u_k,
-    Gamma^{u_k}_{u_k u_k} = (tau^2-2u_k^2)/(u_k(2u_k^2+tau^2)).
-    """
-    arr = _coords(x)
-    d = arr.shape[-1] // 2
-    gt, gu_tt, gu_uu = _christoffel_coeffs(arr, ctx.tau)
-    gammas_t, gammas_u = [], []
-    for k in range(d):
-        Gt = np.zeros((2 * d, 2 * d))
-        Gt[k, d + k] = Gt[d + k, k] = gt[k]
-        gammas_t.append(Gt)
-        Gu = np.zeros((2 * d, 2 * d))
-        Gu[k, k] = gu_tt[k]
-        Gu[d + k, d + k] = gu_uu[k]
-        gammas_u.append(Gu)
-    return gammas_t, gammas_u
 
 
 def _halfplane(x, tau: float):
@@ -118,10 +60,6 @@ def fr_distance_pairs(x, y, ctx: KernelContext) -> np.ndarray:
     return np.sqrt(np.sum(per**2, axis=-1))
 
 
-def fisher_rao_distance(x, xp, ctx: KernelContext) -> float:
-    return float(fr_distance_pairs(_coords(x), _coords(xp), ctx))
-
-
 @dataclass(frozen=True)
 class GeodesicSpec:
     """Constant-speed Fisher-Rao geodesic between two locations.
@@ -131,8 +69,8 @@ class GeodesicSpec:
     endpoints coincide); length is the total Fisher-Rao distance.
     """
 
-    x: Location
-    xp: Location
+    x: np.ndarray
+    xp: np.ndarray
     tau: float
     kinds: tuple[str, ...]
     shares: np.ndarray
@@ -146,8 +84,8 @@ class GeodesicSpec:
     def point(self, y) -> np.ndarray:
         """Coordinates at normalized parameter(s) y in [0, 1], shape (..., 2d)."""
         y = np.asarray(y, dtype=float)
-        d = self.x.d
-        a = self.x.as_array()
+        a = self.x
+        d = len(a) // 2
         t = np.empty(y.shape + (d,))
         h = np.empty(y.shape + (d,))
         sig = (1 - y[..., None]) * self._sig0 + y[..., None] * self._sig1
@@ -165,15 +103,11 @@ class GeodesicSpec:
         u = np.sqrt(np.maximum(h**2 - self.tau**2 / 2, _U_FLOOR**2))
         return np.concatenate([t, u], axis=-1)
 
-    def location(self, y: float) -> Location:
-        return Location.from_array(self.point(float(y)))
-
 
 def geodesic_spec(x, xp, ctx: KernelContext) -> GeodesicSpec:
-    xloc = x if isinstance(x, Location) else Location.from_array(_coords(x))
-    yloc = xp if isinstance(xp, Location) else Location.from_array(_coords(xp))
-    a, b = xloc.as_array(), yloc.as_array()
-    d = xloc.d
+    a = np.array(x, dtype=float)
+    b = np.array(xp, dtype=float)
+    d = len(a) // 2
     tau = ctx.tau
     t0, h0 = _halfplane(a, tau)
     t1, h1 = _halfplane(b, tau)
@@ -205,29 +139,16 @@ def geodesic_spec(x, xp, ctx: KernelContext) -> GeodesicSpec:
             radius[k] = R
             sig0[k] = math.log(math.tan(th0 / 2))
             sig1[k] = math.log(math.tan(th1 / 2))
-    return GeodesicSpec(xloc, yloc, tau, tuple(kinds), shares, total,
+    return GeodesicSpec(a, b, tau, tuple(kinds), shares, total,
                         sig0, sig1, center, radius)
-
-
-def geodesic_point(x, xp, y: float, ctx: KernelContext) -> Location:
-    """Point on the Fisher-Rao geodesic from x to x' at arc-length fraction y."""
-    return geodesic_spec(x, xp, ctx).location(y)
-
-
-def region_of(x, target: DiscreteMeasure, r: float, ctx: KernelContext):
-    """Nearest-atom index if within the closed semi-distance ball of radius r,
-    else the string "far".  Ties break to the smallest index."""
-    if target.s == 0:
-        return "far"
-    pts = target.locations_array()
-    dist = semi_distance_pairs(_coords(x)[None, :], pts, ctx)
-    j = int(np.argmin(dist))
-    return j if dist[j] <= r else "far"
 
 
 def region_index_batch(P: np.ndarray, anchors: np.ndarray, r: float,
                        ctx: KernelContext) -> np.ndarray:
-    """Vectorized region classification: index into anchors, or -1 for far."""
+    """Index of the nearest anchor within the closed semi-distance ball of
+    radius r, or -1 for far; ties break to the smallest index."""
+    if len(anchors) == 0:
+        return np.full(len(P), -1)
     dist = semi_distance_pairs(P[:, None, :], anchors[None, :, :], ctx)
     j = np.argmin(dist, axis=1)
     out = np.where(dist[np.arange(len(P)), j] <= r, j, -1)

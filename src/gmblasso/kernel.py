@@ -32,17 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DomainBox, Location, weight_function
+from .measures import DomainBox, weight_function
 
 __all__ = [
     "KernelContext",
-    "k_norm",
-    "semi_distance",
-    "grad1_k",
-    "grad1_grad2_k",
-    "riemannian_hessian2_k",
     "data_witness",
     "lambda_pair",
+    "kernel_values",
     "kernel_matrix",
     "semi_distance_pairs",
     "grad1_batch",
@@ -299,68 +295,20 @@ def grad1_rhess2_batch(x, y, ctx: KernelContext):
     return out
 
 
-# --------------------------------------------------------------------------
-# Location-level API
-# --------------------------------------------------------------------------
-
-def _coords(x) -> np.ndarray:
-    return x.as_array() if isinstance(x, Location) else np.asarray(x, dtype=float)
-
-
-def _check_pair(x, y, ctx):
-    if x.shape[-1] != 2 * ctx.d or y.shape[-1] != 2 * ctx.d:
-        raise ValueError("location dimension disagrees with kernel context")
-
-
-def k_norm(x, xp, ctx: KernelContext) -> float:
-    """Normalized kernel value in (0, 1]."""
-    a, b = _coords(x), _coords(xp)
-    _check_pair(a, b, ctx)
-    return float(kernel_values(a, b, ctx))
-
-
-def semi_distance(x, xp, ctx: KernelContext) -> float:
-    """Semi-distance d(x, x') = sqrt(-2 ln K(x, x')), evaluated stably."""
-    a, b = _coords(x), _coords(xp)
-    _check_pair(a, b, ctx)
-    return float(np.sqrt(semi_distance_sq_pairs(a, b, ctx)))
-
-
-def grad1_k(x, xp, ctx: KernelContext) -> np.ndarray:
-    """Gradient of k_norm in the first argument, ordered (t_1..t_d, u_1..u_d)."""
-    a, b = _coords(x), _coords(xp)
-    _check_pair(a, b, ctx)
-    return grad1_batch(a, b, ctx)
-
-
-def grad1_grad2_k(x, xp, ctx: KernelContext) -> np.ndarray:
-    """Mixed second-derivative matrix; at x = x' this is the Fisher-Rao metric."""
-    a, b = _coords(x), _coords(xp)
-    _check_pair(a, b, ctx)
-    return grad12_batch(a, b, ctx)
-
-
-def riemannian_hessian2_k(x, xp, ctx: KernelContext) -> np.ndarray:
-    """Riemannian Hessian in the second argument (Christoffels at x')."""
-    a, b = _coords(x), _coords(xp)
-    _check_pair(a, b, ctx)
-    return rhess2_batch(a, b, ctx)
-
-
 def data_witness(x, samples: np.ndarray, ctx: KernelContext,
                  with_gradient: bool = False):
     """Correlation of the smoothed empirical measure with the feature of x.
 
     Returns (1/(n W(x))) sum_i prod_k phi(X_ik; t_k, u_k^2 + tau^2); with
     with_gradient=True additionally returns its gradient in (t, u).
-    Accepts a batch of locations with coordinates shaped (m, 2d).
+    x holds coordinates shaped (2d,) for one location or (m, 2d) for a batch.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.shape[0] == 0:
         raise ValueError("witness needs at least one sample")
-    pts = _coords(x)
+    pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     P = np.atleast_2d(pts)
     d = P.shape[-1] // 2

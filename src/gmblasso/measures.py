@@ -13,8 +13,8 @@ omega_j = W(x_j) a_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -65,25 +65,39 @@ class Location:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite nonnegative measure sum_j weights[j] * delta_{locations[j]}."""
+    """Finite nonnegative measure sum_j weights[j] * delta_{coords[j]}.
+
+    Atoms are stored as two read-only arrays: weights (s,) and coords (s, 2d)
+    with rows ordered (t_1..t_d, u_1..u_d).  Location views are built on
+    demand by `locations` and `atoms()`.
+    """
 
     weights: np.ndarray
-    locations: tuple[Location, ...]
+    coords: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "locations", tuple(self.locations))
-        if len(w) != len(self.locations):
+        w = np.array(self.weights, dtype=float).reshape(-1)
+        c = np.array(self.coords, dtype=float)
+        if c.size == 0:
+            c = c.reshape(0, c.shape[-1] if c.ndim == 2 else 0)
+        elif c.ndim == 1:
+            c = c[None, :]
+        if c.ndim != 2 or len(w) != len(c):
             raise ValueError("weights and locations length mismatch")
+        if len(c) and (c.shape[1] == 0 or c.shape[1] % 2):
+            raise ValueError("inconsistent location dimensions")
         if not np.all(np.isfinite(w)):
             raise ValueError("non-finite weight")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if self.locations:
-            d = self.locations[0].d
-            if any(loc.d != d for loc in self.locations):
-                raise ValueError("inconsistent location dimensions")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("non-finite coordinate in location")
+        if np.any(c[:, c.shape[1] // 2:] <= 0):
+            raise ValueError("standard deviations must be positive")
+        w.flags.writeable = False
+        c.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "coords", c)
 
     @property
     def s(self) -> int:
@@ -91,28 +105,28 @@ class DiscreteMeasure:
 
     @property
     def d(self) -> int:
-        if not self.locations:
+        if self.s == 0:
             raise ValueError("empty measure has no dimension")
-        return self.locations[0].d
+        return self.coords.shape[1] // 2
+
+    @property
+    def locations(self) -> tuple[Location, ...]:
+        return tuple(Location.from_array(row) for row in self.coords)
 
     def atoms(self) -> Iterator[tuple[float, Location]]:
         return iter(zip(self.weights.tolist(), self.locations))
 
     def locations_array(self) -> np.ndarray:
-        """Stacked coordinates, shape (s, 2d)."""
-        if not self.locations:
-            return np.zeros((0, 0))
-        return np.stack([loc.as_array() for loc in self.locations])
+        """Stacked coordinates, shape (s, 2d); the same array as coords."""
+        return self.coords
 
     @staticmethod
     def empty() -> "DiscreteMeasure":
-        return DiscreteMeasure(np.zeros(0), ())
+        return DiscreteMeasure(np.zeros(0), np.zeros((0, 0)))
 
     @staticmethod
     def from_arrays(weights: np.ndarray, coords: np.ndarray) -> "DiscreteMeasure":
-        locs = tuple(Location.from_array(row) for row in np.atleast_2d(coords)) \
-            if np.size(coords) else ()
-        return DiscreteMeasure(np.asarray(weights, dtype=float), locs)
+        return DiscreteMeasure(weights, coords)
 
 
 @dataclass(frozen=True)
@@ -190,9 +204,9 @@ def reparametrize(mu: DiscreteMeasure, tau: float, direction: str) -> DiscreteMe
         raise ValueError(f"unknown direction {direction!r}")
     if mu.s == 0:
         return mu
-    w = np.array([weight_function(loc, tau) for loc in mu.locations])
+    w = weight_function(mu.coords, tau)
     factor = w if direction == "to_omega" else 1.0 / w
-    return DiscreteMeasure(mu.weights * factor, mu.locations)
+    return DiscreteMeasure(mu.weights * factor, mu.coords)
 
 
 def tv_norm(mu: DiscreteMeasure) -> float:

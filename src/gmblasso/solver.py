@@ -47,6 +47,7 @@ __all__ = [
     "prune_merge",
     "acceptance_check",
     "recommended_parameters",
+    "resolve_tau",
 ]
 
 
@@ -95,21 +96,20 @@ class ObjectiveContext:
         return self._fidelity_constant
 
 
-def _core_terms(weights: np.ndarray, pts: np.ndarray, octx: ObjectiveContext):
-    """Quadratic kernel term and witness correlation for the current atoms."""
-    if len(weights) == 0:
-        return 0.0, 0.0
+def _core_value(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext) -> float:
+    """J - C/2 of the atoms (w, pts): kernel quadratic, witness correlation
+    and the total-variation penalty."""
+    if len(w) == 0:
+        return 0.0
     K = kernel_values(pts[:, None, :], pts[None, :, :], octx.ctx)
-    quad = float(weights @ K @ weights)
-    wit = data_witness(pts, octx.samples, octx.ctx)
-    cross = float(weights @ np.atleast_1d(wit))
-    return quad, cross
+    quad = float(w @ K @ w)
+    cross = float(w @ np.atleast_1d(data_witness(pts, octx.samples, octx.ctx)))
+    return 0.5 * quad - cross + octx.kappa * float(np.sum(w))
 
 
 def objective_core(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
     """Objective with the data constant omitted (J - C/2); used by the iteration."""
-    quad, cross = _core_terms(mu_omega.weights, mu_omega.locations_array(), octx)
-    return 0.5 * quad - cross + octx.kappa * float(np.sum(mu_omega.weights))
+    return _core_value(mu_omega.weights, mu_omega.locations_array(), octx)
 
 
 def objective(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
@@ -179,9 +179,13 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class SolverResult:
+    """converged and stalled both mean the patience window ran out; stalled
+    says some iteration in that window failed every backtrack."""
+
     measure: DiscreteMeasure
     trace: tuple[TraceRow, ...]
     converged: bool
+    stalled: bool
     aborted: bool
     abort_reason: Optional[str]
     iterations_run: int
@@ -233,17 +237,16 @@ def _halfplane_merge(pts: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
     return np.concatenate([t, u])
 
 
-def prune_merge(mu_omega: DiscreteMeasure, cfg: SolverConfig,
-                ctx: KernelContext) -> DiscreteMeasure:
-    """Drop dust atoms, then merge pairs closer than the merge radius."""
-    w = mu_omega.weights.copy()
-    if len(w) == 0:
-        return mu_omega
-    pts = mu_omega.locations_array()
+def _prune(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig):
+    """Atoms at or above the prune threshold."""
     thr = cfg.prune_threshold if cfg.prune_threshold is not None \
         else 1e-6 * float(np.sum(w))
     keep = w >= thr
-    w, pts = w[keep], pts[keep]
+    return w[keep], pts[keep]
+
+
+def _merge(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig, ctx: KernelContext):
+    """Merge the closest pair while it lies within the merge radius."""
     radius = _resolved_merge_radius(cfg, ctx.d)
     while len(w) >= 2:
         iu, ju = np.triu_indices(len(w), k=1)
@@ -257,31 +260,39 @@ def prune_merge(mu_omega: DiscreteMeasure, cfg: SolverConfig,
         keep[[i, j]] = False
         pts = np.concatenate([pts[keep], merged[None, :]])
         w = np.concatenate([w[keep], [w[i] + w[j]]])
-    return DiscreteMeasure.from_arrays(w, pts)
+    return w, pts
+
+
+def prune_merge(mu_omega: DiscreteMeasure, cfg: SolverConfig,
+                ctx: KernelContext) -> DiscreteMeasure:
+    """Drop dust atoms, then merge pairs closer than the merge radius."""
+    if mu_omega.s == 0:
+        return mu_omega
+    w, pts = _prune(mu_omega.weights, mu_omega.locations_array(), cfg)
+    return DiscreteMeasure.from_arrays(*_merge(w, pts, cfg, ctx))
 
 
 def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
                cfg: SolverConfig) -> SolverResult:
     """Conic particle gradient descent from an explicit initial measure."""
     box = octx.ctx.box
-    for loc in init.locations:
-        if not box.contains(loc, atol=1e-9):
-            raise ValueError("initial atom outside the domain box")
+    w = init.weights
+    pts = init.locations_array()
+    if not box.contains(pts, atol=1e-9):
+        raise ValueError("initial atom outside the domain box")
 
-    w = init.weights.copy()
-    pts = init.locations_array().copy()
     J = _core_value(w, pts, octx)
     trace: list[TraceRow] = []
     eta_w, eta_x = cfg.step_w, cfg.step_x
     lo, hi = box.lower(), box.upper()
     still = 0
-    converged = False
-    aborted = False
+    last_failed = -cfg.patience
+    converged = stalled = aborted = False
     reason = None
     it = 0
 
     if not math.isfinite(J):
-        return SolverResult(DiscreteMeasure.from_arrays(w, pts), (), False, True,
+        return SolverResult(init, (), False, False, True,
                             "non-finite objective at initialization", 0)
 
     for it in range(1, cfg.iterations + 1):
@@ -314,31 +325,37 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
             w, pts, J = w_new, pts_new, J_new
             eta_w = min(2 * eta_w, cfg.step_w)
             eta_x = min(2 * eta_x, cfg.step_x)
+        else:
+            last_failed = it
 
         if cfg.merge_period > 0 and it % cfg.merge_period == 0:
             cand = prune_merge(DiscreteMeasure.from_arrays(w, pts), cfg, octx.ctx)
             J_cand = _core_value(cand.weights, cand.locations_array(), octx)
             if J_cand <= J:
-                w, pts, J = cand.weights.copy(), cand.locations_array(), J_cand
+                w, pts, J = cand.weights, cand.locations_array(), J_cand
 
         if cfg.record_trace:
-            quad, cross = _core_terms(w, pts, octx)
-            fid = 0.5 * (octx.fidelity_constant + quad) - cross
-            trace.append(TraceRow(it, J + 0.5 * octx.fidelity_constant, fid,
-                                  float(np.sum(w)), eta_w, eta_x, len(w)))
+            C = octx.fidelity_constant
+            tv = float(np.sum(w))
+            trace.append(TraceRow(it, J + 0.5 * C, J - octx.kappa * tv + 0.5 * C,
+                                  tv, eta_w, eta_x, len(w)))
 
         still = still + 1 if drop <= cfg.tolerance * max(1.0, abs(J)) else 0
         if still >= cfg.patience:
-            converged = True
+            stalled = last_failed > it - cfg.patience
+            converged = not stalled
             break
 
-    final = prune_merge(DiscreteMeasure.from_arrays(w, pts), cfg, octx.ctx)
-    return SolverResult(final, tuple(trace), converged, aborted, reason, it)
-
-
-def _core_value(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext) -> float:
-    quad, cross = _core_terms(w, pts, octx)
-    return 0.5 * quad - cross + octx.kappa * float(np.sum(w))
+    # the final cleanup always drops atoms below the prune threshold; a merge
+    # is kept only if it does not raise the objective
+    w_kept, pts_kept = _prune(w, pts, cfg)
+    if len(w_kept) < len(w):
+        w, pts, J = w_kept, pts_kept, _core_value(w_kept, pts_kept, octx)
+    w_merged, pts_merged = _merge(w, pts, cfg, octx.ctx)
+    if len(w_merged) < len(w) and _core_value(w_merged, pts_merged, octx) <= J:
+        w, pts = w_merged, pts_merged
+    return SolverResult(DiscreteMeasure.from_arrays(w, pts), tuple(trace),
+                        converged, stalled, aborted, reason, it)
 
 
 def acceptance_check(mu_hat: DiscreteMeasure, mu0_omega: DiscreteMeasure,
@@ -356,6 +373,19 @@ class RecommendedParameters:
     kappa_small_reg: float
     tau_prediction: float
 
+    def kappa(self, rule: str) -> Optional[float]:
+        """The regularization strength named by a kappa rule."""
+        table = {"agnostic": self.kappa_agnostic,
+                 "s_dependent": self.kappa_s_dependent,
+                 "small_reg": self.kappa_small_reg}
+        if rule not in table:
+            raise ValueError(f"unknown kappa rule {rule!r}")
+        return table[rule]
+
+
+def _tau_prediction(n: int, box) -> float:
+    return math.sqrt(2.0) * box.u_min / math.sqrt(math.log(n))
+
 
 def recommended_parameters(n: int, d: int, tau: float, box,
                            s_hint: Optional[int] = None) -> RecommendedParameters:
@@ -369,5 +399,20 @@ def recommended_parameters(n: int, d: int, tau: float, box,
         kappa_agnostic=rho / math.sqrt(2.0),
         kappa_s_dependent=kappa_s,
         kappa_small_reg=rho**2,
-        tau_prediction=math.sqrt(2.0) * box.u_min / math.sqrt(math.log(n)),
+        tau_prediction=_tau_prediction(n, box),
     )
+
+
+def resolve_tau(tau_rule: str, tau: Optional[float], box, n: int) -> float:
+    """Smoothing scale of a run with n samples: the given tau for "fixed",
+    sqrt(2) u_min / sqrt(ln n) for "prediction".  The prediction rule must
+    not exceed u_min (it does for n <= 7)."""
+    if tau_rule == "fixed":
+        return tau
+    if tau_rule != "prediction":
+        raise ValueError(f"unknown tau rule {tau_rule!r}")
+    tau = _tau_prediction(n, box)
+    if tau > box.u_min:
+        raise ValueError(f"tau_rule = prediction gives tau = {tau:.4g} > "
+                         f"u_min = {box.u_min:.4g} at n = {n}")
+    return tau

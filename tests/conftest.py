@@ -61,6 +61,19 @@ def rel_error(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def fd_rel(analytic, f, Z, h=FD_STEP):
+    """Max error of a batch of derivatives against central differences of f
+    over the last axis of Z, relative to max(|analytic|, 1); analytic[..., b]
+    is the derivative in the direction Z[..., b]."""
+    worst = 0.0
+    for b in range(Z.shape[-1]):
+        Zp, Zm = Z.copy(), Z.copy()
+        Zp[..., b] += h
+        Zm[..., b] -= h
+        worst = max(worst, rel_error(analytic[..., b], (f(Zp) - f(Zm)) / (2 * h)))
+    return worst
+
+
 @pytest.fixture(scope="session")
 def box1():
     return DomainBox((-5.0,), (5.0,), 0.5, 2.0)

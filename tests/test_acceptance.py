@@ -47,7 +47,7 @@ from gmblasso.kernel import (
     semi_distance_pairs,
 )
 
-from conftest import random_locations
+from conftest import fd_rel, random_locations
 
 _SUMMARY = []
 
@@ -80,21 +80,6 @@ def _finish(num, name, t0, budget, failures, detail=""):
     assert not failures, line
 
 
-def _fd_rel(analytic, f, Z, h=1e-5):
-    """Max error of `analytic` against central differences of f over the last
-    axis of Z, relative to max(|analytic|, 1)."""
-    worst = 0.0
-    for b in range(Z.shape[-1]):
-        Zp, Zm = Z.copy(), Z.copy()
-        Zp[..., b] += h
-        Zm[..., b] -= h
-        fd = (f(Zp) - f(Zm)) / (2 * h)
-        a = analytic[..., b]
-        err = np.abs(a - fd) / np.maximum(np.abs(a), 1.0)
-        worst = max(worst, float(np.max(err)))
-    return worst
-
-
 def test_criterion_01_kernel_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -113,10 +98,10 @@ def test_criterion_01_kernel_identities():
             semi_distance_pairs(X, Y, ctx) - ref))))
         worst_fd = max(
             worst_fd,
-            _fd_rel(grad1_batch(X, Y, ctx), lambda Z: kernel_values(Z, Y, ctx), X),
-            _fd_rel(grad2_batch(X, Y, ctx), lambda Z: kernel_values(X, Z, ctx), Y),
-            _fd_rel(grad12_batch(X, Y, ctx), lambda Z: grad1_batch(X, Z, ctx), Y),
-            _fd_rel(hess2_batch(X, Y, ctx), lambda Z: grad2_batch(X, Z, ctx), Y),
+            fd_rel(grad1_batch(X, Y, ctx), lambda Z: kernel_values(Z, Y, ctx), X),
+            fd_rel(grad2_batch(X, Y, ctx), lambda Z: kernel_values(X, Z, ctx), Y),
+            fd_rel(grad12_batch(X, Y, ctx), lambda Z: grad1_batch(X, Z, ctx), Y),
+            fd_rel(hess2_batch(X, Y, ctx), lambda Z: grad2_batch(X, Z, ctx), Y),
         )
     failures = []
     if not worst_norm < 1e-12:
@@ -309,13 +294,13 @@ def test_criterion_05_certificates():
         if not sep.satisfied:
             failures.append(f"s={s}: anchors below separation threshold")
             continue
-        system = build_upsilon(mu0.locations, ctx)
+        system = build_upsilon(mu0.coords, ctx)
         global_sol, local_sols = solve_certificates(system)
 
         worst_res = max(sol.residual for sol in (global_sol, *local_sols))
         if not worst_res < 1e-9:
             failures.append(f"s={s}: solve residual {worst_res:.2e} >= 1e-9")
-        for j, loc in enumerate(mu0.locations):
+        for j, loc in enumerate(mu0.coords):
             interp = abs(eval_certificate(global_sol, system, loc) - 1.0)
             grad = float(np.max(np.abs(
                 eval_certificate_gradient(global_sol, system, loc))))

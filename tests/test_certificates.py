@@ -9,12 +9,10 @@ from gmblasso import (
     DomainBox,
     GridSpec,
     KernelContext,
-    Location,
     SingularSystemError,
     build_upsilon,
     eval_certificate,
     eval_certificate_gradient,
-    kernel_operator_norms,
     lpc_constants,
     separation_check,
     solve_certificates,
@@ -28,7 +26,7 @@ from conftest import fd_gradient, random_locations, rel_error
 
 @pytest.fixture(scope="module")
 def sep_system(sep_ctx):
-    anchors = [Location((-13.0,), (1.0,)), Location((13.0,), (1.0,))]
+    anchors = np.array([[-13.0, 1.0], [13.0, 1.0]])
     return build_upsilon(anchors, sep_ctx)
 
 
@@ -104,7 +102,7 @@ class TestSeparation:
 class TestUpsilon:
     def test_single_anchor_block(self, ctx1):
         x = np.array([0.3, 1.1])
-        system = build_upsilon([Location.from_array(x)], ctx1)
+        system = build_upsilon([x], ctx1)
         g = metric_diag_batch(x, ctx1.tau)
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
@@ -121,13 +119,12 @@ class TestUpsilon:
 
     def test_duplicate_anchors_singular(self, ctx1):
         with pytest.raises(SingularSystemError) as err:
-            build_upsilon([Location((0.0,), (1.0,)), Location((0.0,), (1.0,))],
-                          ctx1)
+            build_upsilon(np.array([[0.0, 1.0], [0.0, 1.0]]), ctx1)
         assert err.value.condition_estimate == math.inf
 
     def test_rejects_dimension_mismatch(self, ctx2):
         with pytest.raises(ValueError):
-            build_upsilon([Location((0.0,), (1.0,))], ctx2)
+            build_upsilon(np.array([[0.0, 1.0]]), ctx2)
 
     def test_rejects_empty(self, ctx1):
         with pytest.raises(ValueError):
@@ -160,7 +157,7 @@ class TestSolve:
             assert lsol.p_norm**2 <= 2.0 + 1e-12
 
     def test_gradient_matches_fd(self, ctx1):
-        anchors = [Location((-1.0,), (0.9,)), Location((1.5,), (1.2,))]
+        anchors = np.array([[-1.0, 0.9], [1.5, 1.2]])
         system = build_upsilon(anchors, ctx1)
         global_sol, _ = solve_certificates(system)
         x = np.array([0.4, 0.8])
@@ -170,7 +167,7 @@ class TestSolve:
 
     def test_decay_away_from_anchors(self, sep_system):
         global_sol, _ = solve_certificates(sep_system)
-        mid = Location((0.0,), (1.0,))
+        mid = np.array([0.0, 1.0])
         assert abs(eval_certificate(global_sol, sep_system, mid)) < 0.1
 
 
@@ -189,13 +186,13 @@ class TestOperatorNorms:
             for key, bound in bounds.items():
                 assert float(np.max(norms[key])) <= bound + 1e-10, key
 
-    def test_scalar_wrapper(self, ctx1):
-        x = Location((0.2,), (0.8,))
-        y = Location((-0.5,), (1.1,))
-        norms = kernel_operator_norms(x, y, ctx1)
-        assert norms["00"] == pytest.approx(
-            float(operator_norms_batch(x.as_array()[None, :],
-                                       y.as_array()[None, :], ctx1)["00"][0]))
+    def test_single_pair_matches_batch(self, ctx1):
+        x = np.array([0.2, 0.8])
+        y = np.array([-0.5, 1.1])
+        one = operator_norms_batch(x, y, ctx1)
+        two = operator_norms_batch(np.stack([x, y]), np.stack([y, x]), ctx1)
+        for key, val in one.items():
+            assert float(val[0]) == pytest.approx(float(two[key][0])), key
 
     def test_norm_00_is_kernel_value(self, ctx1):
         rng = np.random.default_rng(42)

@@ -191,6 +191,7 @@ class TestSolve:
         assert abs(float(best[3]) - 1.0) < 0.2
         meta = read_meta(tmp_path / "out" / "solve_measure.csv.meta.json")
         assert meta["acceptance"] is True and meta["aborted"] is False
+        assert meta["stalled"] is False
         assert meta["n"] == 3000 and meta["kappa"] > 0
         trace = read_rows(tmp_path / "out" / "solve_trace.csv")
         assert trace[0][:3] == ["iteration", "objective", "fidelity"]
@@ -239,6 +240,23 @@ class TestSolve:
         cfg = self._config(tmp_path, drop="experiment.n")
         assert main(["solve", "--config", cfg]) == 2
         assert "experiment.n" in capsys.readouterr().err
+
+    def test_non_finite_data_file_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "obs.txt"
+        data.write_text("0.5\nnan\n1.5\n")
+        cfg = self._config(tmp_path, extra=f"data.file = {data}\n",
+                           drop="experiment.n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "non-finite" in err
+
+    def test_prediction_tau_above_u_min_exit_2(self, tmp_path, capsys):
+        # n = 5 gives tau = sqrt(2) / sqrt(ln 5) = 1.115 > u_min = 1
+        text = (SEPARATED + "kernel.tau_rule = prediction\n"
+                + "experiment.n = 5\n" + f"output.dir = {tmp_path}/out\n")
+        assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "u_min" in err
 
 
 class TestRates:

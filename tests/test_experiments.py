@@ -124,7 +124,7 @@ class TestRegionMass:
         errs = renormalized_mass_errors(om, sep_mixture.measure, 0.3, sep_ctx)
         np.testing.assert_allclose(errs, 0.0, atol=1e-14)
         # doubling the omega weights doubles the recovered amplitudes
-        hat = DiscreteMeasure(om.weights * 2.0, om.locations)
+        hat = DiscreteMeasure(om.weights * 2.0, om.coords)
         errs2 = renormalized_mass_errors(hat, sep_mixture.measure, 0.3, sep_ctx)
         np.testing.assert_allclose(errs2, [0.5, 0.5], rtol=1e-12)
 

@@ -9,24 +9,19 @@ import math
 import numpy as np
 import pytest
 
-from gmblasso import (
-    DiscreteMeasure,
-    Location,
-    christoffel,
-    fisher_rao_distance,
-    geodesic_point,
-    geodesic_spec,
-    metric_at,
-    region_of,
-    riemannian_norm,
-    semi_distance,
-)
+from gmblasso import DiscreteMeasure, geodesic_spec
 from gmblasso.geometry import (
     fr_distance_pairs,
     metric_diag_batch,
     region_index_batch,
 )
-from gmblasso.kernel import semi_distance_pairs
+from gmblasso.kernel import (
+    _christoffel_coeffs,
+    grad12_batch,
+    hess2_batch,
+    rhess2_batch,
+    semi_distance_pairs,
+)
 
 from conftest import random_locations
 
@@ -44,48 +39,50 @@ class TestMetric:
             rtol=1e-15)
 
     def test_metric_at_helpers(self, ctx1):
-        m = metric_at(Location((0.0,), (1.2,)), ctx1)
-        np.testing.assert_allclose(m.matrix(), np.diag(m.diag))
-        np.testing.assert_allclose(m.inv_diag() * m.diag, 1.0, rtol=1e-15)
-        np.testing.assert_allclose(m.sqrt_diag() ** 2, m.diag, rtol=1e-15)
+        # the metric at one point is the matching row of a batch
+        x = np.array([0.0, 1.2])
+        P = np.stack([x, [0.5, 0.7]])
+        np.testing.assert_allclose(metric_diag_batch(x, ctx1.tau),
+                                   metric_diag_batch(P, ctx1.tau)[0], rtol=1e-15)
 
     def test_riemannian_norm(self, ctx1):
-        x = Location((0.3,), (0.9,))
+        # sqrt(v^T g v) from the diagonal equals the quadratic form of the
+        # mixed kernel derivative at coincidence, which is the metric
+        x = np.array([0.3, 0.9])
         v = np.array([0.4, -0.2])
-        g = metric_diag_batch(x.as_array(), ctx1.tau)
-        assert riemannian_norm(v, x, ctx1) == pytest.approx(
-            math.sqrt(g[0] * 0.16 + g[1] * 0.04), rel=1e-14)
+        g = metric_diag_batch(x, ctx1.tau)
+        M = grad12_batch(x, x, ctx1)
+        assert math.sqrt(np.sum(g * v**2)) == pytest.approx(
+            math.sqrt(v @ M @ v), rel=1e-14)
 
 
 class TestChristoffel:
     def test_reference_values(self):
         # u = tau = 1: Gamma^t_{ut} = -2/3, Gamma^u_{tt} = 1, Gamma^u_{uu} = -1/3
-        from gmblasso.kernel import _christoffel_coeffs
         gt, gu_tt, gu_uu = _christoffel_coeffs(np.array([0.0, 1.0]), 1.0)
         assert gt[0] == pytest.approx(-2 / 3, rel=1e-15)
         assert gu_tt[0] == pytest.approx(1.0, rel=1e-15)
         assert gu_uu[0] == pytest.approx(-1 / 3, rel=1e-15)
 
     def test_matrix_structure(self, ctx2):
-        gam_t, gam_u = christoffel(Location((0.1, -0.7), (0.8, 1.4)), ctx2)
-        assert len(gam_t) == 2 and len(gam_u) == 2
-        for k, (Gt, Gu) in enumerate(zip(gam_t, gam_u)):
-            np.testing.assert_allclose(Gt, Gt.T)
-            np.testing.assert_allclose(Gu, Gu.T)
-            # only the (t_k, u_k) pair enters Gamma^{t_k}; only the
-            # (t_k, t_k) and (u_k, u_k) entries enter Gamma^{u_k}
-            mask_t = np.zeros((4, 4), dtype=bool)
-            mask_t[k, 2 + k] = mask_t[2 + k, k] = True
-            assert np.all((Gt != 0) == mask_t)
-            mask_u = np.zeros((4, 4), dtype=bool)
-            mask_u[k, k] = mask_u[2 + k, 2 + k] = True
-            assert np.all((Gu != 0) == mask_u)
+        # the Christoffel part hess2 - rhess2 = sum_k dK/dt_k Gamma^{t_k}
+        # + dK/du_k Gamma^{u_k} is symmetric; Gamma^{t_k} fills only the
+        # (t_k, u_k) pair and Gamma^{u_k} only (t_k, t_k) and (u_k, u_k)
+        x = np.array([0.3, 0.2, 1.1, 0.6])
+        y = np.array([0.1, -0.7, 0.8, 1.4])
+        G = hess2_batch(x, y, ctx2) - rhess2_batch(x, y, ctx2)
+        np.testing.assert_allclose(G, G.T)
+        mask = np.zeros((4, 4), dtype=bool)
+        for k in range(2):
+            mask[k, 2 + k] = mask[2 + k, k] = True
+            mask[k, k] = mask[2 + k, 2 + k] = True
+        assert np.all((G != 0) == mask)
+        assert _christoffel_coeffs(np.stack([x, y]), ctx2.tau)[0].shape == (2, 2)
 
     def test_consistency_with_metric_derivative(self, ctx1):
         # For a diagonal metric depending only on u:
         # Gamma^t_{tu} = g_t'/(2 g_t), Gamma^u_{tt} = -g_t'/(2 g_u),
         # Gamma^u_{uu} = g_u'/(2 g_u).
-        from gmblasso.kernel import _christoffel_coeffs
         h = 1e-6
         for u in (0.55, 0.9, 1.7):
             x = np.array([0.0, u])
@@ -105,7 +102,7 @@ class TestFisherRao:
         # = ln(3)/(2 sqrt(2)) under this metric normalization
         from gmblasso import DomainBox, KernelContext
         ctx = KernelContext(1, 1.0, DomainBox((-20.0,), (20.0,), 1.0, 2.0))
-        d = fisher_rao_distance(Location((0.0,), (1.0,)), Location((0.0,), (2.0,)), ctx)
+        d = float(fr_distance_pairs(np.array([0.0, 1.0]), np.array([0.0, 2.0]), ctx))
         assert d == pytest.approx(math.log(3.0) / (2 * math.sqrt(2.0)), rel=1e-12)
 
     def test_symmetry_and_identity(self, ctx1):
@@ -133,19 +130,18 @@ class TestGeodesics:
         X = random_locations(rng, 50, ctx1.box)
         Y = random_locations(rng, 50, ctx1.box)
         for x, y in zip(X, Y):
-            p0 = geodesic_point(x, y, 0.0, ctx1).as_array()
-            p1 = geodesic_point(x, y, 1.0, ctx1).as_array()
+            spec = geodesic_spec(x, y, ctx1)
+            p0, p1 = spec.point(0.0), spec.point(1.0)
             assert np.max(np.abs(p0 - x)) < 1e-10
             assert np.max(np.abs(p1 - y)) < 1e-10
 
     def test_constant_speed(self, ctx1):
         x = np.array([-1.0, 0.7])
         y = np.array([2.0, 1.6])
-        total = fisher_rao_distance(Location.from_array(x),
-                                    Location.from_array(y), ctx1)
+        total = float(fr_distance_pairs(x, y, ctx1))
+        spec = geodesic_spec(x, y, ctx1)
         for frac in (0.25, 0.5, 0.75):
-            mid = geodesic_point(x, y, frac, ctx1)
-            along = fisher_rao_distance(Location.from_array(x), mid, ctx1)
+            along = float(fr_distance_pairs(x, spec.point(frac), ctx1))
             assert along == pytest.approx(frac * total, rel=1e-9)
 
     def test_polyline_length_matches_distance(self, ctx2):
@@ -221,32 +217,33 @@ class TestRegions:
             np.array([0.5, 0.5]), np.array([[-2.0, 1.0], [2.0, 1.0]]))
 
     def test_region_of_basic(self, ctx1):
-        mu = self._target()
-        assert region_of(Location((-2.01,), (1.0,)), mu, 0.3, ctx1) == 0
-        assert region_of(Location((2.01,), (1.0,)), mu, 0.3, ctx1) == 1
-        assert region_of(Location((0.0,), (1.0,)), mu, 0.3, ctx1) == "far"
+        P = np.array([[-2.01, 1.0], [2.01, 1.0], [0.0, 1.0]])
+        idx = region_index_batch(P, self._target().coords, 0.3, ctx1)
+        assert idx.tolist() == [0, 1, -1]
 
     def test_region_of_tie_breaks_low_index(self, ctx1):
-        mu = DiscreteMeasure.from_arrays(
-            np.array([0.5, 0.5]), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert region_of(Location((1.0,), (1.0,)), mu, 0.5, ctx1) == 0
+        anchors = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert region_index_batch(np.array([[1.0, 1.0]]), anchors, 0.5, ctx1)[0] == 0
 
     def test_region_of_empty_target(self, ctx1):
-        assert region_of(Location((0.0,), (1.0,)),
-                         DiscreteMeasure.empty(), 0.5, ctx1) == "far"
+        idx = region_index_batch(np.array([[0.0, 1.0]]),
+                                 DiscreteMeasure.empty().coords, 0.5, ctx1)
+        assert idx.tolist() == [-1]
 
     def test_boundary_inclusive(self, ctx1):
-        mu = DiscreteMeasure.from_arrays(np.array([1.0]), np.array([[0.0, 1.0]]))
-        x = Location((0.35,), (1.0,))
-        r = semi_distance(x, Location((0.0,), (1.0,)), ctx1)
-        assert region_of(x, mu, r, ctx1) == 0
-        assert region_of(x, mu, r * (1 - 1e-9), ctx1) == "far"
+        anchors = np.array([[0.0, 1.0]])
+        P = np.array([[0.35, 1.0]])
+        r = float(semi_distance_pairs(P[0], anchors[0], ctx1))
+        assert region_index_batch(P, anchors, r, ctx1)[0] == 0
+        assert region_index_batch(P, anchors, r * (1 - 1e-9), ctx1)[0] == -1
 
     def test_batch_matches_scalar(self, ctx1):
+        # brute force: nearest anchor by semi-distance, one point at a time
         rng = np.random.default_rng(36)
-        mu = self._target()
+        anchors = self._target().coords
         P = random_locations(rng, 300, ctx1.box)
-        idx = region_index_batch(P, mu.locations_array(), 0.4, ctx1)
+        idx = region_index_batch(P, anchors, 0.4, ctx1)
         for p, i in zip(P, idx):
-            scalar = region_of(Location.from_array(p), mu, 0.4, ctx1)
-            assert (scalar == "far" and i == -1) or scalar == i
+            dist = [float(semi_distance_pairs(p, a, ctx1)) for a in anchors]
+            j = int(np.argmin(dist))
+            assert i == (j if dist[j] <= 0.4 else -1)

@@ -17,18 +17,13 @@ from scipy.integrate import quad
 from gmblasso import (
     DomainBox,
     KernelContext,
-    Location,
     data_witness,
-    grad1_k,
-    grad1_grad2_k,
-    k_norm,
     lambda_pair,
-    riemannian_hessian2_k,
-    semi_distance,
     weight_function,
 )
-from gmblasso.geometry import christoffel, metric_diag_batch
+from gmblasso.geometry import metric_diag_batch
 from gmblasso.kernel import (
+    _christoffel_coeffs,
     grad1_batch,
     grad1_rhess2_batch,
     grad2_batch,
@@ -41,6 +36,19 @@ from gmblasso.kernel import (
 )
 
 from conftest import fd_gradient, fd_jacobian, random_locations, rel_error
+
+
+def _christoffel_matrices(y, tau):
+    """Dense Christoffel matrices (Gamma^{t_k})_k, (Gamma^{u_k})_k at y."""
+    d = len(y) // 2
+    gt, gu_tt, gu_uu = _christoffel_coeffs(y, tau)
+    gam_t = [np.zeros((2 * d, 2 * d)) for _ in range(d)]
+    gam_u = [np.zeros((2 * d, 2 * d)) for _ in range(d)]
+    for k in range(d):
+        gam_t[k][k, d + k] = gam_t[k][d + k, k] = gt[k]
+        gam_u[k][k, k] = gu_tt[k]
+        gam_u[k][d + k, d + k] = gu_uu[k]
+    return gam_t, gam_u
 
 
 def closed_form_kernel(x, y, tau):
@@ -90,22 +98,23 @@ class TestValues:
         Y = random_locations(rng, 7, ctx1.box)
         M = kernel_matrix(X, Y, ctx1)
         assert M.shape == (4, 7)
-        assert M[2, 5] == pytest.approx(
-            k_norm(Location.from_array(X[2]), Location.from_array(Y[5]), ctx1))
+        assert M[2, 5] == pytest.approx(float(kernel_values(X[2], Y[5], ctx1)))
 
-    def test_location_api_matches_batch(self, ctx1):
-        x = Location((0.3,), (0.9,))
-        y = Location((-1.2,), (1.4,))
-        assert k_norm(x, y, ctx1) == pytest.approx(
-            float(kernel_values(x.as_array(), y.as_array(), ctx1)), rel=1e-15)
-        assert semi_distance(x, y, ctx1) == pytest.approx(
-            math.sqrt(-2 * math.log(k_norm(x, y, ctx1))), abs=1e-12)
+    def test_single_pair_matches_batch(self, ctx1):
+        x = np.array([0.3, 0.9])
+        y = np.array([-1.2, 1.4])
+        k = kernel_values(x, y, ctx1)
+        assert k.shape == ()
+        assert float(k) == pytest.approx(
+            float(kernel_matrix(x[None, :], y[None, :], ctx1)[0, 0]), rel=1e-15)
+        assert float(semi_distance_pairs(x, y, ctx1)) == pytest.approx(
+            math.sqrt(-2 * math.log(float(k))), abs=1e-12)
 
     @given(t=st.floats(-4, 4), u=st.floats(0.55, 1.9),
            tp=st.floats(-4, 4), up=st.floats(0.55, 1.9))
     @settings(max_examples=200, deadline=None)
     def test_range_and_coincidence(self, t, u, tp, up, ctx1):
-        k = k_norm(Location((t,), (u,)), Location((tp,), (up,)), ctx1)
+        k = float(kernel_values(np.array([t, u]), np.array([tp, up]), ctx1))
         assert 0.0 < k <= 1.0 + 1e-15
         if (t, u) == (tp, up):
             assert k == pytest.approx(1.0, abs=1e-14)
@@ -161,7 +170,7 @@ class TestDerivatives:
         H = hess2_batch(X, Y, ctx2)
         d = ctx2.d
         for x, y, r, g2, h in zip(X, Y, R, G2, H):
-            gam_t, gam_u = christoffel(Location.from_array(y), ctx2)
+            gam_t, gam_u = _christoffel_matrices(y, ctx2.tau)
             expected = h.copy()
             for k in range(d):
                 expected -= g2[k] * gam_t[k] + g2[d + k] * gam_u[k]
@@ -177,7 +186,7 @@ class TestDerivatives:
 
     def test_whitened_hessian_at_coincidence_is_minus_identity(self, ctx1):
         x = np.array([0.7, 1.1])
-        r = riemannian_hessian2_k(Location.from_array(x), Location.from_array(x), ctx1)
+        r = rhess2_batch(x, x, ctx1)
         s = 1.0 / np.sqrt(metric_diag_batch(x, ctx1.tau))
         np.testing.assert_allclose(s[:, None] * r * s[None, :],
                                    -np.eye(2), atol=1e-12)
@@ -203,17 +212,12 @@ class TestDerivatives:
         g = metric_diag_batch(np.array([0.0, 1.0]), 1.0)
         np.testing.assert_allclose(g, [1 / 3, 2 / 9], rtol=1e-15)
 
-    def test_location_level_wrappers(self, ctx1):
-        x = Location((0.5,), (0.8,))
-        y = Location((-0.4,), (1.3,))
-        np.testing.assert_allclose(
-            grad1_k(x, y, ctx1), grad1_batch(x.as_array(), y.as_array(), ctx1))
-        np.testing.assert_allclose(
-            grad1_grad2_k(x, y, ctx1),
-            grad12_batch(x.as_array(), y.as_array(), ctx1))
-        np.testing.assert_allclose(
-            riemannian_hessian2_k(x, y, ctx1),
-            rhess2_batch(x.as_array(), y.as_array(), ctx1))
+    def test_single_pair_matches_batch(self, ctx1):
+        x = np.array([0.5, 0.8])
+        y = np.array([-0.4, 1.3])
+        X, Y = np.stack([x, y]), np.stack([y, x])
+        for fn in (grad1_batch, grad12_batch, rhess2_batch):
+            np.testing.assert_allclose(fn(x, y, ctx1), fn(X, Y, ctx1)[0])
 
 
 class TestQuadratureOracles:
@@ -300,10 +304,13 @@ class TestWitness:
             data_witness(np.array([0.0, 0.0, 1.0, 1.0]), np.zeros((5, 3)), ctx2)
 
     def test_location_input(self, ctx1):
+        # one location (2d,) gives a float; a batch (m, 2d) gives an array
         samples = np.array([0.1, -0.2, 0.3])
-        loc = Location((0.0,), (1.0,))
-        assert data_witness(loc, samples, ctx1) == pytest.approx(
-            data_witness(loc.as_array(), samples, ctx1), rel=1e-15)
+        x = np.array([0.0, 1.0])
+        val = data_witness(x, samples, ctx1)
+        assert isinstance(val, float)
+        assert val == pytest.approx(
+            data_witness(x[None, :], samples, ctx1)[0], rel=1e-15)
 
 
 class TestContext:

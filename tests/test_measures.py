@@ -12,10 +12,10 @@ from gmblasso import (
     Location,
     min_pairwise_semidistance,
     reparametrize,
-    semi_distance,
     tv_norm,
     weight_function,
 )
+from gmblasso.kernel import semi_distance_pairs
 
 from conftest import random_locations
 
@@ -64,6 +64,8 @@ class TestDiscreteMeasure:
         ([-0.1], [[0.0, 1.0]]),            # negative weight
         ([math.inf], [[0.0, 1.0]]),        # non-finite weight
         ([0.5, 0.5], [[0.0, 1.0]]),        # length mismatch
+        ([0.5], [[0.0, 0.0]]),             # zero scale
+        ([0.5], [[math.nan, 1.0]]),        # non-finite coordinate
     ])
     def test_rejects_invalid(self, weights, coords):
         with pytest.raises(ValueError):
@@ -72,8 +74,16 @@ class TestDiscreteMeasure:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([0.5, 0.5]),
-                            (Location((0.0,), (1.0,)),
-                             Location((0.0, 0.0), (1.0, 1.0))))
+                            [[0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError):
+            DiscreteMeasure(np.array([0.5]), np.array([[0.0, 1.0, 1.0]]))
+
+    def test_arrays_are_read_only(self):
+        mu = DiscreteMeasure.from_arrays(np.array([0.3]), np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            mu.coords[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mu.weights[0] = 1.0
 
 
 class TestDomainBox:
@@ -170,7 +180,7 @@ class TestNorms:
         pts = random_locations(rng, 9, ctx1.box)
         mu = DiscreteMeasure.from_arrays(np.ones(9), pts)
         brute = min(
-            semi_distance(pts[i], pts[j], ctx1)
+            float(semi_distance_pairs(pts[i], pts[j], ctx1))
             for i in range(9) for j in range(i + 1, 9))
         assert min_pairwise_semidistance(mu, ctx1) == pytest.approx(brute, rel=1e-13)
 

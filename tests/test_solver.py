@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gmblasso import (
@@ -11,7 +13,6 @@ from gmblasso import (
     DomainBox,
     GroundTruthMixture,
     KernelContext,
-    Location,
     ObjectiveContext,
     SolverConfig,
     acceptance_check,
@@ -23,10 +24,10 @@ from gmblasso import (
     recommended_parameters,
     reparametrize,
     sample,
-    semi_distance,
     weight_function,
 )
-from gmblasso.solver import objective_core
+from gmblasso.kernel import semi_distance_pairs
+from gmblasso.solver import objective_core, resolve_tau
 
 from conftest import random_locations, rel_error
 
@@ -299,8 +300,8 @@ class TestDescent:
         res = cpgd_solve(initial_measure(octx, cfg, rng), octx, cfg)
         assert not res.aborted
         assert res.measure.s == 1
-        assert semi_distance(res.measure.locations[0],
-                             mu0.locations[0], ctx) < 0.1
+        assert float(semi_distance_pairs(res.measure.coords[0],
+                                         mu0.coords[0], ctx)) < 0.1
         amp = reparametrize(res.measure, ctx.tau, "from_omega")
         assert amp.weights[0] == pytest.approx(1.0, abs=0.1)
         assert acceptance_check(res.measure, mix.omega_measure(), octx)
@@ -325,6 +326,60 @@ class TestDescent:
         assert res.converged
         assert res.iterations_run < 2000
         assert np.all(res.measure.weights >= small_octx.kappa / 2)
+
+
+    def test_final_merge_never_raises_objective(self):
+        # a merge radius of 3 would collapse the components at -2 and +2
+        box = DomainBox((-10.0,), (10.0,), 1.0, 1.0)
+        ctx = KernelContext(1, 1.0, box)
+        mix = GroundTruthMixture(DiscreteMeasure.from_arrays(
+            np.array([0.5, 0.5]), np.array([[-2.0, 1.0], [2.0, 1.0]])), ctx)
+        X = sample(mix, 5000, 0)
+        rec = recommended_parameters(5000, 1, ctx.tau, box)
+        octx = ObjectiveContext(X, rec.kappa_agnostic, ctx)
+        cfg = SolverConfig(merge_radius=3.0, merge_period=0, record_trace=True)
+        res = cpgd_solve(initial_measure(octx, cfg), octx, cfg)
+        assert res.measure.s >= 2
+        assert objective(res.measure, octx) <= res.trace[-1].objective
+
+    def test_stall_is_not_convergence(self, sep_mixture, sep_ctx):
+        # steps this large fail their only backtrack on every iteration
+        X = sample(sep_mixture, 2000, 0)
+        rec = recommended_parameters(2000, 1, sep_ctx.tau, sep_ctx.box)
+        octx = ObjectiveContext(X, rec.kappa_agnostic, sep_ctx)
+        cfg = SolverConfig(step_w=1e6, step_x=1e6, max_backtracks=0, patience=5)
+        res = cpgd_solve(initial_measure(octx, cfg), octx, cfg)
+        assert res.stalled and not res.converged
+        assert res.iterations_run == 5
+        assert len({row.objective for row in res.trace}) == 1
+
+
+class TestInvariants:
+    """Properties every returned result keeps.  Pruning is off: the final
+    prune of atoms below prune_threshold is unconditional by contract (see
+    test_converges_flag_and_final_prune) and may raise the objective by about
+    w^2/2 per pruned atom, while the final merge must never raise it."""
+
+    @given(half_gap=st.floats(0.2, 4.0), seed=st.integers(0, 2**16),
+           merge_radius=st.floats(0.01, 3.0), merge_period=st.integers(0, 4),
+           step=st.floats(0.5, 1e4), max_backtracks=st.integers(0, 3),
+           patience=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_solver_invariants(self, ctx1, half_gap, seed, merge_radius,
+                               merge_period, step, max_backtracks, patience):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(half_gap * rng.choice([-1.0, 1.0], size=80), 1.0)
+        octx = ObjectiveContext(X, 0.05, ctx1)
+        cfg = SolverConfig(max_particles=4, iterations=25, step_w=step,
+                           step_x=step, merge_radius=merge_radius,
+                           merge_period=merge_period, prune_threshold=0.0,
+                           max_backtracks=max_backtracks, patience=patience,
+                           seed=seed, record_trace=True)
+        res = cpgd_solve(initial_measure(octx, cfg), octx, cfg)
+        assert not (res.converged and res.stalled)
+        assert ctx1.box.contains(res.measure.coords)
+        if res.trace:
+            assert objective(res.measure, octx) <= res.trace[-1].objective
 
 
 class TestAcceptanceCheck:
@@ -363,6 +418,25 @@ class TestRecommendedParameters:
         rec = recommended_parameters(1000, 1, 0.5, box)
         assert rec.tau_prediction == pytest.approx(
             math.sqrt(2.0) * 0.7 / math.sqrt(math.log(1000)), rel=1e-14)
+
+    def test_kappa_rule_table(self):
+        box = DomainBox((-5.0,), (5.0,), 1.0, 1.0)
+        rec = recommended_parameters(100, 1, 1.0, box, s_hint=2)
+        assert rec.kappa("agnostic") == rec.kappa_agnostic
+        assert rec.kappa("s_dependent") == rec.kappa_s_dependent
+        assert rec.kappa("small_reg") == rec.kappa_small_reg
+        with pytest.raises(ValueError):
+            rec.kappa("nope")
+
+    def test_resolve_tau(self):
+        box = DomainBox((-5.0,), (5.0,), 1.0, 1.0)
+        assert resolve_tau("fixed", 0.7, box, 5) == 0.7
+        assert resolve_tau("prediction", None, box, 1000) == \
+            recommended_parameters(1000, 1, 1.0, box).tau_prediction
+        with pytest.raises(ValueError, match="u_min"):
+            resolve_tau("prediction", None, box, 5)
+        with pytest.raises(ValueError):
+            resolve_tau("nope", 0.7, box, 1000)
 
     def test_rejects_tiny_n(self):
         box = DomainBox((-5.0,), (5.0,), 1.0, 1.0)
