@@ -49,6 +49,8 @@ from .kernel import (
     grad2_batch,
     hess2_batch,
     kernel_values,
+    lambda_sum,
+    moment_table,
     semi_distance_pairs,
 )
 from .measures import DiscreteMeasure, DomainBox
@@ -621,6 +623,19 @@ def _kernel_check_suite(samples: int, seed: int):
         loop = np.array([data_witness(x, W, ctx) for x in Xs])
         err = float(np.max(np.abs(vec - loop)))
         yield f"d={d} witness vectorization", err, 1e-12
+
+        # errors relative to the largest direct value or gradient entry
+        table = moment_table(W, math.sqrt(2 * (box.u_min**2 + ctx.tau**2)))
+        val, grad = data_witness(Xs, W, ctx, with_gradient=True)
+        t_val, t_grad = data_witness(Xs, W, ctx, with_gradient=True, table=table)
+        err = max(float(np.max(np.abs(t_val - val)) / np.max(np.abs(val))),
+                  float(np.max(np.abs(t_grad - grad)) / np.max(np.abs(grad))))
+        yield f"d={d} witness table vs direct sum", err, 1e-12
+
+        pairs = lambda_sum(W, ctx)
+        table = moment_table(W, math.sqrt(2.0) * ctx.tau)
+        err = abs(lambda_sum(W, ctx, table) - pairs) / pairs
+        yield f"d={d} C table vs pair sum", err, 1e-13
 
 
 def _christoffel_fd_error(X, ctx) -> float:

@@ -7,8 +7,9 @@ In the omega parametrization the objective is pure kernel algebra,
 
 with the data constant C = (1/n^2) sum_ii' lambda(X_i - X_i').  C does not
 influence the optimization, so the iteration tracks the C-free core value and
-the constant is computed lazily (blocked exact pairwise summation) only when
-a full objective value is actually requested.
+the constant is computed lazily only when a full objective value is actually
+requested.  The witness and C come from a Hermite moment table of the samples
+when its work per target is below the direct sum's (kernel.choose_table).
 
 The solver performs multiplicative (conic) weight updates w <- w e^{-eta_w g}
 and metric-preconditioned position updates x <- clip(x - eta_x g_x^{-1} grad),
@@ -25,10 +26,12 @@ import numpy as np
 from .geometry import metric_diag_batch
 from .kernel import (
     KernelContext,
+    MomentTable,
+    choose_table,
     data_witness,
     grad1_batch,
     kernel_values,
-    lambda_pair,
+    lambda_sum,
     semi_distance_pairs,
 )
 from .measures import DiscreteMeasure, weight_function
@@ -52,7 +55,8 @@ __all__ = [
 
 
 class ObjectiveContext:
-    """Samples, regularization strength, kernel context, and the cached data constant."""
+    """Samples, regularization strength, kernel context, the moment table of
+    the data terms (None: direct sums) and the cached data constant."""
 
     def __init__(self, samples: np.ndarray, kappa: float, ctx: KernelContext):
         X = np.asarray(samples, dtype=float)
@@ -69,6 +73,10 @@ class ObjectiveContext:
         self.samples = X
         self.kappa = float(kappa)
         self.ctx = ctx
+        # the witness is evaluated at u >= u_min, so at widths
+        # sqrt(2 (u^2 + tau^2)) >= sqrt(2 (u_min^2 + tau^2))
+        self.table: Optional[MomentTable] = choose_table(
+            X, math.sqrt(2 * (ctx.box.u_min**2 + ctx.tau**2)))
         self._fidelity_constant: Optional[float] = None
 
     @property
@@ -80,19 +88,8 @@ class ObjectiveContext:
         """C = (1/n^2) sum_{i,i'} lambda(X_i - X_i'), computed once per dataset."""
         if self._fidelity_constant is None:
             X = self.samples
-            n = X.shape[0]
-            total = n * float(lambda_pair(np.zeros(X.shape[1]), self.ctx))
-            block = 2048
-            for i0 in range(0, n, block):
-                xi = X[i0:i0 + block]
-                for j0 in range(i0, n, block):
-                    xj = X[j0:j0 + block]
-                    lam = lambda_pair(xi[:, None, :] - xj[None, :, :], self.ctx)
-                    if i0 == j0:
-                        total += 2.0 * float(np.triu(lam, k=1).sum())
-                    else:
-                        total += 2.0 * float(lam.sum())
-            self._fidelity_constant = total / n**2
+            table = choose_table(X, math.sqrt(2.0) * self.ctx.tau)
+            self._fidelity_constant = lambda_sum(X, self.ctx, table) / self.n**2
         return self._fidelity_constant
 
 
@@ -103,7 +100,8 @@ def _core_value(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext) -> float
         return 0.0
     K = kernel_values(pts[:, None, :], pts[None, :, :], octx.ctx)
     quad = float(w @ K @ w)
-    cross = float(w @ np.atleast_1d(data_witness(pts, octx.samples, octx.ctx)))
+    cross = float(w @ np.atleast_1d(data_witness(pts, octx.samples, octx.ctx,
+                                                  table=octx.table)))
     return 0.5 * quad - cross + octx.kappa * float(np.sum(w))
 
 
@@ -126,7 +124,8 @@ def objective_gradient(mu_omega: DiscreteMeasure, octx: ObjectiveContext):
         return np.zeros(0), np.zeros((0, 0))
     K = kernel_values(pts[:, None, :], pts[None, :, :], octx.ctx)
     G1 = grad1_batch(pts[:, None, :], pts[None, :, :], octx.ctx)   # (s, s, 2d)
-    wit, wit_grad = data_witness(pts, octx.samples, octx.ctx, with_gradient=True)
+    wit, wit_grad = data_witness(pts, octx.samples, octx.ctx, with_gradient=True,
+                                 table=octx.table)
     grad_w = K @ w - np.atleast_1d(wit) + octx.kappa
     grad_x = w[:, None] * (np.einsum("l,jld->jd", w, G1) - np.atleast_2d(wit_grad))
     return grad_w, grad_x
@@ -156,8 +155,21 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_particles < 1:
             raise ValueError("need max_particles >= 1")
-        if self.step_w <= 0 or self.step_x <= 0:
-            raise ValueError("step sizes must be positive")
+        if self.iterations < 1:
+            raise ValueError("need iterations >= 1")
+        if self.patience < 1:
+            raise ValueError("need patience >= 1")
+        if self.max_backtracks < 0:
+            raise ValueError("need max_backtracks >= 0")
+        if self.merge_period < 0:
+            raise ValueError("need merge_period >= 0")
+        if not (self.step_w > 0 and self.step_x > 0
+                and math.isfinite(self.step_w) and math.isfinite(self.step_x)):
+            raise ValueError("step sizes must be positive and finite")
+        for name in ("tolerance", "merge_radius", "prune_threshold"):
+            value = getattr(self, name)
+            if value is not None and not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def _resolved_merge_radius(cfg: SolverConfig, d: int) -> float:
@@ -329,10 +341,18 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
             last_failed = it
 
         if cfg.merge_period > 0 and it % cfg.merge_period == 0:
+            # prune and merge as one candidate; if that raises J (a dust atom
+            # whose removal costs more than the merge gains), the merge alone
             cand = prune_merge(DiscreteMeasure.from_arrays(w, pts), cfg, octx.ctx)
             J_cand = _core_value(cand.weights, cand.locations_array(), octx)
             if J_cand <= J:
                 w, pts, J = cand.weights, cand.locations_array(), J_cand
+            else:
+                w_m, pts_m = _merge(w, pts, cfg, octx.ctx)
+                if len(w_m) < len(w):
+                    J_m = _core_value(w_m, pts_m, octx)
+                    if J_m <= J:
+                        w, pts, J = w_m, pts_m, J_m
 
         if cfg.record_trace:
             C = octx.fidelity_constant

@@ -259,6 +259,13 @@ class TestSolve:
         assert err.startswith("config") and "u_min" in err
 
 
+    def test_zero_patience_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, extra="solver.patience = 0\n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "patience" in err
+
+
 class TestRates:
     def _config(self, tmp_path):
         text = (SEPARATED.replace("seed.master = 0", "seed.master = 9")
@@ -339,6 +346,15 @@ class TestKernelCheck:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "check(s) failed" in out
+
+
+    def test_detects_truncated_table(self, capsys, monkeypatch):
+        # a moment table cut at order 2 must fail the table checks
+        monkeypatch.setattr("gmblasso.kernel._truncation_order", lambda ratio: 2)
+        assert main(["kernel-check", "--samples", "200"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  d=1 witness table vs direct sum" in out
+        assert "FAIL  d=2 C table vs pair sum" in out
 
 
 class TestUsage:

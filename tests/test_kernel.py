@@ -22,8 +22,10 @@ from gmblasso import (
     weight_function,
 )
 from gmblasso.geometry import metric_diag_batch
+from gmblasso import kernel as kernel_module
 from gmblasso.kernel import (
     _christoffel_coeffs,
+    choose_table,
     grad1_batch,
     grad1_rhess2_batch,
     grad2_batch,
@@ -31,6 +33,8 @@ from gmblasso.kernel import (
     hess2_batch,
     kernel_matrix,
     kernel_values,
+    lambda_sum,
+    moment_table,
     rhess2_batch,
     semi_distance_pairs,
 )
@@ -311,6 +315,135 @@ class TestWitness:
         assert isinstance(val, float)
         assert val == pytest.approx(
             data_witness(x[None, :], samples, ctx1)[0], rel=1e-15)
+
+
+class TestDirectBlocks:
+    """The direct witness sums the samples in blocks of _DIRECT_BLOCK."""
+
+    def test_single_block_unchanged(self, ctx2):
+        # the unblocked formula, kept as the oracle for n <= block
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(300, 2))
+        P = random_locations(rng, 7, ctx2.box)
+        t, u = P[:, None, :2], P[:, None, 2:]
+        v = u**2 + ctx2.tau**2
+        z = X[None, :, :] - t
+        G = np.prod(np.exp(-(z**2) / (2 * v)) / np.sqrt(2 * np.pi * v), axis=-1)
+        W = weight_function(P, ctx2.tau)
+        val = G.sum(axis=1) / (300 * W)
+        gt = np.einsum("mn,mnd->md", G, z / v) / (300 * W[:, None])
+        gu = np.einsum("mn,mnd->md", G, u * (z**2 / v**2 - 1.0 / v)) \
+            / (300 * W[:, None])
+        gu += val[:, None] * P[:, 2:] / (2 * P[:, 2:] ** 2 + ctx2.tau**2)
+        got_val, got_grad = data_witness(P, X, ctx2, with_gradient=True)
+        assert np.array_equal(got_val, val)
+        assert np.array_equal(got_grad, np.concatenate([gt, gu], axis=1))
+
+    def test_blocks_match_one_block(self, ctx1, monkeypatch):
+        rng = np.random.default_rng(25)
+        n = 2 * kernel_module._DIRECT_BLOCK + 17
+        X = rng.normal(0.0, 1.5, size=n)
+        P = random_locations(rng, 6, ctx1.box)
+        val, grad = data_witness(P, X, ctx1, with_gradient=True)
+        monkeypatch.setattr(kernel_module, "_DIRECT_BLOCK", n)
+        one_val, one_grad = data_witness(P, X, ctx1, with_gradient=True)
+        assert np.max(np.abs(val - one_val)) <= 1e-14 * np.max(np.abs(one_val))
+        assert np.max(np.abs(grad - one_grad)) <= 1e-14 * np.max(np.abs(one_grad))
+
+
+def _table_ctx(d, tau_fraction):
+    box = DomainBox((-6.0,) * d, (6.0,) * d, 0.5, 2.0)
+    return KernelContext(d, tau_fraction * box.u_min, box)
+
+
+def _witness_table(X, ctx):
+    box = ctx.box
+    return moment_table(X, math.sqrt(2 * (box.u_min**2 + ctx.tau**2)))
+
+
+def _table_targets(rng, box, m):
+    """Targets across the box: u at both ends, and the corners of the box,
+    far from data gathered near the origin."""
+    d = box.d
+    P = random_locations(rng, m, box)
+    P[: m // 3, d:] = box.u_min
+    P[m // 3: 2 * m // 3, d:] = box.u_max
+    P[-2, :d], P[-1, :d] = box.t_lo, box.t_hi
+    return P
+
+
+def _assert_table_matches(P, X, ctx):
+    table = _witness_table(X, ctx)
+    val, grad = data_witness(P, X, ctx, with_gradient=True)
+    t_val, t_grad = data_witness(P, X, ctx, with_gradient=True, table=table)
+    assert np.max(np.abs(t_val - val)) <= 1e-14 * np.max(np.abs(val))
+    assert np.max(np.abs(t_grad - grad)) <= 1e-12 * np.max(np.abs(grad))
+    only_val = data_witness(P, X, ctx, table=table)
+    assert np.max(np.abs(only_val - val)) <= 1e-14 * np.max(np.abs(val))
+    c_table = moment_table(X, math.sqrt(2.0) * ctx.tau)
+    assert lambda_sum(X, ctx, c_table) == pytest.approx(lambda_sum(X, ctx),
+                                                        rel=1e-13)
+
+
+class TestMomentTable:
+    """The Hermite moment table against the direct sums it replaces."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("tau_fraction", [1.0, 0.3])
+    def test_matches_direct_sum(self, d, tau_fraction):
+        ctx = _table_ctx(d, tau_fraction)
+        rng = np.random.default_rng(26 + d)
+        X = rng.normal(-0.5, 1.0, size=(400, d))
+        _assert_table_matches(_table_targets(rng, ctx.box, 30), X, ctx)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_single_sample(self, d):
+        ctx = _table_ctx(d, 1.0)
+        rng = np.random.default_rng(28)
+        X = np.full((1, d), 0.3)
+        assert _witness_table(X, ctx).cells == 1
+        _assert_table_matches(_table_targets(rng, ctx.box, 12), X, ctx)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_all_samples_in_one_cell(self, d):
+        ctx = _table_ctx(d, 0.3)
+        rng = np.random.default_rng(29)
+        X = 0.2 + 0.02 * rng.random((50, d))
+        assert _witness_table(X, ctx).cells == 1
+        assert moment_table(X, math.sqrt(2.0) * ctx.tau).cells == 1
+        _assert_table_matches(_table_targets(rng, ctx.box, 12), X, ctx)
+
+    @given(n=st.integers(1, 40), d=st.sampled_from([1, 2]),
+           tau_fraction=st.floats(0.3, 1.0), spread=st.floats(0.01, 4.0),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_direct_sum_property(self, n, d, tau_fraction, spread, seed):
+        ctx = _table_ctx(d, tau_fraction)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0.0, spread, size=(n, d))
+        _assert_table_matches(_table_targets(rng, ctx.box, 9), X, ctx)
+
+    def test_rejects_width_below_cells(self, ctx1):
+        X = np.linspace(-1.0, 1.0, 30)
+        table = moment_table(X, 2.0)
+        with pytest.raises(ValueError, match="cell width"):
+            data_witness(np.array([0.0, 0.5]), X, ctx1, table=table)
+
+    def test_rejects_table_of_other_samples(self, ctx1):
+        X = np.linspace(-1.0, 1.0, 30)
+        table = _witness_table(X[:, None], ctx1)
+        with pytest.raises(ValueError, match="other samples"):
+            data_witness(np.array([0.0, 1.0]), X[:20], ctx1, table=table)
+
+    def test_choice_follows_the_work(self, ctx1):
+        rng = np.random.default_rng(31)
+        delta = math.sqrt(2 * (ctx1.box.u_min**2 + ctx1.tau**2))
+        assert choose_table(rng.normal(size=20000), delta) is not None
+        assert choose_table(rng.normal(size=50), delta) is None
+        # data spread over too many cells
+        assert choose_table(np.linspace(-1e4, 1e4, 20000), delta) is None
+        # d >= 3 always takes the direct sum
+        assert choose_table(rng.normal(size=(20000, 3)), delta) is None
 
 
 class TestContext:

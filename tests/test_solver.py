@@ -81,6 +81,23 @@ class TestObjectiveContext:
                                                        rel=1e-12)
 
 
+    def test_blocked_pair_sum_large(self, ctx1):
+        # the pair sum behind C without a table, over several 2048 blocks
+        from gmblasso.kernel import lambda_pair, lambda_sum
+        rng = np.random.default_rng(53)
+        X = rng.normal(size=(2500, 1))
+        lam = lambda_pair(X[:, None, :] - X[None, :, :], ctx1)
+        assert lambda_sum(X, ctx1) == pytest.approx(float(lam.sum()), rel=1e-12)
+
+    def test_table_choice_on_the_separated_scenario(self, sep_mixture, sep_ctx):
+        rng = np.random.default_rng(54)
+        small = ObjectiveContext(sample(sep_mixture, 1000, rng), 0.05, sep_ctx)
+        large = ObjectiveContext(sample(sep_mixture, 30000, rng), 0.05, sep_ctx)
+        assert small.table is None
+        assert large.table is not None
+        assert large.table.n == 30000
+
+
 class TestObjective:
     def test_empty_measure_value(self):
         # single sample, tau = 1: J(0) = C/2 = lambda(0)/2 = (2 pi)^(-1/2)/2
@@ -270,7 +287,7 @@ class TestDescent:
             cpgd_solve(mu, small_octx, SolverConfig())
 
     def test_aborts_on_non_finite(self, small_octx, monkeypatch):
-        def bad_witness(x, samples, ctx, with_gradient=False):
+        def bad_witness(x, samples, ctx, with_gradient=False, table=None):
             P = np.atleast_2d(np.asarray(x, float))
             val = np.full(P.shape[0], math.nan)
             if with_gradient:
@@ -327,6 +344,18 @@ class TestDescent:
         assert res.iterations_run < 2000
         assert np.all(res.measure.weights >= small_octx.kappa / 2)
 
+
+    def test_merge_goes_through_when_prune_blocks_it(self, small_octx):
+        # in test_converges_flag_and_final_prune's run, pruning a converged
+        # dust atom raises J by more than merging three near-coincident
+        # atoms lowers it; the merge alone must still go through
+        cfg = SolverConfig(iterations=2000, step_w=2.0, step_x=4.0,
+                           prune_threshold=small_octx.kappa / 2,
+                           merge_period=10, tolerance=1e-9,
+                           record_trace=True)
+        res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
+        assert res.converged
+        assert res.trace[-1].atoms <= 2
 
     def test_final_merge_never_raises_objective(self):
         # a merge radius of 3 would collapse the components at -2 and +2
@@ -452,6 +481,15 @@ class TestSolverConfig:
             SolverConfig(step_w=0.0)
         with pytest.raises(ValueError):
             SolverConfig(step_x=-1.0)
+        for field, value in [
+                ("iterations", 0), ("iterations", -3), ("patience", 0),
+                ("max_backtracks", -1), ("merge_period", -1),
+                ("step_w", math.nan), ("step_x", math.inf),
+                ("tolerance", -1e-9), ("tolerance", math.nan),
+                ("merge_radius", -0.1), ("merge_radius", math.inf),
+                ("prune_threshold", -1e-6), ("prune_threshold", math.nan)]:
+            with pytest.raises(ValueError, match=field.split("_")[0]):
+                SolverConfig(**{field: value})
 
     def test_default_merge_radius_scales_with_d(self):
         from gmblasso.solver import _resolved_merge_radius
