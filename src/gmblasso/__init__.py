@@ -6,7 +6,6 @@ particle-descent solver, and Monte-Carlo rate experiments."""
 from .measures import (
     DiscreteMeasure,
     DomainBox,
-    Location,
     min_pairwise_semidistance,
     reparametrize,
     tv_norm,
@@ -22,8 +21,8 @@ from .certificates import (
     NondegeneracyReport,
     SingularSystemError,
     build_upsilon,
-    eval_certificate,
-    eval_certificate_gradient,
+    certificate_gradients,
+    certificate_values,
     lpc_constants,
     separation_check,
     solve_certificates,
@@ -56,12 +55,12 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscreteMeasure", "DomainBox", "Location", "min_pairwise_semidistance",
+    "DiscreteMeasure", "DomainBox", "min_pairwise_semidistance",
     "reparametrize", "tv_norm", "weight_function",
     "KernelContext", "data_witness", "lambda_pair", "geodesic_spec",
     "CertificateSolution", "CertificateSystem", "GridSpec", "LpcConstants",
     "NondegeneracyReport", "SingularSystemError", "build_upsilon",
-    "eval_certificate", "eval_certificate_gradient", "lpc_constants",
+    "certificate_values", "certificate_gradients", "lpc_constants",
     "separation_check", "solve_certificates",
     "verify_nondegeneracy",
     "ObjectiveContext", "RecommendedParameters", "SolverConfig", "SolverResult",

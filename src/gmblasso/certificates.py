@@ -18,7 +18,7 @@ content, never exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .geometry import (
     fr_distance_pairs,
     geodesic_spec,
     metric_diag_batch,
+    near_radius,
     region_index_batch,
 )
 from .kernel import (
@@ -39,9 +40,8 @@ from .kernel import (
     grad12_batch,
     kernel_values,
     rhess2_batch,
-    semi_distance_pairs,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, min_pairwise_semidistance
 
 __all__ = [
     "CertificateSystem",
@@ -54,8 +54,8 @@ __all__ = [
     "SingularSystemError",
     "build_upsilon",
     "solve_certificates",
-    "eval_certificate",
-    "eval_certificate_gradient",
+    "certificate_values",
+    "certificate_gradients",
     "lpc_constants",
     "separation_check",
     "verify_nondegeneracy",
@@ -64,6 +64,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-9
+_EVAL_BLOCK = 4096    # sample points per block in verify_nondegeneracy
 
 
 class SingularSystemError(RuntimeError):
@@ -104,25 +105,25 @@ def build_upsilon(anchors, ctx: KernelContext) -> CertificateSystem:
     s, dim2 = pts.shape
     if dim2 != 2 * ctx.d:
         raise ValueError("anchor dimension disagrees with kernel context")
-    for i in range(s):
-        for j in range(i + 1, s):
-            if np.array_equal(pts[i], pts[j]):
-                raise SingularSystemError(
-                    f"anchors {i} and {j} coincide; system is singular", math.inf)
+    iu, ju = np.triu_indices(s, k=1)
+    same = np.flatnonzero(np.all(pts[iu] == pts[ju], axis=1))
+    if len(same):
+        i, j = iu[same[0]], ju[same[0]]
+        raise SingularSystemError(
+            f"anchors {i} and {j} coincide; system is singular", math.inf)
 
     K = kernel_values(pts[:, None, :], pts[None, :, :], ctx)        # (s, s)
     G1 = grad1_batch(pts[:, None, :], pts[None, :, :], ctx)         # G1[j,i] = d1 K(x_j, x_i)
     M12 = grad12_batch(pts[:, None, :], pts[None, :, :], ctx)       # (s, s, 2d, 2d)
 
+    # block (i, j) is [[K_ij, G1[j,i]^T], [G1[i,j], M12[j,i]^T]]
     m = 1 + dim2
-    U = np.zeros((s * m, s * m))
-    for i in range(s):
-        for j in range(s):
-            U[i * m, j * m] = K[i, j]
-            U[i * m, j * m + 1:(j + 1) * m] = G1[j, i]
-            U[i * m + 1:(i + 1) * m, j * m] = G1[i, j]
-            U[i * m + 1:(i + 1) * m, j * m + 1:(j + 1) * m] = M12[j, i].T
-    return CertificateSystem(U, pts, ctx)
+    U = np.empty((s, m, s, m))
+    U[:, 0, :, 0] = K
+    U[:, 0, :, 1:] = G1.transpose(1, 0, 2)
+    U[:, 1:, :, 0] = G1.transpose(0, 2, 1)
+    U[:, 1:, :, 1:] = M12.transpose(1, 3, 0, 2)
+    return CertificateSystem(U.reshape(s * m, s * m), pts, ctx)
 
 
 def _solve_system(U: np.ndarray, rhs: np.ndarray):
@@ -155,8 +156,7 @@ def solve_certificates(system: CertificateSystem):
     m = 1 + dim2
     rhs = np.zeros((s * m, s + 1))
     rhs[::m, 0] = 1.0                    # global: value 1 at every anchor
-    for j in range(s):
-        rhs[j * m, j + 1] = 1.0          # local j: indicator values
+    rhs[::m, 1:] = np.eye(s)             # local j: indicator values
     X, resid, _ = _solve_system(system.upsilon, rhs)
 
     def mk(col, kind, index):
@@ -172,33 +172,28 @@ def solve_certificates(system: CertificateSystem):
     return global_sol, local_sols
 
 
-def _eval_batch(sol: CertificateSolution, system: CertificateSystem, P: np.ndarray,
-                kernel_cache=None):
-    """eta at coordinate rows P (m, 2d); optionally reuse (K, G1) across calls."""
+def certificate_values(sols, system: CertificateSystem, P: np.ndarray) -> np.ndarray:
+    """eta of each certificate at coordinate rows P (m, 2d), shape (k, m)."""
     pts = system.anchors
-    if kernel_cache is None:
-        K = kernel_values(pts[:, None, :], P[None, :, :], system.ctx)
-        G1 = grad1_batch(pts[:, None, :], P[None, :, :], system.ctx)
-        kernel_cache = (K, G1)
-    K, G1 = kernel_cache
-    vals = sol.alpha @ K + np.einsum("jd,jmd->m", sol.beta, G1)
-    return vals, kernel_cache
+    P = np.asarray(P, dtype=float)
+    K = kernel_values(pts[:, None, :], P[None, :, :], system.ctx)       # (s, m)
+    G1 = grad1_batch(pts[:, None, :], P[None, :, :], system.ctx)        # (s, m, 2d)
+    alpha = np.stack([sol.alpha for sol in sols])                       # (k, s)
+    beta = np.stack([sol.beta for sol in sols])                         # (k, s, 2d)
+    return alpha @ K + np.einsum("kjd,jmd->km", beta, G1)
 
 
-def eval_certificate(sol: CertificateSolution, system: CertificateSystem, x) -> float:
-    vals, _ = _eval_batch(sol, system, np.asarray(x, float)[None, :])
-    return float(vals[0])
-
-
-def eval_certificate_gradient(sol: CertificateSolution, system: CertificateSystem,
-                              x) -> np.ndarray:
+def certificate_gradients(sols, system: CertificateSystem,
+                          P: np.ndarray) -> np.ndarray:
+    """Gradient of each certificate at coordinate rows P (m, 2d), shape (k, m, 2d)."""
     pts = system.anchors
-    P = np.asarray(x, float)[None, :]
-    G2 = grad2_batch(pts[:, None, :], P[None, :, :], system.ctx)       # (s,1,2d)
-    M12 = grad12_batch(pts[:, None, :], P[None, :, :], system.ctx)     # (s,1,2d,2d)
-    grad = np.einsum("j,jmd->md", sol.alpha, G2)
-    grad += np.einsum("jb,jmbd->md", sol.beta, M12)
-    return grad[0]
+    P = np.asarray(P, dtype=float)
+    G2 = grad2_batch(pts[:, None, :], P[None, :, :], system.ctx)        # (s, m, 2d)
+    M12 = grad12_batch(pts[:, None, :], P[None, :, :], system.ctx)      # (s, m, 2d, 2d)
+    alpha = np.stack([sol.alpha for sol in sols])
+    beta = np.stack([sol.beta for sol in sols])
+    return (np.einsum("kj,jmd->kmd", alpha, G2)
+            + np.einsum("kjb,jmbd->kmd", beta, M12))
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +236,7 @@ def lpc_constants(d: int, s: int, tau: float, box) -> LpcConstants:
     """Curvature constants, certificate constants, and separation thresholds."""
     if d < 1 or s < 1:
         raise ValueError("need d >= 1 and s >= 1")
-    r = 0.3025 / math.sqrt(d)
+    r = near_radius(d)
     eps_bar_0 = 0.0894 / (2 * d)
     eps_bar_2 = 0.13139
     b_00 = 1.0
@@ -292,8 +287,6 @@ def separation_check(mu0: DiscreteMeasure, ctx: KernelContext,
     """Compare the minimum pairwise semi-distance against the threshold."""
     if mu0.s < 2:
         return SeparationReport(math.inf, consts.delta_tau, True)
-    from .measures import min_pairwise_semidistance
-
     dmin = min_pairwise_semidistance(mu0, ctx)
     thr = consts.delta_tau if consts.delta_tau is not None else 0.0
     return SeparationReport(dmin, consts.delta_tau, dmin >= thr)
@@ -422,16 +415,15 @@ def _ray_targets(t_axes, u_axes, n: int) -> np.ndarray:
     dim = len(lo)
     halton = qmc.Halton(d=max(dim - 1, 1), scramble=False)
     face_pts = halton.random(n)
-    targets = np.empty((n, dim))
-    for i in range(n):
-        face_axis = i % dim
-        side = (i // dim) % 2
-        mask = np.arange(dim) != face_axis
-        full = np.empty(dim)
-        if dim > 1:
-            full[mask] = lo[mask] + face_pts[i, : dim - 1] * (hi - lo)[mask]
-        full[face_axis] = hi[face_axis] if side else lo[face_axis]
-        targets[i] = full
+    # target i lies on face i % dim, on the hi side for odd i // dim; the
+    # other axes take the Halton coordinates of point i in order (the face
+    # axis reads a clamped column and is then overwritten)
+    i = np.arange(n)
+    face_axis = i % dim
+    col = np.arange(dim) - (np.arange(dim) > face_axis[:, None])
+    col = np.minimum(col, face_pts.shape[1] - 1)
+    targets = lo + np.take_along_axis(face_pts, col, axis=1) * (hi - lo)
+    targets[i, face_axis] = np.where((i // dim) % 2, hi[face_axis], lo[face_axis])
     return targets
 
 
@@ -445,7 +437,6 @@ def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
     u_axes = [_axis(box.u_min, box.u_max, spec.global_u_points) for k in range(d)]
     chunks.append(_tensor_grid(t_axes, u_axes))
 
-    ray_chunks = []
     for a in anchors:
         nt, nu = _near_bounding_axes(a, consts.r, ctx, spec)
         chunks.append(_tensor_grid(nt, nu))
@@ -454,8 +445,7 @@ def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
         for tgt in targets:
             if np.array_equal(tgt, a):
                 continue
-            ray_chunks.append(geodesic_spec(a, tgt, ctx).point(ys))
-    chunks.extend(ray_chunks)
+            chunks.append(geodesic_spec(a, tgt, ctx).point(ys))
 
     if spec.lowdisc_points > 0:
         halton = qmc.Halton(d=2 * d, scramble=False)
@@ -469,13 +459,14 @@ def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
 
 
 def _clause(name, margins, P, tol) -> ClauseReport:
+    """Worst margin, its point P[i] (None when P is None) and the violations."""
     if len(margins) == 0:
         return ClauseReport(name, 0, -math.inf, None, 0, True)
     i = int(np.argmax(margins))
     worst = float(margins[i])
     nviol = int(np.sum(margins > tol))
     return ClauseReport(name, len(margins), worst,
-                        P[i].copy(), nviol, nviol == 0)
+                        None if P is None else P[i].copy(), nviol, nviol == 0)
 
 
 def verify_nondegeneracy(global_sol: CertificateSolution,
@@ -496,64 +487,52 @@ def verify_nondegeneracy(global_sol: CertificateSolution,
     sep = separation_check(mu0, ctx, consts)
 
     P = _sample_points(anchors, consts, grid_spec, ctx)
-    region = region_index_batch(P, anchors, consts.r, ctx)
-    frdist = fr_distance_pairs(P[:, None, :], anchors[None, :, :], ctx)
+    # row 0 is the global certificate, rows 1.. the local ones in the order
+    # given.  Points go through in blocks so that every temporary stays small.
+    sols = (global_sol, *local_sols)
+    region = np.empty(len(P), dtype=np.intp)
+    vals = np.empty((len(sols), len(P)))
+    frdist = np.empty((len(P), system.s))
+    for lo in range(0, len(P), _EVAL_BLOCK):
+        blk = slice(lo, lo + _EVAL_BLOCK)
+        region[blk] = region_index_batch(P[blk], anchors, consts.r, ctx)
+        frdist[blk] = fr_distance_pairs(P[blk, None, :], anchors[None, :, :], ctx)
+        vals[:, blk] = certificate_values(sols, system, P[blk])
 
     far = region < 0
+    near = [region == j for j in range(system.s)]
     tol = grid_spec.violation_tol
     clauses = []
 
-    # interpolation residuals at the anchors
-    cache = None
-    eta_g, cache_anchor = _eval_batch(global_sol, system, anchors)
-    grads = [np.linalg.norm(eval_certificate_gradient(global_sol, system, a))
-             for a in anchors]
-    interp = np.abs(eta_g - 1.0)
-    clauses.append(ClauseReport("global.interpolation", 2 * system.s,
-                                float(max(interp.max(), max(grads))), None,
-                                int(np.sum(interp > 1e-8)
-                                    + sum(g > 1e-8 for g in grads)),
-                                bool(interp.max() < 1e-8 and max(grads) < 1e-8)))
+    # interpolation margins are the value errors and gradient norms at the
+    # anchors, which must vanish to 1e-8
+    targets = np.vstack([np.ones(system.s),
+                         np.eye(system.s)[[lsol.index for lsol in local_sols]]])
+    interp = np.concatenate([
+        np.abs(certificate_values(sols, system, anchors) - targets),
+        np.linalg.norm(certificate_gradients(sols, system, anchors), axis=-1)], axis=1)
 
-    vals_g, cache = _eval_batch(global_sol, system, P, cache)
+    clauses.append(_clause("global.interpolation", interp[0], None, 1e-8))
     clauses.append(_clause("global.far",
-                           np.abs(vals_g[far]) - (1 - consts.eps_0), P[far], tol))
-    for j in range(system.s):
-        near_j = region == j
+                           np.abs(vals[0, far]) - (1 - consts.eps_0), P[far], tol))
+    for j, near_j in enumerate(near):
         rhs = 1 - consts.eps_2 * frdist[near_j, j] ** 2
         clauses.append(_clause(f"global.near[{j}]",
-                               vals_g[near_j] - rhs, P[near_j], tol))
+                               vals[0, near_j] - rhs, P[near_j], tol))
 
-    for lsol in local_sols:
+    for row, lsol in enumerate(local_sols, start=1):
         l = lsol.index
-        eta_l, _ = _eval_batch(lsol, system, anchors, cache_anchor)
-        target = np.zeros(system.s)
-        target[l] = 1.0
-        gnorms = [np.linalg.norm(eval_certificate_gradient(lsol, system, a))
-                  for a in anchors]
-        resid = np.abs(eta_l - target)
-        clauses.append(ClauseReport(
-            f"local[{l}].interpolation", 2 * system.s,
-            float(max(resid.max(), max(gnorms))), None,
-            int(np.sum(resid > 1e-8) + sum(g > 1e-8 for g in gnorms)),
-            bool(resid.max() < 1e-8 and max(gnorms) < 1e-8)))
-
-        vals_l, cache = _eval_batch(lsol, system, P, cache)
+        clauses.append(_clause(f"local[{l}].interpolation", interp[row], None, 1e-8))
         clauses.append(_clause(f"local[{l}].far",
-                               np.abs(vals_l[far]) - (1 - consts.eps_tilde_0),
+                               np.abs(vals[row, far]) - (1 - consts.eps_tilde_0),
                                P[far], tol))
-        self_near = region == l
-        rhs = consts.eps_tilde_2 * frdist[self_near, l] ** 2
-        clauses.append(_clause(f"local[{l}].near_self",
-                               np.abs(1.0 - vals_l[self_near]) - rhs,
-                               P[self_near], tol))
-        for i in range(system.s):
-            if i == l:
-                continue
-            near_i = region == i
-            rhs = consts.eps_tilde_2 * frdist[near_i, i] ** 2
-            clauses.append(_clause(f"local[{l}].near_other[{i}]",
-                                   np.abs(vals_l[near_i]) - rhs, P[near_i], tol))
+        # |eta_l - [i == l]| near anchor i: near_self first, then near_other
+        for i in sorted(range(system.s), key=lambda i: i != l):
+            rhs = consts.eps_tilde_2 * frdist[near[i], i] ** 2
+            name = "near_self" if i == l else f"near_other[{i}]"
+            clauses.append(_clause(f"local[{l}].{name}",
+                                   np.abs(float(i == l) - vals[row, near[i]]) - rhs,
+                                   P[near[i]], tol))
 
     return NondegeneracyReport(
         separation=sep,

@@ -693,8 +693,8 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="path to run config")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (rates only)")
+        if name == "rates":
+            sp.add_argument("--threads", type=int, default=1, help="worker threads")
         sp.set_defaults(fn=fn)
     kc = sub.add_parser("kernel-check")
     kc.add_argument("--samples", type=int, default=3000,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kernel import KernelContext
-from .geometry import region_index_batch
+from .geometry import near_radius, region_index_batch
 from .measures import DiscreteMeasure, reparametrize, tv_norm
 from .solver import (
     ObjectiveContext,
@@ -50,11 +50,6 @@ __all__ = [
     "aggregate_rows",
     "fit_slopes",
 ]
-
-
-def _near_radius(d: int) -> float:
-    # admissible near-region radius r = 0.3025 / sqrt(d)
-    return 0.3025 / math.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ class RegionMassReport:
 def region_mass_errors(mu_hat_omega: DiscreteMeasure, mu0_omega: DiscreteMeasure,
                        r_e: float, ctx: KernelContext) -> RegionMassReport:
     """Per-region |omega_j0 - mu_hat(N_j(r_e))| plus the mass outside all regions."""
-    r_max = _near_radius(ctx.d)
+    r_max = near_radius(ctx.d)
     if not (0.0 < r_e <= r_max):
         raise ValueError(f"effective radius must lie in (0, {r_max}], got {r_e}")
     anchors = mu0_omega.locations_array()
@@ -138,7 +133,7 @@ def region_mass_errors(mu_hat_omega: DiscreteMeasure, mu0_omega: DiscreteMeasure
 def renormalized_mass_errors(mu_hat_omega: DiscreteMeasure, mu0: DiscreteMeasure,
                              r_e: float, ctx: KernelContext) -> np.ndarray:
     """Per-region |a_j0 - (mu_hat_omega / W)(N_j(r_e))| on the amplitude scale."""
-    r_max = _near_radius(ctx.d)
+    r_max = near_radius(ctx.d)
     if not (0.0 < r_e <= r_max):
         raise ValueError(f"effective radius must lie in (0, {r_max}], got {r_e}")
     amp = reparametrize(mu_hat_omega, ctx.tau, "from_omega")
@@ -304,7 +299,7 @@ def _one_replication(scenario: GroundTruthMixture, n: int, n_index: int, rep: in
             region_mass_errors(mu_hat, mu0_omega, r_e, ctx).total
             for r_e in radii[1:]
         )
-        sparsity = sparsity_check(mu_hat, scenario.measure, _near_radius(ctx.d), ctx)
+        sparsity = sparsity_check(mu_hat, scenario.measure, near_radius(ctx.d), ctx)
         return RateRow(
             n=n, replication=rep, kappa=kappa, tau=tau, ok=True, error=None,
             mass_errors=tuple(primary.per_region), far_mass=primary.far_mass,
@@ -332,7 +327,7 @@ def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
     """Monte-Carlo sweep over sample sizes; see the module docstring for the
     seeding and aggregation rules."""
     n_grid = tuple(int(n) for n in n_grid)
-    radii = tuple(effective_radii) if effective_radii else (_near_radius(scenario.d),)
+    radii = tuple(effective_radii) if effective_radii else (near_radius(scenario.d),)
     base = solver if solver is not None else SolverConfig()
     solver_cfg = replace(base, record_trace=False)
     jobs = [(i, n, rep) for i, n in enumerate(n_grid) for rep in range(replications)]

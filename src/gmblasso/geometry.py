@@ -25,6 +25,7 @@ from .kernel import KernelContext, _split, semi_distance_pairs
 __all__ = [
     "GeodesicSpec",
     "metric_diag_batch",
+    "near_radius",
     "fr_distance_pairs",
     "geodesic_spec",
     "region_index_batch",
@@ -34,6 +35,11 @@ _U_FLOOR = 1e-12          # guards sqrt(h^2 - tau^2/2) against rounding
 _VERTICAL_RTOL = 1e-9     # |dt| below this times scale -> vertical branch
 
 
+def near_radius(d: int) -> float:
+    """Admissible near-region radius r = 0.3025 / sqrt(d) in semi-distance."""
+    return 0.3025 / math.sqrt(d)
+
+
 def metric_diag_batch(x, tau: float) -> np.ndarray:
     _, u = _split(x)
     B = 2 * u**2 + tau**2
@@ -41,8 +47,15 @@ def metric_diag_batch(x, tau: float) -> np.ndarray:
 
 
 def _halfplane(x, tau: float):
+    """Half-plane coordinates (t, h) of x, h = sqrt(u^2 + tau^2/2)."""
     t, u = _split(x)
     return t, np.sqrt(u**2 + tau**2 / 2)
+
+
+def _from_halfplane(t, h, tau: float) -> np.ndarray:
+    """Coordinates (..., 2d) of half-plane points; inverse of _halfplane."""
+    u = np.sqrt(np.maximum(h**2 - tau**2 / 2, _U_FLOOR**2))
+    return np.concatenate([t, u], axis=-1)
 
 
 def fr_distance_coord(x, y, tau: float) -> np.ndarray:
@@ -86,13 +99,14 @@ class GeodesicSpec:
         y = np.asarray(y, dtype=float)
         a = self.x
         d = len(a) // 2
+        _, h0 = _halfplane(a, self.tau)
         t = np.empty(y.shape + (d,))
         h = np.empty(y.shape + (d,))
         sig = (1 - y[..., None]) * self._sig0 + y[..., None] * self._sig1
         for k, kind in enumerate(self.kinds):
             if kind == "constant":
                 t[..., k] = a[k]
-                h[..., k] = math.sqrt(a[d + k] ** 2 + self.tau**2 / 2)
+                h[..., k] = h0[k]
             elif kind == "vertical-line":
                 t[..., k] = a[k]
                 h[..., k] = np.exp(sig[..., k])
@@ -100,8 +114,7 @@ class GeodesicSpec:
                 theta = 2 * np.arctan(np.exp(sig[..., k]))
                 t[..., k] = self._center[k] + self._radius[k] * np.cos(theta)
                 h[..., k] = self._radius[k] * np.sin(theta)
-        u = np.sqrt(np.maximum(h**2 - self.tau**2 / 2, _U_FLOOR**2))
-        return np.concatenate([t, u], axis=-1)
+        return _from_halfplane(t, h, self.tau)
 
 
 def geodesic_spec(x, xp, ctx: KernelContext) -> GeodesicSpec:

@@ -138,22 +138,28 @@ def kernel_matrix(X, Y, ctx: KernelContext):
     return kernel_values(X[:, None, :], Y[None, :, :], ctx)
 
 
-def _tables(x, y, tau):
-    """Per-coordinate partials of L_k; keys name the differentiated slots.
-
-    l_* / m_* are first-arg / second-arg first partials, c_** the mixed
-    second partials, mm_** the pure second-arg second partials, and w3_*_**
-    the third partials with one first-arg and two second-arg derivatives.
-    Cross-coordinate partials of L_k vanish.
-    """
+def _first_partials(x, y, tau):
+    """First partials of sum_k L_k, stacked (t_1..t_d, u_1..u_d): g1 in the
+    first argument and g2 in the second, shape (..., 2d) each, plus _abc's
+    per-coordinate quantities for the higher partials of _tables."""
     u, up, A, B, C, dt = _abc(x, y, tau)
     A2 = A * A
+    g1 = np.concatenate([-dt / A, u / B - u / A + u * dt**2 / A2], axis=-1)
+    g2 = np.concatenate([dt / A, up / C - up / A + up * dt**2 / A2], axis=-1)
+    return g1, g2, (u, up, A, A2, C, dt)
+
+
+def _tables(x, y, tau):
+    """g1 and g2 of _first_partials, and the per-coordinate higher partials
+    of L_k; keys name the differentiated slots.
+
+    c_** are the mixed second partials, mm_** the pure second-arg second
+    partials, and w3_*_** the third partials with one first-arg and two
+    second-arg derivatives.  Cross-coordinate partials of L_k vanish.
+    """
+    g1, g2, (u, up, A, A2, C, dt) = _first_partials(x, y, tau)
     A3 = A2 * A
     T = {
-        "l_t": -dt / A,
-        "l_u": u / B - u / A + u * dt**2 / A2,
-        "m_t": dt / A,
-        "m_u": up / C - up / A + up * dt**2 / A2,
         "c_tt": 1.0 / A,
         "c_tu": 2 * up * dt / A2,
         "c_ut": -2 * u * dt / A2,
@@ -169,41 +175,43 @@ def _tables(x, y, tau):
         "w3_u_uu": (2 * u / A2 - 8 * up**2 * u / A3 - 4 * u * dt**2 / A3
                     + 24 * u * up**2 * dt**2 / A2 / A2),
     }
-    return T
+    return g1, g2, T
 
 
 def grad1_batch(x, y, ctx: KernelContext):
     """Gradient in the first argument, shape (..., 2d)."""
     K = kernel_values(x, y, ctx)
-    T = _tables(x, y, ctx.tau)
-    return K[..., None] * np.concatenate([T["l_t"], T["l_u"]], axis=-1)
+    g1, _, _ = _first_partials(x, y, ctx.tau)
+    return K[..., None] * g1
 
 
 def grad2_batch(x, y, ctx: KernelContext):
     K = kernel_values(x, y, ctx)
-    T = _tables(x, y, ctx.tau)
-    return K[..., None] * np.concatenate([T["m_t"], T["m_u"]], axis=-1)
+    _, g2, _ = _first_partials(x, y, ctx.tau)
+    return K[..., None] * g2
 
 
-def _pack_pair_matrix(T, d, shape):
-    """Mixed-second-partial matrix of sum_k L_k, entries c_** on coordinate k."""
+def _pack(T, keys, d, shape):
+    """Matrix (..., 2d, 2d) of second partials of sum_k L_k: the tables named
+    by keys = (tt, tu, ut, uu) fill coordinate k's four entries, and entries
+    across coordinates are zero."""
     M = np.zeros(shape + (2 * d, 2 * d))
     k = np.arange(d)
-    M[..., k, k] = T["c_tt"]
-    M[..., k, d + k] = T["c_tu"]
-    M[..., d + k, k] = T["c_ut"]
-    M[..., d + k, d + k] = T["c_uu"]
+    tt, tu, ut, uu = keys
+    M[..., k, k] = T[tt]
+    M[..., k, d + k] = T[tu]
+    M[..., d + k, k] = T[ut]
+    M[..., d + k, d + k] = T[uu]
     return M
 
 
-def _pack_second_matrix(T, d, shape):
-    M = np.zeros(shape + (2 * d, 2 * d))
-    k = np.arange(d)
-    M[..., k, k] = T["mm_tt"]
-    M[..., k, d + k] = T["mm_tu"]
-    M[..., d + k, k] = T["mm_tu"]
-    M[..., d + k, d + k] = T["mm_uu"]
-    return M
+_PAIR = ("c_tt", "c_tu", "c_ut", "c_uu")          # mixed second partials
+_SECOND = ("mm_tt", "mm_tu", "mm_tu", "mm_uu")    # second-arg second partials
+
+
+def _mixed(K, g1, g2, cc):
+    """d^2 K / dx dy from K, the first partials and the packed c_** matrix."""
+    return K[..., None, None] * (g1[..., :, None] * g2[..., None, :] + cc)
 
 
 def grad12_batch(x, y, ctx: KernelContext):
@@ -211,22 +219,24 @@ def grad12_batch(x, y, ctx: KernelContext):
     x = np.asarray(x, dtype=float)
     d = x.shape[-1] // 2
     K = kernel_values(x, y, ctx)
-    T = _tables(x, y, ctx.tau)
-    g1 = np.concatenate([T["l_t"], T["l_u"]], axis=-1)
-    g2 = np.concatenate([T["m_t"], T["m_u"]], axis=-1)
-    M = g1[..., :, None] * g2[..., None, :] + _pack_pair_matrix(T, d, K.shape)
-    return K[..., None, None] * M
+    g1, g2, T = _tables(x, y, ctx.tau)
+    return _mixed(K, g1, g2, _pack(T, _PAIR, d, K.shape))
+
+
+def _hess2_grad2(x, y, ctx: KernelContext):
+    """Plain second derivative and gradient in the second argument, from one
+    kernel evaluation and one table of partials."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1] // 2
+    K = kernel_values(x, y, ctx)
+    _, g2, T = _tables(x, y, ctx.tau)
+    M = g2[..., :, None] * g2[..., None, :] + _pack(T, _SECOND, d, K.shape)
+    return K[..., None, None] * M, K[..., None] * g2
 
 
 def hess2_batch(x, y, ctx: KernelContext):
     """Plain second derivative in the second argument, shape (..., 2d, 2d)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
-    K = kernel_values(x, y, ctx)
-    T = _tables(x, y, ctx.tau)
-    g2 = np.concatenate([T["m_t"], T["m_u"]], axis=-1)
-    M = g2[..., :, None] * g2[..., None, :] + _pack_second_matrix(T, d, K.shape)
-    return K[..., None, None] * M
+    return _hess2_grad2(x, y, ctx)[0]
 
 
 def _christoffel_coeffs(y, tau):
@@ -236,37 +246,47 @@ def _christoffel_coeffs(y, tau):
     return -2 * up / B, 1.0 / up, (tau**2 - 2 * up**2) / (up * B)
 
 
+def _subtract_christoffel(out, D, y, tau):
+    """out[..., z, w] -= sum_c Gamma^c_{zw}(y) D[..., c], in place.
+
+    D is a first derivative in the second argument; y broadcasts against the
+    leading axes of out and D.
+    """
+    d = D.shape[-1] // 2
+    gt, gu_tt, gu_uu = _christoffel_coeffs(np.asarray(y, dtype=float), tau)
+    k = np.arange(d)
+    out[..., k, d + k] -= gt * D[..., k]
+    out[..., d + k, k] -= gt * D[..., k]
+    out[..., k, k] -= gu_tt * D[..., d + k]
+    out[..., d + k, d + k] -= gu_uu * D[..., d + k]
+
+
 def rhess2_batch(x, y, ctx: KernelContext):
     """Riemannian Hessian in the second argument.
 
     H = hess2 - sum_k Gamma^{t'_k} dK/dt'_k - sum_k Gamma^{u'_k} dK/du'_k,
     with the Christoffel matrices evaluated at y.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
-    H = hess2_batch(x, y, ctx)
-    g2 = grad2_batch(x, y, ctx)
-    gt, gu_tt, gu_uu = _christoffel_coeffs(np.broadcast_to(
-        np.asarray(y, dtype=float), np.broadcast_shapes(x.shape, np.shape(y))), ctx.tau)
-    k = np.arange(d)
-    H[..., k, d + k] -= gt * g2[..., k]
-    H[..., d + k, k] -= gt * g2[..., k]
-    H[..., k, k] -= gu_tt * g2[..., d + k]
-    H[..., d + k, d + k] -= gu_uu * g2[..., d + k]
+    H, g2 = _hess2_grad2(x, y, ctx)
+    _subtract_christoffel(H, g2, y, ctx.tau)
     return H
 
 
-def _third_tensor_batch(x, y, ctx: KernelContext):
-    """d^3 K / dx_b dy_z dy_w, shape (..., 2d, 2d, 2d)."""
+def grad1_rhess2_batch(x, y, ctx: KernelContext):
+    """First-argument gradient of the Riemannian Hessian, shape (..., 2d, 2d, 2d).
+
+    Index order (b, z, w): d/dx_b of rhess2[z, w], the third derivative
+    d^3 K / dx_b dy_z dy_w less the Christoffel terms, which are functions
+    of y only, so differentiation passes through to the mixed derivative
+    matrix.
+    """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1] // 2
     K = kernel_values(x, y, ctx)
     shape = K.shape
-    T = _tables(x, y, ctx.tau)
-    g1 = np.concatenate([T["l_t"], T["l_u"]], axis=-1)
-    g2 = np.concatenate([T["m_t"], T["m_u"]], axis=-1)
-    mm = _pack_second_matrix(T, d, shape)
-    cc = _pack_pair_matrix(T, d, shape)
+    g1, g2, T = _tables(x, y, ctx.tau)
+    mm = _pack(T, _SECOND, d, shape)
+    cc = _pack(T, _PAIR, d, shape)
     thr = np.zeros(shape + (2 * d, 2 * d, 2 * d))
     k = np.arange(d)
     thr[..., k, k, d + k] = T["w3_t_tu"]
@@ -281,27 +301,10 @@ def _third_tensor_batch(x, y, ctx: KernelContext):
     out += np.einsum("...bz,...w->...bzw", cc, g2)
     out += np.einsum("...bw,...z->...bzw", cc, g2)
     out += thr
-    return K[..., None, None, None] * out
-
-
-def grad1_rhess2_batch(x, y, ctx: KernelContext):
-    """First-argument gradient of the Riemannian Hessian, shape (..., 2d, 2d, 2d).
-
-    Index order (b, z, w): d/dx_b of rhess2[z, w].  Christoffel terms are
-    functions of y only, so differentiation passes through to the mixed
-    derivative matrix.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
-    out = _third_tensor_batch(x, y, ctx)
-    M12 = grad12_batch(x, y, ctx)
-    gt, gu_tt, gu_uu = _christoffel_coeffs(np.broadcast_to(
-        np.asarray(y, dtype=float), np.broadcast_shapes(x.shape, np.shape(y))), ctx.tau)
-    k = np.arange(d)
-    out[..., :, k, d + k] -= gt[..., None, :] * M12[..., :, k]
-    out[..., :, d + k, k] -= gt[..., None, :] * M12[..., :, k]
-    out[..., :, k, k] -= gu_tt[..., None, :] * M12[..., :, d + k]
-    out[..., :, d + k, d + k] -= gu_uu[..., None, :] * M12[..., :, d + k]
+    out = K[..., None, None, None] * out
+    # the index b moves to the front, so y broadcasts against the pair axes
+    _subtract_christoffel(np.moveaxis(out, -3, 0),
+                          np.moveaxis(_mixed(K, g1, g2, cc), -2, 0), y, ctx.tau)
     return out
 
 

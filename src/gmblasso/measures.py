@@ -1,4 +1,4 @@
-"""Locations, discrete nonnegative measures, and the reparametrization weight W.
+"""Discrete nonnegative measures, the domain box, and the reparametrization weight W.
 
 A mixture component is parametrized by x = (t, u) with mean t in R^d and
 marginal standard deviations u in [u_min, u_max]^d.  Estimation happens in the
@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "Location",
     "DiscreteMeasure",
     "DomainBox",
     "weight_function",
@@ -30,46 +28,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Location:
-    """A component parameter point x = (t, u), t in R^d, u in (0, inf)^d."""
-
-    t: tuple[float, ...]
-    u: tuple[float, ...]
-
-    def __post_init__(self):
-        t = tuple(float(v) for v in np.atleast_1d(self.t))
-        u = tuple(float(v) for v in np.atleast_1d(self.u))
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "u", u)
-        if len(t) != len(u) or len(t) == 0:
-            raise ValueError("t and u must have identical positive length")
-        if not all(math.isfinite(v) for v in t + u):
-            raise ValueError("non-finite coordinate in location")
-        if any(v <= 0 for v in u):
-            raise ValueError("standard deviations must be positive")
-
-    @property
-    def d(self) -> int:
-        return len(self.t)
-
-    def as_array(self) -> np.ndarray:
-        """Coordinates ordered (t_1..t_d, u_1..u_d)."""
-        return np.array(self.t + self.u, dtype=float)
-
-    @staticmethod
-    def from_array(x: np.ndarray) -> "Location":
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1] // 2
-        return Location(tuple(x[:d]), tuple(x[d:]))
-
-
-@dataclass(frozen=True)
 class DiscreteMeasure:
     """Finite nonnegative measure sum_j weights[j] * delta_{coords[j]}.
 
     Atoms are stored as two read-only arrays: weights (s,) and coords (s, 2d)
-    with rows ordered (t_1..t_d, u_1..u_d).  Location views are built on
-    demand by `locations` and `atoms()`.
+    with rows ordered (t_1..t_d, u_1..u_d).
     """
 
     weights: np.ndarray
@@ -108,13 +71,6 @@ class DiscreteMeasure:
         if self.s == 0:
             raise ValueError("empty measure has no dimension")
         return self.coords.shape[1] // 2
-
-    @property
-    def locations(self) -> tuple[Location, ...]:
-        return tuple(Location.from_array(row) for row in self.coords)
-
-    def atoms(self) -> Iterator[tuple[float, Location]]:
-        return iter(zip(self.weights.tolist(), self.locations))
 
     def locations_array(self) -> np.ndarray:
         """Stacked coordinates, shape (s, 2d); the same array as coords."""
@@ -166,7 +122,7 @@ class DomainBox:
         return np.concatenate([self.t_hi, np.full(self.d, self.u_max)])
 
     def contains(self, x, atol: float = 0.0) -> bool:
-        arr = x.as_array() if isinstance(x, Location) else np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=float)
         return bool(np.all(arr >= self.lower() - atol)
                     and np.all(arr <= self.upper() + atol))
 
@@ -177,18 +133,15 @@ class DomainBox:
 def weight_function(x, tau: float):
     """W(x) = prod_k (2 pi)^(-1/4) (2 u_k^2 + tau^2)^(-1/4).
 
-    Accepts a Location or an array of coordinates (..., 2d) and returns a
-    scalar or an array of matching leading shape.
+    Accepts an array of coordinates (..., 2d) and returns a scalar or an
+    array of matching leading shape.
     """
     tau = float(tau)
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError("tau must be positive and finite")
-    if isinstance(x, Location):
-        arr = x.as_array()
-    else:
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite coordinates")
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite coordinates")
     d = arr.shape[-1] // 2
     u = arr[..., d:]
     w = np.prod((2 * np.pi) ** -0.25 * (2 * u**2 + tau**2) ** -0.25, axis=-1)

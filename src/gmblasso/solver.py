@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import metric_diag_batch
+from .geometry import _from_halfplane, _halfplane, metric_diag_batch, near_radius
 from .kernel import (
     KernelContext,
     MomentTable,
@@ -135,7 +135,7 @@ def objective_gradient(mu_omega: DiscreteMeasure, octx: ObjectiveContext):
 class SolverConfig:
     """Particle-descent settings; None values resolve to scale-aware defaults.
 
-    merge_radius defaults to 0.05 * (0.3025/sqrt(d)); prune_threshold to
+    merge_radius defaults to 0.05 * near_radius(d); prune_threshold to
     1e-6 * tv_norm of the current iterate.
     """
 
@@ -175,7 +175,7 @@ class SolverConfig:
 def _resolved_merge_radius(cfg: SolverConfig, d: int) -> float:
     if cfg.merge_radius is not None:
         return cfg.merge_radius
-    return 0.05 * 0.3025 / math.sqrt(d)
+    return 0.05 * near_radius(d)
 
 
 @dataclass(frozen=True)
@@ -241,12 +241,9 @@ def initial_measure(octx: ObjectiveContext, cfg: SolverConfig,
 
 def _halfplane_merge(pts: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
     """Weight-weighted midpoint in half-plane coordinates (t, sqrt(u^2+tau^2/2))."""
-    d = pts.shape[-1] // 2
     share = w / w.sum() if w.sum() > 0 else np.full(len(w), 1.0 / len(w))
-    t = share @ pts[:, :d]
-    h = share @ np.sqrt(pts[:, d:] ** 2 + tau**2 / 2)
-    u = np.sqrt(np.maximum(h**2 - tau**2 / 2, 1e-24))
-    return np.concatenate([t, u])
+    t, h = _halfplane(pts, tau)
+    return _from_halfplane(share @ t, share @ h, tau)
 
 
 def _prune(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig):

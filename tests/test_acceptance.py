@@ -23,9 +23,9 @@ from gmblasso import (
     KernelContext,
     ObjectiveContext,
     build_upsilon,
+    certificate_gradients,
+    certificate_values,
     data_witness,
-    eval_certificate,
-    eval_certificate_gradient,
     lambda_pair,
     lpc_constants,
     objective,
@@ -300,13 +300,14 @@ def test_criterion_05_certificates():
         worst_res = max(sol.residual for sol in (global_sol, *local_sols))
         if not worst_res < 1e-9:
             failures.append(f"s={s}: solve residual {worst_res:.2e} >= 1e-9")
-        for j, loc in enumerate(mu0.coords):
-            interp = abs(eval_certificate(global_sol, system, loc) - 1.0)
-            grad = float(np.max(np.abs(
-                eval_certificate_gradient(global_sol, system, loc))))
-            lint = abs(eval_certificate(local_sols[j], system, loc) - 1.0)
-            lgrad = float(np.max(np.abs(
-                eval_certificate_gradient(local_sols[j], system, loc))))
+        sols = (global_sol, *local_sols)
+        vals = certificate_values(sols, system, mu0.coords)
+        grads = certificate_gradients(sols, system, mu0.coords)
+        for j in range(s):
+            interp = abs(vals[0, j] - 1.0)
+            grad = float(np.max(np.abs(grads[0, j])))
+            lint = abs(vals[1 + j, j] - 1.0)
+            lgrad = float(np.max(np.abs(grads[1 + j, j])))
             if max(interp, lint) > 1e-9 or max(grad, lgrad) > 1e-9:
                 failures.append(f"s={s}: interpolation error at anchor {j}")
         if not global_sol.p_norm**2 <= 2 * s + 1e-9:

@@ -3,23 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from gmblasso import (
+    CertificateSolution,
     DiscreteMeasure,
     DomainBox,
     GridSpec,
     KernelContext,
     SingularSystemError,
     build_upsilon,
-    eval_certificate,
-    eval_certificate_gradient,
+    certificate_gradients,
+    certificate_values,
     lpc_constants,
     separation_check,
     solve_certificates,
     verify_nondegeneracy,
 )
-from gmblasso.certificates import operator_norms_batch
+from gmblasso import certificates
+from gmblasso.certificates import _ray_targets, operator_norms_batch
 from gmblasso.geometry import metric_diag_batch
+from gmblasso.kernel import grad1_batch, grad12_batch, kernel_values
 
 from conftest import fd_gradient, random_locations, rel_error
 
@@ -117,10 +121,31 @@ class TestUpsilon:
                                    rtol=1e-12, atol=1e-12)
         assert system.upsilon.shape == (12, 12)
 
+    @pytest.mark.parametrize("d,s", [(1, 4), (2, 3)])
+    def test_matches_block_definition(self, d, s):
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        pts = random_locations(np.random.default_rng(43 + d), s, box)
+        K = kernel_values(pts[:, None, :], pts[None, :, :], ctx)
+        G1 = grad1_batch(pts[:, None, :], pts[None, :, :], ctx)
+        M12 = grad12_batch(pts[:, None, :], pts[None, :, :], ctx)
+        m = 1 + 2 * d
+        U = np.zeros((s * m, s * m))
+        for i in range(s):
+            for j in range(s):
+                U[i * m, j * m] = K[i, j]
+                U[i * m, j * m + 1:(j + 1) * m] = G1[j, i]
+                U[i * m + 1:(i + 1) * m, j * m] = G1[i, j]
+                U[i * m + 1:(i + 1) * m, j * m + 1:(j + 1) * m] = M12[j, i].T
+        np.testing.assert_array_equal(build_upsilon(pts, ctx).upsilon, U)
+
     def test_duplicate_anchors_singular(self, ctx1):
         with pytest.raises(SingularSystemError) as err:
             build_upsilon(np.array([[0.0, 1.0], [0.0, 1.0]]), ctx1)
         assert err.value.condition_estimate == math.inf
+        with pytest.raises(SingularSystemError, match="anchors 1 and 3 coincide"):
+            build_upsilon(np.array([[0.0, 1.0], [2.0, 1.0], [4.0, 1.0],
+                                    [2.0, 1.0]]), ctx1)
 
     def test_rejects_dimension_mismatch(self, ctx2):
         with pytest.raises(ValueError):
@@ -134,18 +159,17 @@ class TestUpsilon:
 class TestSolve:
     def test_interpolation_conditions(self, sep_system):
         global_sol, local_sols = solve_certificates(sep_system)
+        sols = (global_sol, *local_sols)
         anchors = sep_system.anchors
-        for j, a in enumerate(anchors):
-            assert eval_certificate(global_sol, sep_system, a) == \
-                pytest.approx(1.0, abs=1e-9)
-            g = eval_certificate_gradient(global_sol, sep_system, a)
-            assert np.max(np.abs(g)) < 1e-9
-            for lsol in local_sols:
+        vals = certificate_values(sols, sep_system, anchors)
+        grads = certificate_gradients(sols, sep_system, anchors)
+        for j in range(len(anchors)):
+            assert vals[0, j] == pytest.approx(1.0, abs=1e-9)
+            assert np.max(np.abs(grads[0, j])) < 1e-9
+            for row, lsol in enumerate(local_sols, start=1):
                 want = 1.0 if lsol.index == j else 0.0
-                assert eval_certificate(lsol, sep_system, a) == \
-                    pytest.approx(want, abs=1e-9)
-                gl = eval_certificate_gradient(lsol, sep_system, a)
-                assert np.max(np.abs(gl)) < 1e-9
+                assert vals[row, j] == pytest.approx(want, abs=1e-9)
+                assert np.max(np.abs(grads[row, j])) < 1e-9
 
     def test_residual_and_norm_bounds(self, sep_system):
         global_sol, local_sols = solve_certificates(sep_system)
@@ -161,14 +185,55 @@ class TestSolve:
         system = build_upsilon(anchors, ctx1)
         global_sol, _ = solve_certificates(system)
         x = np.array([0.4, 0.8])
-        g = eval_certificate_gradient(global_sol, system, x)
-        fd = fd_gradient(lambda z: eval_certificate(global_sol, system, z), x)
+        g = certificate_gradients([global_sol], system, x[None, :])[0, 0]
+        fd = fd_gradient(
+            lambda z: certificate_values([global_sol], system, z[None, :])[0, 0], x)
         assert rel_error(g, fd) < 1e-6
 
     def test_decay_away_from_anchors(self, sep_system):
         global_sol, _ = solve_certificates(sep_system)
-        mid = np.array([0.0, 1.0])
-        assert abs(eval_certificate(global_sol, sep_system, mid)) < 0.1
+        mid = np.array([[0.0, 1.0]])
+        assert abs(certificate_values([global_sol], sep_system, mid)[0, 0]) < 0.1
+
+
+class TestBatchEvaluation:
+    """certificate_values / certificate_gradients for k certificates with
+    arbitrary coefficients against the pairwise direct sum
+    eta(x) = sum_j alpha_j K(x_j, x) + beta_j . grad1 K(x_j, x)."""
+
+    @staticmethod
+    def _direct(sol, system, x):
+        return sum(a * float(kernel_values(xj, x, system.ctx))
+                   + float(b @ grad1_batch(xj, x, system.ctx))
+                   for a, b, xj in zip(sol.alpha, sol.beta, system.anchors))
+
+    @staticmethod
+    def _setup(d, seed):
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        rng = np.random.default_rng(seed)
+        system = build_upsilon(random_locations(rng, 3, box), ctx)
+        sols = [CertificateSolution(rng.normal(size=3), rng.normal(size=(3, 2 * d)),
+                                    "local", i, 0.0, 0.0) for i in range(4)]
+        return system, sols, random_locations(rng, 7, box, margin=0.05)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_values_match_direct_sum(self, d):
+        system, sols, P = self._setup(d, 50 + d)
+        vals = certificate_values(sols, system, P)
+        assert vals.shape == (len(sols), len(P))
+        want = np.array([[self._direct(sol, system, x) for x in P] for sol in sols])
+        np.testing.assert_allclose(vals, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gradients_match_fd_of_direct_sum(self, d):
+        system, sols, P = self._setup(d, 60 + d)
+        grads = certificate_gradients(sols, system, P)
+        assert grads.shape == (len(sols), len(P), 2 * d)
+        for k, sol in enumerate(sols):
+            for i, x in enumerate(P):
+                fd = fd_gradient(lambda z: self._direct(sol, system, z), x)
+                assert rel_error(grads[k, i], fd) < 1e-6
 
 
 class TestOperatorNorms:
@@ -198,7 +263,6 @@ class TestOperatorNorms:
         rng = np.random.default_rng(42)
         X = random_locations(rng, 50, ctx1.box)
         Y = random_locations(rng, 50, ctx1.box)
-        from gmblasso.kernel import kernel_values
         np.testing.assert_allclose(operator_norms_batch(X, Y, ctx1)["00"],
                                    kernel_values(X, Y, ctx1), rtol=1e-12)
 
@@ -212,6 +276,23 @@ def small_grid():
 
 
 class TestNondegeneracy:
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_ray_targets_match_loop(self, dim):
+        rng = np.random.default_rng(44 + dim)
+        lo = rng.normal(size=dim)
+        hi = lo + rng.random(dim) + 0.1
+        axes = [np.linspace(a, b, 5) for a, b in zip(lo, hi)]
+        n = 16
+        face_pts = qmc.Halton(d=dim - 1, scramble=False).random(n)
+        want = np.empty((n, dim))
+        for i in range(n):
+            face_axis = i % dim
+            mask = np.arange(dim) != face_axis
+            want[i, mask] = lo[mask] + face_pts[i] * (hi - lo)[mask]
+            want[i, face_axis] = hi[face_axis] if (i // dim) % 2 else lo[face_axis]
+        got = _ray_targets(axes[:dim // 2], axes[dim // 2:], n)
+        np.testing.assert_array_equal(got, want)
 
     def test_separated_pair_passes(self, sep_ctx, sep_mixture, sep_system,
                                    small_grid):
@@ -228,6 +309,29 @@ class TestNondegeneracy:
         assert any(n.startswith("local[1].near_self") for n in names)
         for cl in report.clauses:
             assert cl.passed, (cl.name, cl.worst_margin)
+
+    def test_blocks_do_not_change_the_report(self, sep_ctx, sep_mixture,
+                                             sep_system, small_grid, monkeypatch):
+        consts = lpc_constants(1, 2, sep_ctx.tau, sep_ctx.box)
+        global_sol, local_sols = solve_certificates(sep_system)
+
+        def report():
+            return verify_nondegeneracy(global_sol, local_sols, sep_mixture.measure,
+                                        consts, small_grid, sep_system)
+
+        monkeypatch.setattr(certificates, "_EVAL_BLOCK", 10**9)
+        whole = report()
+        monkeypatch.setattr(certificates, "_EVAL_BLOCK", 97)
+        blocked = report()
+        assert blocked.points_evaluated == whole.points_evaluated > 97
+        assert len(blocked.clauses) == len(whole.clauses)
+        for a, b in zip(blocked.clauses, whole.clauses):
+            assert (a.name, a.n_points, a.worst_margin, a.violations, a.passed) == \
+                (b.name, b.n_points, b.worst_margin, b.violations, b.passed)
+            if b.worst_point is None:
+                assert a.worst_point is None
+            else:
+                np.testing.assert_array_equal(a.worst_point, b.worst_point)
 
     def test_rejects_mismatched_measure(self, sep_ctx, sep_system, small_grid):
         consts = lpc_constants(1, 2, sep_ctx.tau, sep_ctx.box)

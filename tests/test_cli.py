@@ -167,6 +167,14 @@ class TestCertify:
         assert main(["certify", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_threads_is_a_rates_flag(self, tmp_path, command, capsys):
+        cfg = write_cfg(tmp_path, SEPARATED)
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", cfg, "--threads", "2"])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestSolve:
     def _config(self, tmp_path, *, extra="", drop="", name="run.cfg"):

@@ -26,8 +26,8 @@ from gmblasso.experiments import (
     RateRow,
     aggregate_rows,
     fit_slopes,
-    _near_radius,
 )
+from gmblasso.geometry import near_radius
 
 
 class TestGroundTruthMixture:
@@ -106,7 +106,7 @@ class TestRegionMass:
 
     def test_rejects_radius_outside_admissible_range(self, sep_mixture, sep_ctx):
         om = sep_mixture.omega_measure()
-        for bad in (0.0, -0.1, _near_radius(1) * 1.01):
+        for bad in (0.0, -0.1, near_radius(1) * 1.01):
             with pytest.raises(ValueError):
                 region_mass_errors(om, om, bad, sep_ctx)
 

@@ -11,6 +11,8 @@ import pytest
 
 from gmblasso import DiscreteMeasure, geodesic_spec
 from gmblasso.geometry import (
+    _from_halfplane,
+    _halfplane,
     fr_distance_pairs,
     metric_diag_batch,
     region_index_batch,
@@ -134,6 +136,12 @@ class TestGeodesics:
             p0, p1 = spec.point(0.0), spec.point(1.0)
             assert np.max(np.abs(p0 - x)) < 1e-10
             assert np.max(np.abs(p1 - y)) < 1e-10
+
+    def test_halfplane_roundtrip(self, ctx2):
+        X = random_locations(np.random.default_rng(37), 40, ctx2.box)
+        t, h = _halfplane(X, ctx2.tau)
+        np.testing.assert_allclose(h**2, X[:, 2:]**2 + ctx2.tau**2 / 2, rtol=1e-14)
+        np.testing.assert_allclose(_from_halfplane(t, h, ctx2.tau), X, rtol=1e-14)
 
     def test_constant_speed(self, ctx1):
         x = np.array([-1.0, 0.7])

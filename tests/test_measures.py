@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gmblasso import (
     DiscreteMeasure,
     DomainBox,
-    Location,
     min_pairwise_semidistance,
     reparametrize,
     tv_norm,
@@ -21,15 +20,18 @@ from conftest import random_locations
 
 
 class TestLocation:
+    """A location x = (t, u) is one coordinate row (t_1..t_d, u_1..u_d)."""
+
     def test_roundtrip(self):
-        loc = Location((1.0, -2.0), (0.5, 3.0))
-        assert loc.d == 2
-        np.testing.assert_allclose(loc.as_array(), [1.0, -2.0, 0.5, 3.0])
-        assert Location.from_array(loc.as_array()) == loc
+        mu = DiscreteMeasure.from_arrays(np.array([1.0]),
+                                         np.array([[1.0, -2.0, 0.5, 3.0]]))
+        assert mu.d == 2
+        np.testing.assert_allclose(mu.coords[0, :2], [1.0, -2.0])
+        np.testing.assert_allclose(mu.coords[0, 2:], [0.5, 3.0])
 
     def test_scalar_inputs_promote(self):
-        loc = Location(0.25, 1.5)
-        assert loc.t == (0.25,) and loc.u == (1.5,)
+        mu = DiscreteMeasure.from_arrays(1.0, np.array([0.25, 1.5]))
+        assert mu.coords.shape == (1, 2) and mu.weights.shape == (1,)
 
     @pytest.mark.parametrize("t,u", [
         ((0.0,), (0.0,)),          # zero scale
@@ -40,7 +42,7 @@ class TestLocation:
     ])
     def test_rejects_invalid(self, t, u):
         with pytest.raises(ValueError):
-            Location(t, u)
+            DiscreteMeasure.from_arrays(np.array([1.0]), np.array(t + u))
 
 
 class TestDiscreteMeasure:
@@ -48,8 +50,8 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure.from_arrays(
             np.array([0.3, 0.7]), np.array([[0.0, 1.0], [2.0, 0.5]]))
         assert mu.s == 2 and mu.d == 1
-        pairs = list(mu.atoms())
-        assert pairs[0][0] == 0.3 and pairs[1][1] == Location((2.0,), (0.5,))
+        assert mu.weights[0] == 0.3
+        np.testing.assert_array_equal(mu.coords[1], [2.0, 0.5])
         np.testing.assert_allclose(mu.locations_array(),
                                    [[0.0, 1.0], [2.0, 0.5]])
 
@@ -91,8 +93,8 @@ class TestDomainBox:
         box = DomainBox((-1.0,), (2.0,), 0.5, 1.5)
         np.testing.assert_allclose(box.lower(), [-1.0, 0.5])
         np.testing.assert_allclose(box.upper(), [2.0, 1.5])
-        assert box.contains(Location((0.0,), (1.0,)))
-        assert not box.contains(Location((3.0,), (1.0,)))
+        assert box.contains(np.array([0.0, 1.0]))
+        assert not box.contains(np.array([3.0, 1.0]))
         assert not box.contains(np.array([0.0, 0.4]))
         assert box.contains(np.array([0.0, 0.4999999]), atol=1e-6)
 
@@ -114,7 +116,7 @@ class TestDomainBox:
 class TestWeightFunction:
     def test_reference_value(self):
         # prod_k (2 pi)^(-1/4) (2 u_k^2 + tau^2)^(-1/4) at u = tau = 1
-        w = weight_function(Location((0.0,), (1.0,)), 1.0)
+        w = weight_function(np.array([0.0, 1.0]), 1.0)
         assert w == pytest.approx(0.4799264870591019, abs=1e-15)
 
     def test_product_over_coordinates(self):
@@ -150,7 +152,7 @@ class TestReparametrize:
         back = reparametrize(
             reparametrize(mu, ctx1.tau, "to_omega"), ctx1.tau, "from_omega")
         np.testing.assert_allclose(back.weights, mu.weights, rtol=1e-14)
-        assert back.locations == mu.locations
+        np.testing.assert_array_equal(back.coords, mu.coords)
 
     def test_to_omega_scales_by_weight_function(self, ctx1):
         mu = DiscreteMeasure.from_arrays(np.array([2.0]), np.array([[0.3, 1.2]]))

@@ -223,7 +223,7 @@ class TestPruneMerge:
         assert out.s == 1
         assert out.weights[0] == pytest.approx(0.4, rel=1e-12)
         # merged mean is the weight-shared average of the t coordinates
-        assert out.locations[0].t[0] == pytest.approx(0.0125, abs=1e-10)
+        assert out.coords[0, 0] == pytest.approx(0.0125, abs=1e-10)
 
     def test_keeps_separated_atoms(self, ctx1):
         cfg = SolverConfig(prune_threshold=1e-9, merge_radius=0.3)
@@ -243,12 +243,12 @@ class TestInitialMeasure:
         mu = initial_measure(small_octx, cfg)
         assert mu.s == 8
         assert np.all(mu.weights > 0)
-        for loc in mu.locations:
-            assert small_octx.ctx.box.contains(loc)
+        for x in mu.coords:
+            assert small_octx.ctx.box.contains(x)
         # u starts at the geometric mid-scale of the box
         u0 = math.sqrt(small_octx.ctx.box.u_min * small_octx.ctx.box.u_max)
-        for loc in mu.locations:
-            assert loc.u[0] == pytest.approx(u0)
+        for x in mu.coords:
+            assert x[1] == pytest.approx(u0)
 
     def test_covers_both_clusters(self, sep_mixture, sep_ctx):
         # farthest-first subset selection must place atoms in every mode
