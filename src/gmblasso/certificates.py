@@ -488,15 +488,17 @@ def verify_nondegeneracy(global_sol: CertificateSolution,
 
     P = _sample_points(anchors, consts, grid_spec, ctx)
     # row 0 is the global certificate, rows 1.. the local ones in the order
-    # given.  Points go through in blocks so that every temporary stays small.
+    # given; frdist is a near point's Fisher-Rao distance to its own anchor.
+    # Points go through in blocks so that every temporary stays small.
     sols = (global_sol, *local_sols)
     region = np.empty(len(P), dtype=np.intp)
     vals = np.empty((len(sols), len(P)))
-    frdist = np.empty((len(P), system.s))
+    frdist = np.zeros(len(P))
     for lo in range(0, len(P), _EVAL_BLOCK):
         blk = slice(lo, lo + _EVAL_BLOCK)
         region[blk] = region_index_batch(P[blk], anchors, consts.r, ctx)
-        frdist[blk] = fr_distance_pairs(P[blk, None, :], anchors[None, :, :], ctx)
+        idx = lo + np.flatnonzero(region[blk] >= 0)
+        frdist[idx] = fr_distance_pairs(P[idx], anchors[region[idx]], ctx)
         vals[:, blk] = certificate_values(sols, system, P[blk])
 
     far = region < 0
@@ -516,7 +518,7 @@ def verify_nondegeneracy(global_sol: CertificateSolution,
     clauses.append(_clause("global.far",
                            np.abs(vals[0, far]) - (1 - consts.eps_0), P[far], tol))
     for j, near_j in enumerate(near):
-        rhs = 1 - consts.eps_2 * frdist[near_j, j] ** 2
+        rhs = 1 - consts.eps_2 * frdist[near_j] ** 2
         clauses.append(_clause(f"global.near[{j}]",
                                vals[0, near_j] - rhs, P[near_j], tol))
 
@@ -528,7 +530,7 @@ def verify_nondegeneracy(global_sol: CertificateSolution,
                                P[far], tol))
         # |eta_l - [i == l]| near anchor i: near_self first, then near_other
         for i in sorted(range(system.s), key=lambda i: i != l):
-            rhs = consts.eps_tilde_2 * frdist[near[i], i] ** 2
+            rhs = consts.eps_tilde_2 * frdist[near[i]] ** 2
             name = "near_self" if i == l else f"near_other[{i}]"
             clauses.append(_clause(f"local[{l}].{name}",
                                    np.abs(float(i == l) - vals[row, near[i]]) - rhs,

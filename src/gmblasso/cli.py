@@ -39,7 +39,7 @@ from .certificates import (
     verify_nondegeneracy,
 )
 from .experiments import GroundTruthMixture, rate_sweep, sample
-from .geometry import geodesic_spec, metric_diag_batch
+from .geometry import geodesic_spec, metric_diag_batch, near_radius
 from .kernel import (
     KernelContext,
     _christoffel_coeffs,
@@ -295,8 +295,9 @@ def build_run_config(entries: dict) -> RunConfig:
         solver_cfg = SolverConfig(seed=seed, **solver_cfg_kwargs)
         if kappa_override is not None and not kappa_override > 0:
             raise ValueError("experiment.kappa must be positive")
-        if radii is not None and any(r <= 0 for r in radii):
-            raise ValueError("experiment.r_e entries must be positive")
+        if radii is not None and not all(0 < r <= near_radius(d) for r in radii):
+            raise ValueError("experiment.r_e entries must lie in "
+                             f"(0, {near_radius(d)}]")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

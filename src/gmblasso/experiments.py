@@ -332,20 +332,13 @@ def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
     solver_cfg = replace(base, record_trace=False)
     jobs = [(i, n, rep) for i, n in enumerate(n_grid) for rep in range(replications)]
 
-    if threads > 1 and jobs:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_one_replication, scenario, n, i, rep, kappa_rule,
-                            tau_rule, seed, solver_cfg, radii)
-                for i, n, rep in jobs
-            ]
-            rows = tuple(f.result() for f in futures)  # ordered reduce
-    else:
-        rows = tuple(
-            _one_replication(scenario, n, i, rep, kappa_rule, tau_rule, seed,
-                             solver_cfg, radii)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [
+            pool.submit(_one_replication, scenario, n, i, rep, kappa_rule,
+                        tau_rule, seed, solver_cfg, radii)
             for i, n, rep in jobs
-        )
+        ]
+        rows = tuple(f.result() for f in futures)  # ordered reduce
 
     aggregates = aggregate_rows(rows)
     return ExperimentReport(

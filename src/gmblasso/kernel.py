@@ -49,7 +49,6 @@ __all__ = [
     "lambda_pair",
     "lambda_sum",
     "kernel_values",
-    "kernel_matrix",
     "semi_distance_pairs",
     "grad1_batch",
     "grad2_batch",
@@ -63,14 +62,12 @@ __all__ = [
 class KernelContext:
     """Binds dimension d, smoothing scale tau, and the domain box.
 
-    The certificate guarantees assume 0 < tau <= u_min.  Constructing a
-    context with tau > u_min requires relaxed=True and sets guarantees_void.
+    The certificate guarantees assume 0 < tau <= u_min.
     """
 
     d: int
     tau: float
     box: DomainBox
-    relaxed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "tau", float(self.tau))
@@ -78,15 +75,8 @@ class KernelContext:
             raise ValueError("context dimension disagrees with box dimension")
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite")
-        if self.tau > self.box.u_min and not self.relaxed:
-            raise ValueError(
-                f"tau={self.tau} exceeds u_min={self.box.u_min}; "
-                "pass relaxed=True to drop the certificate guarantees"
-            )
-
-    @property
-    def guarantees_void(self) -> bool:
-        return self.tau > self.box.u_min
+        if self.tau > self.box.u_min:
+            raise ValueError(f"tau={self.tau} exceeds u_min={self.box.u_min}")
 
 
 # --------------------------------------------------------------------------
@@ -129,13 +119,6 @@ def kernel_values(x, y, ctx: KernelContext):
     _, _, A, B, C, dt = _abc(x, y, ctx.tau)
     L = 0.25 * np.log(B) + 0.25 * np.log(C) - 0.5 * np.log(A) - dt**2 / (2 * A)
     return np.exp(np.sum(L, axis=-1))
-
-
-def kernel_matrix(X, Y, ctx: KernelContext):
-    """All-pairs kernel values, shape (len(X), len(Y))."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    return kernel_values(X[:, None, :], Y[None, :, :], ctx)
 
 
 def _first_partials(x, y, tau):

@@ -126,9 +126,6 @@ class DomainBox:
         return bool(np.all(arr >= self.lower() - atol)
                     and np.all(arr <= self.upper() + atol))
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower(), self.upper())
-
 
 def weight_function(x, tau: float):
     """W(x) = prod_k (2 pi)^(-1/4) (2 u_k^2 + tau^2)^(-1/4).

@@ -93,21 +93,24 @@ class ObjectiveContext:
         return self._fidelity_constant
 
 
-def _core_value(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext) -> float:
-    """J - C/2 of the atoms (w, pts): kernel quadratic, witness correlation
-    and the total-variation penalty."""
+def _terms(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext):
+    """J - C/2 of the atoms (w, pts) and its analytic gradients (dJ/dw_j,
+    dJ/dx_j), shapes (s,) and (s, 2d), from one pass of each kernel term."""
     if len(w) == 0:
-        return 0.0
+        return 0.0, np.zeros(0), np.zeros((0, 0))
     K = kernel_values(pts[:, None, :], pts[None, :, :], octx.ctx)
-    quad = float(w @ K @ w)
-    cross = float(w @ np.atleast_1d(data_witness(pts, octx.samples, octx.ctx,
-                                                  table=octx.table)))
-    return 0.5 * quad - cross + octx.kappa * float(np.sum(w))
+    G1 = grad1_batch(pts[:, None, :], pts[None, :, :], octx.ctx)   # (s, s, 2d)
+    wit, wit_grad = data_witness(pts, octx.samples, octx.ctx, with_gradient=True,
+                                 table=octx.table)
+    J = 0.5 * float(w @ K @ w) - float(w @ wit) + octx.kappa * float(np.sum(w))
+    grad_w = K @ w - wit + octx.kappa
+    grad_x = w[:, None] * (np.einsum("l,jld->jd", w, G1) - wit_grad)
+    return J, grad_w, grad_x
 
 
 def objective_core(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
-    """Objective with the data constant omitted (J - C/2); used by the iteration."""
-    return _core_value(mu_omega.weights, mu_omega.locations_array(), octx)
+    """Objective with the data constant omitted (J - C/2)."""
+    return _terms(mu_omega.weights, mu_omega.locations_array(), octx)[0]
 
 
 def objective(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
@@ -117,18 +120,7 @@ def objective(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
 
 def objective_gradient(mu_omega: DiscreteMeasure, octx: ObjectiveContext):
     """Analytic gradients (dJ/dw_j, dJ/dx_j); shapes (s,) and (s, 2d)."""
-    w = mu_omega.weights
-    pts = mu_omega.locations_array()
-    s = len(w)
-    if s == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    K = kernel_values(pts[:, None, :], pts[None, :, :], octx.ctx)
-    G1 = grad1_batch(pts[:, None, :], pts[None, :, :], octx.ctx)   # (s, s, 2d)
-    wit, wit_grad = data_witness(pts, octx.samples, octx.ctx, with_gradient=True,
-                                 table=octx.table)
-    grad_w = K @ w - np.atleast_1d(wit) + octx.kappa
-    grad_x = w[:, None] * (np.einsum("l,jld->jd", w, G1) - np.atleast_2d(wit_grad))
-    return grad_w, grad_x
+    return _terms(mu_omega.weights, mu_omega.locations_array(), octx)[1:]
 
 
 @dataclass(frozen=True)
@@ -275,10 +267,18 @@ def _merge(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig, ctx: KernelContext
 def prune_merge(mu_omega: DiscreteMeasure, cfg: SolverConfig,
                 ctx: KernelContext) -> DiscreteMeasure:
     """Drop dust atoms, then merge pairs closer than the merge radius."""
-    if mu_omega.s == 0:
-        return mu_omega
     w, pts = _prune(mu_omega.weights, mu_omega.locations_array(), cfg)
     return DiscreteMeasure.from_arrays(*_merge(w, pts, cfg, ctx))
+
+
+def _merge_alone(w, pts, terms, cfg: SolverConfig, octx: ObjectiveContext):
+    """(w, pts, terms) after merging close pairs, if that does not raise J."""
+    w_m, pts_m = _merge(w, pts, cfg, octx.ctx)
+    if len(w_m) < len(w):
+        terms_m = _terms(w_m, pts_m, octx)
+        if terms_m[0] <= terms[0]:
+            return w_m, pts_m, terms_m
+    return w, pts, terms
 
 
 def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
@@ -290,7 +290,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     if not box.contains(pts, atol=1e-9):
         raise ValueError("initial atom outside the domain box")
 
-    J = _core_value(w, pts, octx)
+    J = objective_core(init, octx)
     trace: list[TraceRow] = []
     eta_w, eta_x = cfg.step_w, cfg.step_x
     lo, hi = box.lower(), box.upper()
@@ -298,58 +298,50 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     last_failed = -cfg.patience
     converged = stalled = aborted = False
     reason = None
-    it = 0
 
     if not math.isfinite(J):
         return SolverResult(init, (), False, False, True,
                             "non-finite objective at initialization", 0)
+    gw, gx = objective_gradient(init, octx)
 
     for it in range(1, cfg.iterations + 1):
-        mu = DiscreteMeasure.from_arrays(w, pts)
-        gw, gx = objective_gradient(mu, octx)
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gx))):
             aborted, reason = True, f"non-finite gradient at iteration {it}"
             break
         ginv = 1.0 / metric_diag_batch(pts, octx.ctx.tau)
 
-        accepted = False
-        J_new, w_new, pts_new = J, w, pts
+        drop = 0.0
         for _ in range(cfg.max_backtracks + 1):
             w_try = w * np.exp(np.clip(-eta_w * gw, -60.0, 60.0))
             pts_try = np.clip(pts - eta_x * ginv * gx, lo, hi)
-            J_try = _core_value(w_try, pts_try, octx)
+            J_try, gw_try, gx_try = _terms(w_try, pts_try, octx)
             if not math.isfinite(J_try):
                 aborted, reason = True, f"non-finite objective at iteration {it}"
                 break
             if J_try <= J:
-                accepted = True
-                J_new, w_new, pts_new = J_try, w_try, pts_try
+                drop = J - J_try
+                w, pts, J, gw, gx = w_try, pts_try, J_try, gw_try, gx_try
+                eta_w = min(2 * eta_w, cfg.step_w)
+                eta_x = min(2 * eta_x, cfg.step_x)
                 break
             eta_w, eta_x = eta_w / 2, eta_x / 2
+        else:
+            last_failed = it
         if aborted:
             break
 
-        drop = J - J_new
-        if accepted:
-            w, pts, J = w_new, pts_new, J_new
-            eta_w = min(2 * eta_w, cfg.step_w)
-            eta_x = min(2 * eta_x, cfg.step_x)
-        else:
-            last_failed = it
-
         if cfg.merge_period > 0 and it % cfg.merge_period == 0:
             # prune and merge as one candidate; if that raises J (a dust atom
-            # whose removal costs more than the merge gains), the merge alone
+            # whose removal costs more than the merge gains), the merge alone.
+            # A candidate with as many atoms is the current point.
             cand = prune_merge(DiscreteMeasure.from_arrays(w, pts), cfg, octx.ctx)
-            J_cand = _core_value(cand.weights, cand.locations_array(), octx)
-            if J_cand <= J:
-                w, pts, J = cand.weights, cand.locations_array(), J_cand
-            else:
-                w_m, pts_m = _merge(w, pts, cfg, octx.ctx)
-                if len(w_m) < len(w):
-                    J_m = _core_value(w_m, pts_m, octx)
-                    if J_m <= J:
-                        w, pts, J = w_m, pts_m, J_m
+            if cand.s < len(w):
+                terms = _terms(cand.weights, cand.locations_array(), octx)
+                if terms[0] <= J:
+                    w, pts = cand.weights, cand.locations_array()
+                else:
+                    w, pts, terms = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
+                J, gw, gx = terms
 
         if cfg.record_trace:
             C = octx.fidelity_constant
@@ -367,10 +359,8 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     # is kept only if it does not raise the objective
     w_kept, pts_kept = _prune(w, pts, cfg)
     if len(w_kept) < len(w):
-        w, pts, J = w_kept, pts_kept, _core_value(w_kept, pts_kept, octx)
-    w_merged, pts_merged = _merge(w, pts, cfg, octx.ctx)
-    if len(w_merged) < len(w) and _core_value(w_merged, pts_merged, octx) <= J:
-        w, pts = w_merged, pts_merged
+        w, pts, J, gw, gx = w_kept, pts_kept, *_terms(w_kept, pts_kept, octx)
+    w, pts, _ = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
     return SolverResult(DiscreteMeasure.from_arrays(w, pts), tuple(trace),
                         converged, stalled, aborted, reason, it)
 

@@ -323,6 +323,15 @@ class TestRates:
         rep = read_rows(tmp_path / "out" / "rates_replications.csv")
         assert "mass_error_r1" in rep[0]
 
+    def test_effective_radius_above_near_radius_exit_2(self, tmp_path, capsys):
+        # region masses need r_e <= near_radius(1) = 0.3025
+        text = (SEPARATED + "experiment.n_grid = 200\n"
+                + "experiment.replications = 2\n" + "experiment.r_e = 0.5\n"
+                + f"output.dir = {tmp_path}/out\n")
+        assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "experiment.r_e" in err
+
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         text = SEPARATED + f"output.dir = {tmp_path}/out\n"
         assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2

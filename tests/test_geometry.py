@@ -194,7 +194,7 @@ class TestGeodesics:
         while count < 200:
             x = random_locations(rng, 1, ctx1.box, margin=0.1)[0]
             y = x + rng.normal(scale=[0.15, 0.08], size=2)
-            y = ctx1.box.clip(y)
+            y = np.clip(y, ctx1.box.lower(), ctx1.box.upper())
             if float(semi_distance_pairs(x, y, ctx1)) > NEAR_RADIUS_1D:
                 continue
             spec = geodesic_spec(x, y, ctx1)

@@ -31,7 +31,6 @@ from gmblasso.kernel import (
     grad2_batch,
     grad12_batch,
     hess2_batch,
-    kernel_matrix,
     kernel_values,
     lambda_sum,
     moment_table,
@@ -96,21 +95,14 @@ class TestValues:
         np.testing.assert_allclose(semi_distance_pairs(X, Y, ctx1),
                                    np.sqrt(-2 * np.log(k)), atol=1e-10)
 
-    def test_kernel_matrix_shape_and_content(self, ctx1):
-        rng = np.random.default_rng(5)
-        X = random_locations(rng, 4, ctx1.box)
-        Y = random_locations(rng, 7, ctx1.box)
-        M = kernel_matrix(X, Y, ctx1)
-        assert M.shape == (4, 7)
-        assert M[2, 5] == pytest.approx(float(kernel_values(X[2], Y[5], ctx1)))
-
     def test_single_pair_matches_batch(self, ctx1):
         x = np.array([0.3, 0.9])
         y = np.array([-1.2, 1.4])
         k = kernel_values(x, y, ctx1)
         assert k.shape == ()
         assert float(k) == pytest.approx(
-            float(kernel_matrix(x[None, :], y[None, :], ctx1)[0, 0]), rel=1e-15)
+            float(kernel_values(x[None, None, :], y[None, None, :], ctx1)[0, 0]),
+            rel=1e-15)
         assert float(semi_distance_pairs(x, y, ctx1)) == pytest.approx(
             math.sqrt(-2 * math.log(float(k))), abs=1e-12)
 
@@ -458,6 +450,3 @@ class TestContext:
     def test_tau_above_u_min_needs_relaxed(self, box1):
         with pytest.raises(ValueError):
             KernelContext(1, 0.9, box1)
-        ctx = KernelContext(1, 0.9, box1, relaxed=True)
-        assert ctx.guarantees_void
-        assert not KernelContext(1, 0.4, box1).guarantees_void

@@ -98,10 +98,6 @@ class TestDomainBox:
         assert not box.contains(np.array([0.0, 0.4]))
         assert box.contains(np.array([0.0, 0.4999999]), atol=1e-6)
 
-    def test_clip(self):
-        box = DomainBox((-1.0,), (2.0,), 0.5, 1.5)
-        np.testing.assert_allclose(box.clip(np.array([5.0, 0.1])), [2.0, 0.5])
-
     @pytest.mark.parametrize("kwargs", [
         dict(t_lo=(1.0,), t_hi=(0.0,), u_min=0.5, u_max=1.0),
         dict(t_lo=(0.0,), t_hi=(1.0,), u_min=0.0, u_max=1.0),

@@ -26,7 +26,7 @@ from gmblasso import (
     sample,
     weight_function,
 )
-from gmblasso.kernel import semi_distance_pairs
+from gmblasso.kernel import data_witness, semi_distance_pairs
 from gmblasso.solver import objective_core, resolve_tau
 
 from conftest import random_locations, rel_error
@@ -300,6 +300,23 @@ class TestDescent:
         res = cpgd_solve(mu, small_octx, cfg)
         assert res.aborted
         assert "non-finite" in res.abort_reason
+
+    def test_one_witness_call_per_iteration(self, small_octx, monkeypatch):
+        # each trial is evaluated once and its gradient drives the next step:
+        # two calls at the start, one per iteration, one for a final merge
+        from gmblasso import solver
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return data_witness(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "data_witness", counted)
+        cfg = SolverConfig(iterations=40, max_backtracks=0, merge_period=0,
+                           prune_threshold=0.0, record_trace=False)
+        res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
+        assert res.iterations_run > 1
+        assert len(calls) <= res.iterations_run + 3
 
     def test_single_component_recovery(self):
         box = DomainBox((-5.0,), (5.0,), 0.5, 2.0)
