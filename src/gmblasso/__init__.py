@@ -14,7 +14,7 @@ from .measures import (
 from .kernel import KernelContext, data_witness, lambda_pair
 from .geometry import geodesic_spec
 from .certificates import (
-    CertificateSolution,
+    CertificateSet,
     CertificateSystem,
     GridSpec,
     LpcConstants,
@@ -58,7 +58,7 @@ __all__ = [
     "DiscreteMeasure", "DomainBox", "min_pairwise_semidistance",
     "reparametrize", "tv_norm", "weight_function",
     "KernelContext", "data_witness", "lambda_pair", "geodesic_spec",
-    "CertificateSolution", "CertificateSystem", "GridSpec", "LpcConstants",
+    "CertificateSet", "CertificateSystem", "GridSpec", "LpcConstants",
     "NondegeneracyReport", "SingularSystemError", "build_upsilon",
     "certificate_values", "certificate_gradients", "lpc_constants",
     "separation_check", "solve_certificates",

@@ -45,7 +45,7 @@ from .measures import DiscreteMeasure, min_pairwise_semidistance
 
 __all__ = [
     "CertificateSystem",
-    "CertificateSolution",
+    "CertificateSet",
     "LpcConstants",
     "GridSpec",
     "SeparationReport",
@@ -87,13 +87,14 @@ class CertificateSystem:
 
 
 @dataclass(frozen=True)
-class CertificateSolution:
-    alpha: np.ndarray           # (s,)
-    beta: np.ndarray            # (s, 2d)
-    kind: str                   # "global" or "local"
-    index: Optional[int]        # anchor index for local certificates
-    p_norm: float               # sqrt(rhs^T coef) = RKHS norm of the witness
-    residual: float             # max-norm residual of the linear solve
+class CertificateSet:
+    """Row 0 is the global certificate, row 1 + j the local one of anchor j."""
+
+    system: CertificateSystem
+    alpha: np.ndarray           # (s+1, s)
+    beta: np.ndarray            # (s+1, s, 2d)
+    p_norm: np.ndarray          # (s+1,) sqrt(rhs^T coef) = RKHS norm of the witness
+    residual: np.ndarray        # (s+1,) max-norm residual of the linear solve
 
 
 def build_upsilon(anchors, ctx: KernelContext) -> CertificateSystem:
@@ -149,51 +150,37 @@ def _solve_system(U: np.ndarray, rhs: np.ndarray):
     return X, resid, cond
 
 
-def solve_certificates(system: CertificateSystem):
+def solve_certificates(system: CertificateSystem) -> CertificateSet:
     """Solve for the global certificate and the s local certificates."""
     s = system.s
-    dim2 = 2 * system.ctx.d
-    m = 1 + dim2
+    m = 1 + 2 * system.ctx.d
     rhs = np.zeros((s * m, s + 1))
     rhs[::m, 0] = 1.0                    # global: value 1 at every anchor
     rhs[::m, 1:] = np.eye(s)             # local j: indicator values
     X, resid, _ = _solve_system(system.upsilon, rhs)
-
-    def mk(col, kind, index):
-        coef = X[:, col]
-        alpha = coef[::m].copy()
-        beta = coef.reshape(s, m)[:, 1:].copy()
-        psq = float(rhs[:, col] @ coef)
-        return CertificateSolution(alpha, beta, kind, index,
-                                   math.sqrt(max(psq, 0.0)), float(resid[col]))
-
-    global_sol = mk(0, "global", None)
-    local_sols = [mk(j + 1, "local", j) for j in range(s)]
-    return global_sol, local_sols
+    coef = X.T.reshape(s + 1, s, m)
+    psq = np.array([rhs[:, k] @ X[:, k] for k in range(s + 1)])
+    return CertificateSet(system, coef[:, :, 0].copy(), coef[:, :, 1:].copy(),
+                          np.sqrt(np.maximum(psq, 0.0)), resid)
 
 
-def certificate_values(sols, system: CertificateSystem, P: np.ndarray) -> np.ndarray:
+def certificate_values(certs: CertificateSet, P: np.ndarray) -> np.ndarray:
     """eta of each certificate at coordinate rows P (m, 2d), shape (k, m)."""
-    pts = system.anchors
+    pts, ctx = certs.system.anchors, certs.system.ctx
     P = np.asarray(P, dtype=float)
-    K = kernel_values(pts[:, None, :], P[None, :, :], system.ctx)       # (s, m)
-    G1 = grad1_batch(pts[:, None, :], P[None, :, :], system.ctx)        # (s, m, 2d)
-    alpha = np.stack([sol.alpha for sol in sols])                       # (k, s)
-    beta = np.stack([sol.beta for sol in sols])                         # (k, s, 2d)
-    return alpha @ K + np.einsum("kjd,jmd->km", beta, G1)
+    K = kernel_values(pts[:, None, :], P[None, :, :], ctx)              # (s, m)
+    G1 = grad1_batch(pts[:, None, :], P[None, :, :], ctx)               # (s, m, 2d)
+    return certs.alpha @ K + np.einsum("kjd,jmd->km", certs.beta, G1)
 
 
-def certificate_gradients(sols, system: CertificateSystem,
-                          P: np.ndarray) -> np.ndarray:
+def certificate_gradients(certs: CertificateSet, P: np.ndarray) -> np.ndarray:
     """Gradient of each certificate at coordinate rows P (m, 2d), shape (k, m, 2d)."""
-    pts = system.anchors
+    pts, ctx = certs.system.anchors, certs.system.ctx
     P = np.asarray(P, dtype=float)
-    G2 = grad2_batch(pts[:, None, :], P[None, :, :], system.ctx)        # (s, m, 2d)
-    M12 = grad12_batch(pts[:, None, :], P[None, :, :], system.ctx)      # (s, m, 2d, 2d)
-    alpha = np.stack([sol.alpha for sol in sols])
-    beta = np.stack([sol.beta for sol in sols])
-    return (np.einsum("kj,jmd->kmd", alpha, G2)
-            + np.einsum("kjb,jmbd->kmd", beta, M12))
+    G2 = grad2_batch(pts[:, None, :], P[None, :, :], ctx)               # (s, m, 2d)
+    M12 = grad12_batch(pts[:, None, :], P[None, :, :], ctx)             # (s, m, 2d, 2d)
+    return (np.einsum("kj,jmd->kmd", certs.alpha, G2)
+            + np.einsum("kjb,jmbd->kmd", certs.beta, M12))
 
 
 # --------------------------------------------------------------------------
@@ -366,11 +353,9 @@ class ClauseReport:
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    separation: SeparationReport
     clauses: tuple[ClauseReport, ...]
     all_clauses_pass: bool
     points_evaluated: int
-    violation_tolerance: float
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -469,10 +454,8 @@ def _clause(name, margins, P, tol) -> ClauseReport:
                         None if P is None else P[i].copy(), nviol, nviol == 0)
 
 
-def verify_nondegeneracy(global_sol: CertificateSolution,
-                         local_sols, mu0: DiscreteMeasure,
-                         consts: LpcConstants, grid_spec: GridSpec,
-                         system: CertificateSystem) -> NondegeneracyReport:
+def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
+                         grid_spec: GridSpec) -> NondegeneracyReport:
     """Sample the box and evaluate every non-degeneracy clause.
 
     Margins are lhs - rhs of each clause inequality (nonpositive = holds);
@@ -480,39 +463,33 @@ def verify_nondegeneracy(global_sol: CertificateSolution,
     which absorbs kernel-evaluation roundoff next to the anchors where both
     sides of the quadratic clauses vanish.
     """
-    ctx = system.ctx
-    anchors = system.anchors
-    if mu0.s != system.s or not np.array_equal(mu0.locations_array(), anchors):
-        raise ValueError("measure atoms disagree with certificate anchors")
-    sep = separation_check(mu0, ctx, consts)
+    anchors, ctx = certs.system.anchors, certs.system.ctx
+    s = len(anchors)
 
     P = _sample_points(anchors, consts, grid_spec, ctx)
-    # row 0 is the global certificate, rows 1.. the local ones in the order
-    # given; frdist is a near point's Fisher-Rao distance to its own anchor.
-    # Points go through in blocks so that every temporary stays small.
-    sols = (global_sol, *local_sols)
+    # vals has the rows of certs; frdist is a near point's Fisher-Rao
+    # distance to its own anchor.  Blocks keep every temporary small.
     region = np.empty(len(P), dtype=np.intp)
-    vals = np.empty((len(sols), len(P)))
+    vals = np.empty((s + 1, len(P)))
     frdist = np.zeros(len(P))
     for lo in range(0, len(P), _EVAL_BLOCK):
         blk = slice(lo, lo + _EVAL_BLOCK)
         region[blk] = region_index_batch(P[blk], anchors, consts.r, ctx)
         idx = lo + np.flatnonzero(region[blk] >= 0)
         frdist[idx] = fr_distance_pairs(P[idx], anchors[region[idx]], ctx)
-        vals[:, blk] = certificate_values(sols, system, P[blk])
+        vals[:, blk] = certificate_values(certs, P[blk])
 
     far = region < 0
-    near = [region == j for j in range(system.s)]
+    near = [region == j for j in range(s)]
     tol = grid_spec.violation_tol
     clauses = []
 
     # interpolation margins are the value errors and gradient norms at the
     # anchors, which must vanish to 1e-8
-    targets = np.vstack([np.ones(system.s),
-                         np.eye(system.s)[[lsol.index for lsol in local_sols]]])
+    targets = np.vstack([np.ones(s), np.eye(s)])
     interp = np.concatenate([
-        np.abs(certificate_values(sols, system, anchors) - targets),
-        np.linalg.norm(certificate_gradients(sols, system, anchors), axis=-1)], axis=1)
+        np.abs(certificate_values(certs, anchors) - targets),
+        np.linalg.norm(certificate_gradients(certs, anchors), axis=-1)], axis=1)
 
     clauses.append(_clause("global.interpolation", interp[0], None, 1e-8))
     clauses.append(_clause("global.far",
@@ -522,24 +499,21 @@ def verify_nondegeneracy(global_sol: CertificateSolution,
         clauses.append(_clause(f"global.near[{j}]",
                                vals[0, near_j] - rhs, P[near_j], tol))
 
-    for row, lsol in enumerate(local_sols, start=1):
-        l = lsol.index
-        clauses.append(_clause(f"local[{l}].interpolation", interp[row], None, 1e-8))
+    for l in range(s):
+        clauses.append(_clause(f"local[{l}].interpolation", interp[1 + l], None, 1e-8))
         clauses.append(_clause(f"local[{l}].far",
-                               np.abs(vals[row, far]) - (1 - consts.eps_tilde_0),
+                               np.abs(vals[1 + l, far]) - (1 - consts.eps_tilde_0),
                                P[far], tol))
         # |eta_l - [i == l]| near anchor i: near_self first, then near_other
-        for i in sorted(range(system.s), key=lambda i: i != l):
+        for i in sorted(range(s), key=lambda i: i != l):
             rhs = consts.eps_tilde_2 * frdist[near[i]] ** 2
             name = "near_self" if i == l else f"near_other[{i}]"
             clauses.append(_clause(f"local[{l}].{name}",
-                                   np.abs(float(i == l) - vals[row, near[i]]) - rhs,
+                                   np.abs(float(i == l) - vals[1 + l, near[i]]) - rhs,
                                    P[near[i]], tol))
 
     return NondegeneracyReport(
-        separation=sep,
         clauses=tuple(clauses),
         all_clauses_pass=all(c.passed for c in clauses),
         points_evaluated=len(P),
-        violation_tolerance=tol,
     )

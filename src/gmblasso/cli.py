@@ -293,8 +293,10 @@ def build_run_config(entries: dict) -> RunConfig:
         mixture = GroundTruthMixture(
             DiscreteMeasure.from_arrays(np.asarray(weights, float), locs), ctx)
         solver_cfg = SolverConfig(seed=seed, **solver_cfg_kwargs)
-        if kappa_override is not None and not kappa_override > 0:
-            raise ValueError("experiment.kappa must be positive")
+        if kappa_override is not None and not 0 < kappa_override < math.inf:
+            raise ValueError("experiment.kappa must be positive and finite")
+        if any(size < 2 for size in n_grid):
+            raise ValueError("experiment.n_grid entries must be at least 2")
         if radii is not None and not all(0 < r <= near_radius(d) for r in radii):
             raise ValueError("experiment.r_e entries must lie in "
                              f"(0, {near_radius(d)}]")
@@ -397,14 +399,13 @@ def _cmd_certify(args) -> int:
     all_pass = sep.satisfied
     try:
         system = build_upsilon(mu0.coords, ctx)
-        global_sol, local_sols = solve_certificates(system)
-        for sol in (global_sol, *local_sols):
-            bound_sq = 2.0 * mu0.s if sol.kind == "global" else 2.0
-            solutions_rows.append((sol.kind, sol.index if sol.index is not None else "",
-                                   sol.p_norm, sol.residual, bound_sq,
-                                   sol.p_norm**2 <= bound_sq + 1e-12))
-        report = verify_nondegeneracy(global_sol, local_sols, mu0, consts,
-                                      GridSpec(), system)
+        certs = solve_certificates(system)
+        for row, (p_norm, residual) in enumerate(zip(certs.p_norm, certs.residual)):
+            bound_sq = 2.0 * mu0.s if row == 0 else 2.0
+            solutions_rows.append(("global" if row == 0 else "local",
+                                   row - 1 if row else "", p_norm, residual,
+                                   bound_sq, p_norm**2 <= bound_sq + 1e-12))
+        report = verify_nondegeneracy(certs, consts, GridSpec())
         for cl in report.clauses:
             clause_rows.append((cl.name, cl.n_points, cl.worst_margin,
                                 _point_repr(cl.worst_point), cl.violations,

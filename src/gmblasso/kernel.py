@@ -115,32 +115,32 @@ def semi_distance_pairs(x, y, ctx: KernelContext):
     return np.sqrt(semi_distance_sq_pairs(x, y, ctx))
 
 
-def kernel_values(x, y, ctx: KernelContext):
-    _, _, A, B, C, dt = _abc(x, y, ctx.tau)
+def _kernel(A, B, C, dt):
     L = 0.25 * np.log(B) + 0.25 * np.log(C) - 0.5 * np.log(A) - dt**2 / (2 * A)
     return np.exp(np.sum(L, axis=-1))
 
 
-def _first_partials(x, y, tau):
-    """First partials of sum_k L_k, stacked (t_1..t_d, u_1..u_d): g1 in the
-    first argument and g2 in the second, shape (..., 2d) each, plus _abc's
-    per-coordinate quantities for the higher partials of _tables."""
-    u, up, A, B, C, dt = _abc(x, y, tau)
-    A2 = A * A
-    g1 = np.concatenate([-dt / A, u / B - u / A + u * dt**2 / A2], axis=-1)
-    g2 = np.concatenate([dt / A, up / C - up / A + up * dt**2 / A2], axis=-1)
-    return g1, g2, (u, up, A, A2, C, dt)
+def kernel_values(x, y, ctx: KernelContext):
+    _, _, A, B, C, dt = _abc(x, y, ctx.tau)
+    return _kernel(A, B, C, dt)
+
+
+def _partial(v, V, A, sdt):
+    """First partial of sum_k L_k in one argument, stacked (t_1..t_d, u_1..u_d),
+    shape (..., 2d): (v, V, sdt) is (u, B, -dt) for x and (up, C, dt) for y."""
+    return np.concatenate([sdt / A, v / V - v / A + v * sdt**2 / (A * A)], axis=-1)
 
 
 def _tables(x, y, tau):
-    """g1 and g2 of _first_partials, and the per-coordinate higher partials
-    of L_k; keys name the differentiated slots.
+    """K, g1 = _partial in x, g2 = _partial in y, and the per-coordinate
+    higher partials of L_k; keys name the differentiated slots.
 
     c_** are the mixed second partials, mm_** the pure second-arg second
     partials, and w3_*_** the third partials with one first-arg and two
     second-arg derivatives.  Cross-coordinate partials of L_k vanish.
     """
-    g1, g2, (u, up, A, A2, C, dt) = _first_partials(x, y, tau)
+    u, up, A, B, C, dt = _abc(x, y, tau)
+    A2 = A * A
     A3 = A2 * A
     T = {
         "c_tt": 1.0 / A,
@@ -158,20 +158,18 @@ def _tables(x, y, tau):
         "w3_u_uu": (2 * u / A2 - 8 * up**2 * u / A3 - 4 * u * dt**2 / A3
                     + 24 * u * up**2 * dt**2 / A2 / A2),
     }
-    return g1, g2, T
+    return _kernel(A, B, C, dt), _partial(u, B, A, -dt), _partial(up, C, A, dt), T
 
 
 def grad1_batch(x, y, ctx: KernelContext):
     """Gradient in the first argument, shape (..., 2d)."""
-    K = kernel_values(x, y, ctx)
-    g1, _, _ = _first_partials(x, y, ctx.tau)
-    return K[..., None] * g1
+    u, _, A, B, C, dt = _abc(x, y, ctx.tau)
+    return _kernel(A, B, C, dt)[..., None] * _partial(u, B, A, -dt)
 
 
 def grad2_batch(x, y, ctx: KernelContext):
-    K = kernel_values(x, y, ctx)
-    _, g2, _ = _first_partials(x, y, ctx.tau)
-    return K[..., None] * g2
+    _, up, A, B, C, dt = _abc(x, y, ctx.tau)
+    return _kernel(A, B, C, dt)[..., None] * _partial(up, C, A, dt)
 
 
 def _pack(T, keys, d, shape):
@@ -201,8 +199,7 @@ def grad12_batch(x, y, ctx: KernelContext):
     """Mixed derivative matrix d^2 K / dx dy, shape (..., 2d, 2d)."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1] // 2
-    K = kernel_values(x, y, ctx)
-    g1, g2, T = _tables(x, y, ctx.tau)
+    K, g1, g2, T = _tables(x, y, ctx.tau)
     return _mixed(K, g1, g2, _pack(T, _PAIR, d, K.shape))
 
 
@@ -211,8 +208,7 @@ def _hess2_grad2(x, y, ctx: KernelContext):
     kernel evaluation and one table of partials."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1] // 2
-    K = kernel_values(x, y, ctx)
-    _, g2, T = _tables(x, y, ctx.tau)
+    K, _, g2, T = _tables(x, y, ctx.tau)
     M = g2[..., :, None] * g2[..., None, :] + _pack(T, _SECOND, d, K.shape)
     return K[..., None, None] * M, K[..., None] * g2
 
@@ -265,9 +261,8 @@ def grad1_rhess2_batch(x, y, ctx: KernelContext):
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1] // 2
-    K = kernel_values(x, y, ctx)
+    K, g1, g2, T = _tables(x, y, ctx.tau)
     shape = K.shape
-    g1, g2, T = _tables(x, y, ctx.tau)
     mm = _pack(T, _SECOND, d, shape)
     cc = _pack(T, _PAIR, d, shape)
     thr = np.zeros(shape + (2 * d, 2 * d, 2 * d))

@@ -295,14 +295,13 @@ def test_criterion_05_certificates():
             failures.append(f"s={s}: anchors below separation threshold")
             continue
         system = build_upsilon(mu0.coords, ctx)
-        global_sol, local_sols = solve_certificates(system)
+        certs = solve_certificates(system)
 
-        worst_res = max(sol.residual for sol in (global_sol, *local_sols))
+        worst_res = float(np.max(certs.residual))
         if not worst_res < 1e-9:
             failures.append(f"s={s}: solve residual {worst_res:.2e} >= 1e-9")
-        sols = (global_sol, *local_sols)
-        vals = certificate_values(sols, system, mu0.coords)
-        grads = certificate_gradients(sols, system, mu0.coords)
+        vals = certificate_values(certs, mu0.coords)
+        grads = certificate_gradients(certs, mu0.coords)
         for j in range(s):
             interp = abs(vals[0, j] - 1.0)
             grad = float(np.max(np.abs(grads[0, j])))
@@ -310,13 +309,12 @@ def test_criterion_05_certificates():
             lgrad = float(np.max(np.abs(grads[1 + j, j])))
             if max(interp, lint) > 1e-9 or max(grad, lgrad) > 1e-9:
                 failures.append(f"s={s}: interpolation error at anchor {j}")
-        if not global_sol.p_norm**2 <= 2 * s + 1e-9:
-            failures.append(f"s={s}: global p-norm^2 {global_sol.p_norm**2:.3f} > 2s")
-        if not all(sol.p_norm**2 <= 2 + 1e-9 for sol in local_sols):
+        if not certs.p_norm[0]**2 <= 2 * s + 1e-9:
+            failures.append(f"s={s}: global p-norm^2 {certs.p_norm[0]**2:.3f} > 2s")
+        if not all(p_norm**2 <= 2 + 1e-9 for p_norm in certs.p_norm[1:]):
             failures.append(f"s={s}: local p-norm^2 above 2")
 
-        report = verify_nondegeneracy(global_sol, local_sols, mu0, consts,
-                                      GridSpec(), system)
+        report = verify_nondegeneracy(certs, consts, GridSpec())
         bad = [cl.name for cl in report.clauses if not cl.passed]
         if bad:
             failures.append(f"s={s}: failed clauses {bad}")

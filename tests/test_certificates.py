@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import qmc
 
 from gmblasso import (
-    CertificateSolution,
+    CertificateSet,
     DiscreteMeasure,
     DomainBox,
     GridSpec,
@@ -158,42 +158,41 @@ class TestUpsilon:
 
 class TestSolve:
     def test_interpolation_conditions(self, sep_system):
-        global_sol, local_sols = solve_certificates(sep_system)
-        sols = (global_sol, *local_sols)
+        certs = solve_certificates(sep_system)
         anchors = sep_system.anchors
-        vals = certificate_values(sols, sep_system, anchors)
-        grads = certificate_gradients(sols, sep_system, anchors)
+        vals = certificate_values(certs, anchors)
+        grads = certificate_gradients(certs, anchors)
         for j in range(len(anchors)):
             assert vals[0, j] == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(grads[0, j])) < 1e-9
-            for row, lsol in enumerate(local_sols, start=1):
-                want = 1.0 if lsol.index == j else 0.0
+            for row in range(1, len(anchors) + 1):
+                want = 1.0 if row - 1 == j else 0.0
                 assert vals[row, j] == pytest.approx(want, abs=1e-9)
                 assert np.max(np.abs(grads[row, j])) < 1e-9
 
     def test_residual_and_norm_bounds(self, sep_system):
-        global_sol, local_sols = solve_certificates(sep_system)
+        certs = solve_certificates(sep_system)
         s = sep_system.s
-        assert global_sol.residual < 1e-9
-        assert global_sol.p_norm**2 <= 2 * s + 1e-12
-        for lsol in local_sols:
-            assert lsol.residual < 1e-9
-            assert lsol.p_norm**2 <= 2.0 + 1e-12
+        assert certs.residual.shape == certs.p_norm.shape == (s + 1,)
+        assert certs.residual[0] < 1e-9
+        assert certs.p_norm[0]**2 <= 2 * s + 1e-12
+        for row in range(1, s + 1):
+            assert certs.residual[row] < 1e-9
+            assert certs.p_norm[row]**2 <= 2.0 + 1e-12
 
     def test_gradient_matches_fd(self, ctx1):
         anchors = np.array([[-1.0, 0.9], [1.5, 1.2]])
         system = build_upsilon(anchors, ctx1)
-        global_sol, _ = solve_certificates(system)
+        certs = solve_certificates(system)
         x = np.array([0.4, 0.8])
-        g = certificate_gradients([global_sol], system, x[None, :])[0, 0]
-        fd = fd_gradient(
-            lambda z: certificate_values([global_sol], system, z[None, :])[0, 0], x)
+        g = certificate_gradients(certs, x[None, :])[0, 0]
+        fd = fd_gradient(lambda z: certificate_values(certs, z[None, :])[0, 0], x)
         assert rel_error(g, fd) < 1e-6
 
     def test_decay_away_from_anchors(self, sep_system):
-        global_sol, _ = solve_certificates(sep_system)
+        certs = solve_certificates(sep_system)
         mid = np.array([[0.0, 1.0]])
-        assert abs(certificate_values([global_sol], sep_system, mid)[0, 0]) < 0.1
+        assert abs(certificate_values(certs, mid)[0, 0]) < 0.1
 
 
 class TestBatchEvaluation:
@@ -202,10 +201,11 @@ class TestBatchEvaluation:
     eta(x) = sum_j alpha_j K(x_j, x) + beta_j . grad1 K(x_j, x)."""
 
     @staticmethod
-    def _direct(sol, system, x):
+    def _direct(certs, k, x):
+        system = certs.system
         return sum(a * float(kernel_values(xj, x, system.ctx))
                    + float(b @ grad1_batch(xj, x, system.ctx))
-                   for a, b, xj in zip(sol.alpha, sol.beta, system.anchors))
+                   for a, b, xj in zip(certs.alpha[k], certs.beta[k], system.anchors))
 
     @staticmethod
     def _setup(d, seed):
@@ -213,26 +213,28 @@ class TestBatchEvaluation:
         ctx = KernelContext(d, 0.4, box)
         rng = np.random.default_rng(seed)
         system = build_upsilon(random_locations(rng, 3, box), ctx)
-        sols = [CertificateSolution(rng.normal(size=3), rng.normal(size=(3, 2 * d)),
-                                    "local", i, 0.0, 0.0) for i in range(4)]
-        return system, sols, random_locations(rng, 7, box, margin=0.05)
+        coef = [(rng.normal(size=3), rng.normal(size=(3, 2 * d))) for _ in range(4)]
+        certs = CertificateSet(system, np.stack([a for a, _ in coef]),
+                               np.stack([b for _, b in coef]), np.zeros(4), np.zeros(4))
+        return certs, random_locations(rng, 7, box, margin=0.05)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_values_match_direct_sum(self, d):
-        system, sols, P = self._setup(d, 50 + d)
-        vals = certificate_values(sols, system, P)
-        assert vals.shape == (len(sols), len(P))
-        want = np.array([[self._direct(sol, system, x) for x in P] for sol in sols])
+        certs, P = self._setup(d, 50 + d)
+        vals = certificate_values(certs, P)
+        assert vals.shape == (len(certs.alpha), len(P))
+        want = np.array([[self._direct(certs, k, x) for x in P]
+                         for k in range(len(certs.alpha))])
         np.testing.assert_allclose(vals, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_gradients_match_fd_of_direct_sum(self, d):
-        system, sols, P = self._setup(d, 60 + d)
-        grads = certificate_gradients(sols, system, P)
-        assert grads.shape == (len(sols), len(P), 2 * d)
-        for k, sol in enumerate(sols):
+        certs, P = self._setup(d, 60 + d)
+        grads = certificate_gradients(certs, P)
+        assert grads.shape == (len(certs.alpha), len(P), 2 * d)
+        for k in range(len(certs.alpha)):
             for i, x in enumerate(P):
-                fd = fd_gradient(lambda z: self._direct(sol, system, z), x)
+                fd = fd_gradient(lambda z: self._direct(certs, k, z), x)
                 assert rel_error(grads[k, i], fd) < 1e-6
 
 
@@ -294,14 +296,10 @@ class TestNondegeneracy:
         got = _ray_targets(axes[:dim // 2], axes[dim // 2:], n)
         np.testing.assert_array_equal(got, want)
 
-    def test_separated_pair_passes(self, sep_ctx, sep_mixture, sep_system,
-                                   small_grid):
+    def test_separated_pair_passes(self, sep_ctx, sep_system, small_grid):
         consts = lpc_constants(1, 2, sep_ctx.tau, sep_ctx.box)
-        global_sol, local_sols = solve_certificates(sep_system)
-        report = verify_nondegeneracy(global_sol, local_sols,
-                                      sep_mixture.measure, consts,
-                                      small_grid, sep_system)
-        assert report.separation.satisfied
+        report = verify_nondegeneracy(solve_certificates(sep_system), consts,
+                                      small_grid)
         assert report.all_clauses_pass
         assert report.points_evaluated > 0
         names = [cl.name for cl in report.clauses]
@@ -310,14 +308,13 @@ class TestNondegeneracy:
         for cl in report.clauses:
             assert cl.passed, (cl.name, cl.worst_margin)
 
-    def test_blocks_do_not_change_the_report(self, sep_ctx, sep_mixture,
-                                             sep_system, small_grid, monkeypatch):
+    def test_blocks_do_not_change_the_report(self, sep_ctx, sep_system, small_grid,
+                                             monkeypatch):
         consts = lpc_constants(1, 2, sep_ctx.tau, sep_ctx.box)
-        global_sol, local_sols = solve_certificates(sep_system)
+        certs = solve_certificates(sep_system)
 
         def report():
-            return verify_nondegeneracy(global_sol, local_sols, sep_mixture.measure,
-                                        consts, small_grid, sep_system)
+            return verify_nondegeneracy(certs, consts, small_grid)
 
         monkeypatch.setattr(certificates, "_EVAL_BLOCK", 10**9)
         whole = report()
@@ -332,12 +329,3 @@ class TestNondegeneracy:
                 assert a.worst_point is None
             else:
                 np.testing.assert_array_equal(a.worst_point, b.worst_point)
-
-    def test_rejects_mismatched_measure(self, sep_ctx, sep_system, small_grid):
-        consts = lpc_constants(1, 2, sep_ctx.tau, sep_ctx.box)
-        global_sol, local_sols = solve_certificates(sep_system)
-        other = DiscreteMeasure.from_arrays(
-            np.array([0.5, 0.5]), np.array([[-12.0, 1.0], [13.0, 1.0]]))
-        with pytest.raises(ValueError):
-            verify_nondegeneracy(global_sol, local_sols, other, consts,
-                                 small_grid, sep_system)

@@ -273,6 +273,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("config") and "patience" in err
 
+    @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
+    def test_bad_kappa_exit_2(self, tmp_path, capsys, kappa):
+        cfg = self._config(tmp_path, extra=f"experiment.kappa = {kappa}\n")
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "experiment.kappa" in err
+
 
 class TestRates:
     def _config(self, tmp_path):
@@ -336,6 +343,15 @@ class TestRates:
         text = SEPARATED + f"output.dir = {tmp_path}/out\n"
         assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2
         assert "n_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1, 0", "300, 1"])
+    def test_sample_size_below_2_exit_2(self, tmp_path, capsys, grid):
+        text = (SEPARATED + f"experiment.n_grid = {grid}\n"
+                + f"output.dir = {tmp_path}/out\n")
+        assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "experiment.n_grid" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestKernelCheck:
