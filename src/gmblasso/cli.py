@@ -497,6 +497,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     run = _load_run_config(args)
     if not run.n_grid:
         raise ConfigError("experiment.n_grid must list at least one sample size")
@@ -505,7 +507,7 @@ def _cmd_rates(args) -> int:
     os.makedirs(run.out_dir, exist_ok=True)
 
     report = rate_sweep(run.mixture, run.n_grid, run.replications, run.kappa_rule,
-                        run.tau_rule, run.seed, threads=max(1, args.threads),
+                        run.tau_rule, run.seed, threads=args.threads,
                         solver=run.solver, effective_radii=run.effective_radii)
 
     n_radii = len(report.effective_radii)
@@ -696,7 +698,9 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         if name == "rates":
-            sp.add_argument("--threads", type=int, default=1, help="worker threads")
+            sp.add_argument("--threads", type=int, default=1,
+                            help="worker processes; the calling process is one "
+                                 "of them")
         sp.set_defaults(fn=fn)
     kc = sub.add_parser("kernel-check")
     kc.add_argument("--samples", type=int, default=3000,

@@ -8,15 +8,19 @@ and true mixture densities (all Gaussian integrals in closed form).
 
 Rate sweeps repeat sample -> solve -> metrics over a grid of sample sizes,
 with per-replication RNG streams spawned from (master_seed, n_index, rep) so
-results are reproducible and independent of execution order or thread count.
+results are reproducible and independent of execution order and of how many
+worker processes run them.
 Slopes of log(mean error) vs log(n) are fitted by least squares on the means,
 since the theory bounds expectations.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -320,25 +324,56 @@ def _one_replication(scenario: GroundTruthMixture, n: int, n_index: int, rep: in
         )
 
 
+def _fork_context():
+    """The fork start method, or None where forking is unavailable or unsafe.
+
+    A fork copies only the calling thread, so a lock another thread holds at
+    that moment stays held in the child forever; fork only while this is the
+    process's sole thread.  Spawn would re-import numpy and scipy in every
+    worker (1.2-1.6 s each, longer than a small sweep).
+    """
+    if threading.active_count() > 1:
+        return None
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
 def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
                replications: int, kappa_rule: str, tau_rule: str, seed: int,
                threads: int = 1, solver: Optional[SolverConfig] = None,
                effective_radii: Optional[Sequence[float]] = None) -> ExperimentReport:
     """Monte-Carlo sweep over sample sizes; see the module docstring for the
-    seeding and aggregation rules."""
+    seeding and aggregation rules.
+
+    `threads` is the number of worker processes, the calling process being one
+    of them: with w = min(threads, jobs, cpu_count) workers, the caller runs
+    every job k with k % w == 0 itself and w - 1 forked processes run the
+    rest.  w = 1 (or no fork) runs every job in the caller and starts no
+    process.  Rows are the same for every w, runtime excepted.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     n_grid = tuple(int(n) for n in n_grid)
     radii = tuple(effective_radii) if effective_radii else (near_radius(scenario.d),)
     base = solver if solver is not None else SolverConfig()
     solver_cfg = replace(base, record_trace=False)
-    jobs = [(i, n, rep) for i, n in enumerate(n_grid) for rep in range(replications)]
+    args = [(scenario, n, i, rep, kappa_rule, tau_rule, seed, solver_cfg, radii)
+            for i, n in enumerate(n_grid) for rep in range(replications)]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_one_replication, scenario, n, i, rep, kappa_rule,
-                        tau_rule, seed, solver_cfg, radii)
-            for i, n, rep in jobs
-        ]
-        rows = tuple(f.result() for f in futures)  # ordered reduce
+    workers = min(threads, len(args), os.cpu_count() or 1)
+    ctx = _fork_context() if workers > 1 else None
+    if ctx is None:
+        rows = tuple(_one_replication(*a) for a in args)
+    else:
+        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx) as pool:
+            futures = {k: pool.submit(_one_replication, *a)
+                       for k, a in enumerate(args) if k % workers}
+            own = {k: _one_replication(*a)
+                   for k, a in enumerate(args) if k % workers == 0}
+            rows = tuple(futures[k].result() if k % workers else own[k]
+                         for k in range(len(args)))  # ordered reduce
 
     aggregates = aggregate_rows(rows)
     return ExperimentReport(

@@ -344,6 +344,14 @@ class TestRates:
         assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2
         assert "n_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        assert main(["rates", "--config", self._config(tmp_path),
+                     "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "--threads" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("grid", ["1, 0", "300, 1"])
     def test_sample_size_below_2_exit_2(self, tmp_path, capsys, grid):
         text = (SEPARATED + f"experiment.n_grid = {grid}\n"

@@ -1,5 +1,7 @@
 """Ground-truth scenarios, error metrics, and the Monte-Carlo rate harness."""
 import math
+import threading
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from gmblasso import (
     tv_norm,
     weight_function,
 )
+from gmblasso import experiments
 from gmblasso.experiments import (
     RateRow,
     aggregate_rows,
@@ -241,6 +244,98 @@ class TestRateSweep:
                             seed=5, solver=quick_cfg, threads=4)
         for ra, rb in zip(serial.rows, pooled.rows):
             assert replace(ra, runtime=0.0) == replace(rb, runtime=0.0)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, sep_mixture, quick_cfg, threads):
+        with pytest.raises(ValueError, match="threads"):
+            rate_sweep(sep_mixture, [200], 1, "agnostic", "fixed", seed=5,
+                       solver=quick_cfg, threads=threads)
+
+    @pytest.mark.parametrize("threads, jobs, cpus, workers", [
+        (8, 4, 3, 3),        # bounded by the cores
+        (8, 2, 16, 2),       # bounded by the jobs
+        (3, 6, 4, 3),        # bounded by threads
+        (4, 3, None, 1),     # unknown core count: caller only
+        (1, 3, 4, 1),
+    ])
+    def test_worker_count_bound(self, sep_mixture, quick_cfg, monkeypatch,
+                                threads, jobs, cpus, workers):
+        pools, ran = [], []
+        real = experiments._one_replication
+
+        def recording(scenario, n, n_index, rep, *rest):
+            ran.append(rep)
+            return real(scenario, n, n_index, rep, *rest)
+
+        class StubPool:
+            """Runs submitted jobs in-process and records them."""
+
+            def __init__(self, max_workers, mp_context):
+                self.max_workers = max_workers
+                self.start_method = mp_context.get_start_method()
+                self.submitted = []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.submitted.append(args[3])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(experiments, "_one_replication", recording)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        # an unknown kappa rule fails each replication at once
+        rep = rate_sweep(sep_mixture, [200], jobs, "nope", "fixed", seed=5,
+                         solver=quick_cfg, threads=threads)
+        assert [row.replication for row in rep.rows] == list(range(jobs))
+        if workers == 1:
+            assert pools == [] and ran == list(range(jobs))
+            return
+        [pool] = pools
+        assert pool.max_workers == workers - 1 and pool.start_method == "fork"
+        assert pool.submitted == [k for k in range(jobs) if k % workers]
+        own = [k for k in ran if k not in pool.submitted]
+        assert own == [k for k in range(jobs) if k % workers == 0] and own[0] == 0
+
+    def test_no_fork_beside_other_threads(self, sep_mixture, quick_cfg,
+                                          monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forked beside a running thread")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            rep = rate_sweep(sep_mixture, [200], 2, "nope", "fixed", seed=5,
+                             solver=quick_cfg, threads=2)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert [row.replication for row in rep.rows] == [0, 1]
+
+    def test_worker_failures_match_serial(self, sep_mixture, quick_cfg,
+                                          monkeypatch):
+        # tau_rule = prediction exceeds u_min at n = 5, so every replication
+        # fails inside resolve_tau; odd replications fail in a forked worker
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        serial = rate_sweep(sep_mixture, [5], 3, "agnostic", "prediction",
+                            seed=5, solver=quick_cfg, threads=1)
+        pooled = rate_sweep(sep_mixture, [5], 3, "agnostic", "prediction",
+                            seed=5, solver=quick_cfg, threads=2)
+        assert all(not row.ok and "u_min" in row.error for row in pooled.rows)
+        # repr, not ==: the failed rows hold NaNs
+        assert [repr(replace(r, runtime=0.0)) for r in pooled.rows] == \
+            [repr(replace(r, runtime=0.0)) for r in serial.rows]
 
     def test_seed_changes_rows(self, sep_mixture, quick_cfg):
         a = rate_sweep(sep_mixture, [200], 1, "agnostic", "fixed", seed=5,
