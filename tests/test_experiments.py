@@ -256,7 +256,7 @@ class TestRateSweep:
         (8, 2, 16, 2),       # bounded by the jobs
         (3, 6, 4, 3),        # bounded by threads
         (4, 3, None, 1),     # unknown core count: caller only
-        (1, 3, 4, 1),
+        (1, 3, 4, 1),        # one worker: no pool
     ])
     def test_worker_count_bound(self, sep_mixture, quick_cfg, monkeypatch,
                                 threads, jobs, cpus, workers):
