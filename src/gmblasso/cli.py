@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from .certificates import (
     solve_certificates,
     verify_nondegeneracy,
 )
-from .experiments import GroundTruthMixture, rate_sweep, sample
+from .experiments import AggregateRow, GroundTruthMixture, rate_sweep, sample
 from .geometry import geodesic_spec, metric_diag_batch, near_radius
 from .kernel import (
     KernelContext,
@@ -57,6 +58,7 @@ from .measures import DiscreteMeasure, DomainBox
 from .solver import (
     ObjectiveContext,
     SolverConfig,
+    TraceRow,
     acceptance_check,
     cpgd_solve,
     initial_measure,
@@ -106,73 +108,15 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-_REQUIRED = object()
-
-
-class _Entries:
-    """Typed accessor over parsed entries; tracks consumption for unknown-key
-    detection and carries source positions into error messages."""
-
-    def __init__(self, entries: dict):
-        self.entries = entries
-        self.used: set = set()
-
-    def _fetch(self, key, default):
-        if key not in self.entries:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {key!r}")
-            return None
-        self.used.add(key)
-        return self.entries[key]
-
-    def _convert(self, key, conv, default):
-        item = self._fetch(key, default)
-        if item is None:
-            return default
-        raw, line, col = item
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}", line, col) from None
-
-    def str(self, key, default=_REQUIRED):
-        return self._convert(key, lambda s: s, default)
-
-    def int(self, key, default=_REQUIRED):
-        return self._convert(key, lambda s: int(s, 10), default)
-
-    def float(self, key, default=_REQUIRED):
-        return self._convert(key, float, default)
-
-    def bool(self, key, default=_REQUIRED):
-        return self._convert(key, _to_bool, default)
-
-    def floats(self, key, default=_REQUIRED):
-        return self._convert(key, _to_float_list, default)
-
-    def ints(self, key, default=_REQUIRED):
-        return self._convert(key, lambda s: [int(tok, 10) for tok in _tokens(s)],
-                             default)
-
-    def matrix(self, key, d, default=_REQUIRED):
-        return self._convert(key, lambda s: _to_matrix(s, d), default)
-
-    def choice(self, key, options, default=_REQUIRED):
-        def conv(s):
-            if s not in options:
-                raise ValueError(f"must be one of {', '.join(options)}")
-            return s
-        return self._convert(key, conv, default)
-
-    def unknown_keys(self):
-        return [k for k in self.entries if k not in self.used]
-
-
 def _tokens(s: str):
     toks = [tok for tok in s.replace(",", " ").split() if tok]
     if not toks:
         raise ValueError("empty list")
     return toks
+
+
+def _to_int(s: str) -> int:
+    return int(s, 10)
 
 
 def _to_float_list(s: str):
@@ -201,6 +145,61 @@ def _to_matrix(s: str, d: int):
             raise ValueError(f"row {row.strip()!r} has {len(vals)} values, expected {d}")
         out.append(vals)
     return out
+
+
+def _choice(*options):
+    def parse(s: str) -> str:
+        if s not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return s
+    return parse
+
+
+_REQUIRED = object()
+_SOLVER_PARSERS = {"int": _to_int, "float": float, "Optional[float]": float,
+                   "bool": _to_bool}
+
+# Every config key, in the order it is read: key -> (parser, default).  The
+# parsed values are the resolved configuration recorded in each sidecar.
+# _to_matrix rows are parsed with the kernel.d read before them; the solver
+# defaults are SolverConfig's own.
+_KEYS = {
+    "kernel.d": (_to_int, 1),
+    "kernel.tau": (float, None),
+    "kernel.tau_rule": (_choice("fixed", "prediction"), "fixed"),
+    "scenario.weights": (_to_float_list, _REQUIRED),
+    "scenario.t": (_to_matrix, _REQUIRED),
+    "scenario.u": (_to_matrix, _REQUIRED),
+    "scenario.box.t_lo": (_to_float_list, _REQUIRED),
+    "scenario.box.t_hi": (_to_float_list, _REQUIRED),
+    "scenario.box.u_min": (float, _REQUIRED),
+    "scenario.box.u_max": (float, _REQUIRED),
+    **{f"solver.{f.name}": (_SOLVER_PARSERS[f.type], f.default)
+       for f in dataclasses.fields(SolverConfig) if f.name != "seed"},
+    "experiment.n": (_to_int, None),
+    "experiment.n_grid": (lambda s: [_to_int(tok) for tok in _tokens(s)], []),
+    "experiment.replications": (_to_int, 1),
+    "experiment.kappa_rule": (_choice("agnostic", "s_dependent", "small_reg"),
+                              "agnostic"),
+    "experiment.kappa": (float, None),
+    "experiment.r_e": (_to_float_list, None),
+    "data.file": (str, None),
+    "output.dir": (str, "."),
+    "seed.master": (_to_int, 0),
+}
+
+
+def _value(entries: dict, key: str, parse, default):
+    """The parsed value of `key`, or its default; errors carry the position."""
+    if key not in entries:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    raw, line, col = entries[key]
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}", line, col) from None
 
 
 @dataclass
@@ -235,67 +234,39 @@ def _broadcast(vals, d, what):
 
 
 def build_run_config(entries: dict) -> RunConfig:
-    e = _Entries(entries)
-    d = e.int("kernel.d", 1)
-    tau = e.float("kernel.tau", None)
-    tau_rule = e.choice("kernel.tau_rule", ("fixed", "prediction"), "fixed")
-    if tau is None and tau_rule == "fixed":
+    v = {}
+    for key, (parse, default) in _KEYS.items():
+        if parse is _to_matrix:
+            parse = functools.partial(_to_matrix, d=v["kernel.d"])
+        v[key] = _value(entries, key, parse, default)
+    d, tau, radii = v["kernel.d"], v["kernel.tau"], v["experiment.r_e"]
+    if tau is None and v["kernel.tau_rule"] == "fixed":
         raise ConfigError("kernel.tau is required when kernel.tau_rule = fixed")
-
-    weights = e.floats("scenario.weights")
-    t_rows = e.matrix("scenario.t", d)
-    u_rows = e.matrix("scenario.u", d)
-    t_lo = e.floats("scenario.box.t_lo")
-    t_hi = e.floats("scenario.box.t_hi")
-    u_min = e.float("scenario.box.u_min")
-    u_max = e.float("scenario.box.u_max")
-
-    solver_cfg_kwargs = dict(
-        max_particles=e.int("solver.max_particles", SolverConfig.max_particles),
-        iterations=e.int("solver.iterations", SolverConfig.iterations),
-        step_w=e.float("solver.step_w", SolverConfig.step_w),
-        step_x=e.float("solver.step_x", SolverConfig.step_x),
-        merge_radius=e.float("solver.merge_radius", None),
-        prune_threshold=e.float("solver.prune_threshold", None),
-        merge_period=e.int("solver.merge_period", SolverConfig.merge_period),
-        tolerance=e.float("solver.tolerance", SolverConfig.tolerance),
-        patience=e.int("solver.patience", SolverConfig.patience),
-        max_backtracks=e.int("solver.max_backtracks", SolverConfig.max_backtracks),
-        record_trace=e.bool("solver.record_trace", SolverConfig.record_trace),
-    )
-    n = e.int("experiment.n", None)
-    n_grid = tuple(e.ints("experiment.n_grid", []) or [])
-    replications = e.int("experiment.replications", 1)
-    kappa_rule = e.choice("experiment.kappa_rule",
-                          ("agnostic", "s_dependent", "small_reg"), "agnostic")
-    kappa_override = e.float("experiment.kappa", None)
-    radii = e.floats("experiment.r_e", None)
-    data_file = e.str("data.file", None)
-    out_dir = e.str("output.dir", ".")
-    seed = e.int("seed.master", 0)
-
-    unknown = e.unknown_keys()
+    unknown = [key for key in entries if key not in _KEYS]
     if unknown:
         key = min(unknown, key=lambda k: entries[k][1])
         raise ConfigError(f"unknown key {key!r}", entries[key][1], 1)
 
     try:
-        box = DomainBox(_broadcast(t_lo, d, "scenario.box.t_lo"),
-                        _broadcast(t_hi, d, "scenario.box.t_hi"),
-                        float(u_min), float(u_max))
+        box = DomainBox(_broadcast(v["scenario.box.t_lo"], d, "scenario.box.t_lo"),
+                        _broadcast(v["scenario.box.t_hi"], d, "scenario.box.t_hi"),
+                        v["scenario.box.u_min"], v["scenario.box.u_max"])
+        weights, t_rows, u_rows = v["scenario.weights"], v["scenario.t"], v["scenario.u"]
         if len(t_rows) != len(weights) or len(u_rows) != len(weights):
             raise ValueError("scenario.t / scenario.u row counts must match "
                              "scenario.weights")
         locs = np.concatenate([np.asarray(t_rows, float),
                                np.asarray(u_rows, float)], axis=1)
-        base_tau = tau if tau is not None else box.u_min
-        ctx = KernelContext(d, base_tau, box)
+        ctx = KernelContext(d, tau if tau is not None else box.u_min, box)
         mixture = GroundTruthMixture(
             DiscreteMeasure.from_arrays(np.asarray(weights, float), locs), ctx)
-        solver_cfg = SolverConfig(seed=seed, **solver_cfg_kwargs)
-        if kappa_override is not None and not 0 < kappa_override < math.inf:
+        solver_cfg = SolverConfig(seed=v["seed.master"], **{
+            key[len("solver."):]: val for key, val in v.items()
+            if key.startswith("solver.")})
+        kappa = v["experiment.kappa"]
+        if kappa is not None and not 0 < kappa < math.inf:
             raise ValueError("experiment.kappa must be positive and finite")
-        if any(size < 2 for size in n_grid):
+        if any(size < 2 for size in v["experiment.n_grid"]):
             raise ValueError("experiment.n_grid entries must be at least 2")
         if radii is not None and not all(0 < r <= near_radius(d) for r in radii):
             raise ValueError("experiment.r_e entries must lie in "
@@ -303,26 +274,16 @@ def build_run_config(entries: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    resolved = {
-        "kernel.d": d, "kernel.tau": tau, "kernel.tau_rule": tau_rule,
-        "scenario.weights": list(weights), "scenario.t": t_rows,
-        "scenario.u": u_rows, "scenario.box.t_lo": list(box.t_lo),
-        "scenario.box.t_hi": list(box.t_hi), "scenario.box.u_min": box.u_min,
-        "scenario.box.u_max": box.u_max,
-        **{f"solver.{k}": v for k, v in solver_cfg_kwargs.items()},
-        "experiment.n": n, "experiment.n_grid": list(n_grid),
-        "experiment.replications": replications,
-        "experiment.kappa_rule": kappa_rule, "experiment.kappa": kappa_override,
-        "experiment.r_e": list(radii) if radii is not None else None,
-        "data.file": data_file, "output.dir": out_dir, "seed.master": seed,
-    }
-    return RunConfig(d=d, tau=tau, tau_rule=tau_rule, box=box, mixture=mixture,
-                     solver=solver_cfg, n=n, n_grid=n_grid,
-                     replications=replications, kappa_rule=kappa_rule,
-                     kappa_override=kappa_override,
+    return RunConfig(d=d, tau=tau, tau_rule=v["kernel.tau_rule"], box=box,
+                     mixture=mixture, solver=solver_cfg, n=v["experiment.n"],
+                     n_grid=tuple(v["experiment.n_grid"]),
+                     replications=v["experiment.replications"],
+                     kappa_rule=v["experiment.kappa_rule"], kappa_override=kappa,
                      effective_radii=tuple(radii) if radii is not None else None,
-                     data_file=data_file, out_dir=out_dir, seed=seed,
-                     resolved=resolved)
+                     data_file=v["data.file"], out_dir=v["output.dir"],
+                     seed=v["seed.master"],
+                     resolved={**v, "scenario.box.t_lo": list(box.t_lo),
+                               "scenario.box.t_hi": list(box.t_hi)})
 
 
 def _load_run_config(args) -> RunConfig:
@@ -331,11 +292,10 @@ def _load_run_config(args) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    run = build_run_config(parse_config_text(text))
+    entries = parse_config_text(text)
     if args.seed is not None:
-        run.seed = args.seed
-        run.solver = dataclasses.replace(run.solver, seed=args.seed)
-        run.resolved["seed.master"] = args.seed
+        entries["seed.master"] = (str(args.seed), 0, 0)
+    run = build_run_config(entries)
     if args.out is not None:
         run.out_dir = args.out
     return run
@@ -367,6 +327,12 @@ def _write_csv(path: str, header, rows, resolved: dict, extra: Optional[dict] = 
     with open(path + ".meta.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _columns(cls, items):
+    """Header and rows of a dataclass's fields, in declaration order."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return names, [[getattr(item, name) for name in names] for item in items]
 
 
 def _point_repr(point) -> str:
@@ -488,11 +454,7 @@ def _cmd_solve(args) -> int:
     _write_csv(os.path.join(run.out_dir, "solve_measure.csv"), header,
                measure_rows, run.resolved, extra)
     _write_csv(os.path.join(run.out_dir, "solve_trace.csv"),
-               ("iteration", "objective", "fidelity", "tv", "step_w", "step_x",
-                "atoms"),
-               [(t.iteration, t.objective, t.fidelity, t.tv, t.step_w, t.step_x,
-                 t.atoms) for t in result.trace],
-               run.resolved, extra)
+               *_columns(TraceRow, result.trace), run.resolved, extra)
     return 0 if accepted and not result.aborted else 1
 
 
@@ -527,20 +489,12 @@ def _cmd_rates(args) -> int:
                rows, run.resolved,
                {"effective_radii": list(report.effective_radii)})
 
-    agg_rows = [
-        (a.n, a.replications_ok, a.mean_mass_error, a.se_mass_error,
-         a.mean_prediction_error, a.se_prediction_error, a.mean_tv_error,
-         a.se_tv_error, a.sparsity_rate,
-         report.slopes.get("mass_error", math.nan),
-         report.slopes.get("prediction_error", math.nan))
-        for a in report.aggregates
-    ]
+    header, agg_rows = _columns(AggregateRow, report.aggregates)
+    slope_keys = ("mass_error", "prediction_error")
+    slopes = [report.slopes.get(k, math.nan) for k in slope_keys]
     _write_csv(os.path.join(run.out_dir, "rates_aggregates.csv"),
-               ("n", "replications_ok", "mean_mass_error", "se_mass_error",
-                "mean_prediction_error", "se_prediction_error", "mean_tv_error",
-                "se_tv_error", "sparsity_rate", "slope_mass_error",
-                "slope_prediction_error"),
-               agg_rows, run.resolved,
+               header + [f"slope_{k}" for k in slope_keys],
+               [row + slopes for row in agg_rows], run.resolved,
                {"slopes": {k: repr(v) for k, v in sorted(report.slopes.items())}})
     return 0
 
@@ -671,8 +625,7 @@ def _christoffel_fd_error(X, ctx) -> float:
 
 def _cmd_kernel_check(args) -> int:
     if args.samples <= 0:
-        print("kernel-check: --samples must be a positive integer", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--samples must be a positive integer, got {args.samples}")
     failures = 0
     for name, err, tol in _kernel_check_suite(args.samples, args.seed or 0):
         ok = err < tol

@@ -62,7 +62,6 @@ class GroundTruthMixture:
 
     measure: DiscreteMeasure
     ctx: KernelContext
-    separated: Optional[bool] = None
 
     def __post_init__(self):
         if self.measure.s < 1:
@@ -230,9 +229,6 @@ class ExperimentReport:
     slopes: dict
     n_grid: tuple
     replications: int
-    kappa_rule: str
-    tau_rule: str
-    master_seed: int
     effective_radii: tuple
 
 
@@ -378,6 +374,5 @@ def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
     aggregates = aggregate_rows(rows)
     return ExperimentReport(
         rows=rows, aggregates=aggregates, slopes=fit_slopes(aggregates),
-        n_grid=n_grid, replications=replications, kappa_rule=kappa_rule,
-        tau_rule=tau_rule, master_seed=seed, effective_radii=radii,
+        n_grid=n_grid, replications=replications, effective_radii=radii,
     )

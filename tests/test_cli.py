@@ -1,11 +1,13 @@
 """Command-line interface: config grammar, subcommands, exit codes, outputs."""
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gmblasso.cli import ConfigError, build_run_config, main, parse_config_text
+from gmblasso.solver import SolverConfig, recommended_parameters
 
 SEPARATED = """\
 # separated two-component scenario
@@ -126,6 +128,46 @@ class TestBuildRunConfig:
             build_run_config(parse_config_text(text))
         assert err.value.line == 2
 
+    def test_resolved_config_golden(self):
+        # the sidecar schema: every key, defaults filled in, box bounds
+        # broadcast to d
+        text = ("kernel.d = 2\n"
+                "kernel.tau = 1.0\n"
+                "scenario.weights = 0.25, 0.5, 0.25\n"
+                "scenario.t = -27 0; 0 20; 27 0\n"
+                "scenario.u = 1 1; 1 1; 1 1\n"
+                "scenario.box.t_lo = -35\n"
+                "scenario.box.t_hi = 35\n"
+                "scenario.box.u_min = 1.0\n"
+                "scenario.box.u_max = 1.0\n")
+        expected = {
+            "kernel.d": 2, "kernel.tau": 1.0, "kernel.tau_rule": "fixed",
+            "scenario.weights": [0.25, 0.5, 0.25],
+            "scenario.t": [[-27.0, 0.0], [0.0, 20.0], [27.0, 0.0]],
+            "scenario.u": [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+            "scenario.box.t_lo": [-35.0, -35.0],
+            "scenario.box.t_hi": [35.0, 35.0],
+            "scenario.box.u_min": 1.0, "scenario.box.u_max": 1.0,
+            "solver.max_particles": 8, "solver.iterations": 400,
+            "solver.step_w": 0.5, "solver.step_x": 2.0,
+            "solver.merge_radius": None, "solver.prune_threshold": None,
+            "solver.merge_period": 25, "solver.tolerance": 1e-11,
+            "solver.patience": 20, "solver.max_backtracks": 30,
+            "solver.record_trace": True,
+            "experiment.n": None, "experiment.n_grid": [],
+            "experiment.replications": 1, "experiment.kappa_rule": "agnostic",
+            "experiment.kappa": None, "experiment.r_e": None,
+            "data.file": None, "output.dir": ".", "seed.master": 0,
+        }
+        resolved = build_run_config(parse_config_text(text)).resolved
+        assert resolved == expected
+        # same JSON too, so ints stay ints in the sidecar
+        assert json.dumps(resolved, sort_keys=True) == \
+            json.dumps(expected, sort_keys=True)
+        solver_keys = {f"solver.{f.name}" for f in dataclasses.fields(SolverConfig)
+                       if f.name != "seed"}
+        assert solver_keys <= set(resolved)
+
 
 class TestCertify:
     def test_separated_scenario_passes(self, tmp_path):
@@ -220,6 +262,14 @@ class TestSolve:
         first = (tmp_path / "out" / "solve_measure.csv").read_bytes()
         main(["solve", "--config", cfg, "--seed", "43"])
         assert (tmp_path / "out" / "solve_measure.csv").read_bytes() != first
+
+    def test_seed_override_is_recorded(self, tmp_path):
+        # the sidecar must name the seed that produced the data
+        assert main(["solve", "--config", self._config(tmp_path),
+                     "--seed", "5"]) == 0
+        for name in ("solve_measure.csv", "solve_trace.csv"):
+            meta = read_meta(tmp_path / "out" / f"{name}.meta.json")
+            assert meta["config"]["seed.master"] == 5
 
     def test_data_file_input(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -320,6 +370,21 @@ class TestRates:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
+    def test_kappa_override_is_ignored(self, tmp_path):
+        # rates applies experiment.kappa_rule at every size; a fixed kappa
+        # would break the rho_n scaling the sweep measures
+        text = (SEPARATED + SOLVE_TUNING
+                + "experiment.n_grid = 300\n"
+                + "experiment.replications = 1\n"
+                + "experiment.kappa = 0.5\n"
+                + f"output.dir = {tmp_path}/out\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["rates", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "out" / "rates_replications.csv")
+        run = build_run_config(parse_config_text(text))
+        rec = recommended_parameters(300, 1, 1.0, run.box, s_hint=2)
+        assert float(rows[1][2]) == rec.kappa("agnostic") != 0.5
+
     def test_effective_radii_extra_columns(self, tmp_path):
         text = (SEPARATED + SOLVE_TUNING
                 + "experiment.n_grid = 300\n"
@@ -371,7 +436,8 @@ class TestKernelCheck:
 
     def test_rejects_nonpositive_samples(self, capsys):
         assert main(["kernel-check", "--samples", "0"]) == 2
-        assert "positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "positive" in err
 
     def test_detects_seeded_defect(self, capsys, monkeypatch):
         # flip the sign of one Christoffel family; the metric-consistency
