@@ -38,6 +38,7 @@ from .kernel import (
     grad1_rhess2_batch,
     grad2_batch,
     grad12_batch,
+    kernel_grad1_batch,
     kernel_values,
     rhess2_batch,
 )
@@ -168,8 +169,7 @@ def certificate_values(certs: CertificateSet, P: np.ndarray) -> np.ndarray:
     """eta of each certificate at coordinate rows P (m, 2d), shape (k, m)."""
     pts, ctx = certs.system.anchors, certs.system.ctx
     P = np.asarray(P, dtype=float)
-    K = kernel_values(pts[:, None, :], P[None, :, :], ctx)              # (s, m)
-    G1 = grad1_batch(pts[:, None, :], P[None, :, :], ctx)               # (s, m, 2d)
+    K, G1 = kernel_grad1_batch(pts[:, None, :], P[None, :, :], ctx)     # (s, m), (s, m, 2d)
     return certs.alpha @ K + np.einsum("kjd,jmd->km", certs.beta, G1)
 
 
@@ -364,10 +364,18 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, max(int(n), 2))
 
 
-def _tensor_grid(t_axes, u_axes) -> np.ndarray:
+def _grid_blocks(t_axes, u_axes):
+    """The tensor grid of the axes in blocks of at most _EVAL_BLOCK rows.
+
+    Rows come by flat-index range in the order of meshgrid(indexing="ij").
+    """
     axes = list(t_axes) + list(u_axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    shape = tuple(len(ax) for ax in axes)
+    total = math.prod(shape)
+    for lo in range(0, total, _EVAL_BLOCK):
+        flat = np.arange(lo, min(lo + _EVAL_BLOCK, total))
+        yield np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))],
+                       axis=-1)
 
 
 def _near_bounding_axes(anchor: np.ndarray, r: float, ctx: KernelContext, spec: GridSpec):
@@ -412,46 +420,80 @@ def _ray_targets(t_axes, u_axes, n: int) -> np.ndarray:
     return targets
 
 
-def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
-                   ctx: KernelContext) -> np.ndarray:
+def _raw_blocks(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
+                ctx: KernelContext):
+    """The sample sets in order: the global grid, then per anchor its near
+    grid and rays, then the Halton points; fresh arrays, none longer than
+    _EVAL_BLOCK rows."""
     box = ctx.box
     d = ctx.d
-    chunks = []
-
     t_axes = [_axis(box.t_lo[k], box.t_hi[k], spec.global_t_points) for k in range(d)]
     u_axes = [_axis(box.u_min, box.u_max, spec.global_u_points) for k in range(d)]
-    chunks.append(_tensor_grid(t_axes, u_axes))
+    yield from _grid_blocks(t_axes, u_axes)
 
+    ys = np.linspace(0.0, 1.0, spec.points_per_ray + 1)[1:]
     for a in anchors:
         nt, nu = _near_bounding_axes(a, consts.r, ctx, spec)
-        chunks.append(_tensor_grid(nt, nu))
-        targets = _ray_targets(nt, nu, spec.rays_per_region)
-        ys = np.linspace(0.0, 1.0, spec.points_per_ray + 1)[1:]
-        for tgt in targets:
+        yield from _grid_blocks(nt, nu)
+        for tgt in _ray_targets(nt, nu, spec.rays_per_region):
             if np.array_equal(tgt, a):
                 continue
-            chunks.append(geodesic_spec(a, tgt, ctx).point(ys))
+            ray = geodesic_spec(a, tgt, ctx).point(ys)
+            for lo in range(0, len(ray), _EVAL_BLOCK):
+                yield ray[lo:lo + _EVAL_BLOCK]
 
     if spec.lowdisc_points > 0:
+        # one sampler drawn block by block gives the points of a single draw
         halton = qmc.Halton(d=2 * d, scramble=False)
-        unit = halton.random(spec.lowdisc_points)
         lo, hi = box.lower(), box.upper()
-        chunks.append(lo + unit * (hi - lo))
-
-    P = np.concatenate(chunks, axis=0)
-    inside = np.all((P >= box.lower() - 1e-12) & (P <= box.upper() + 1e-12), axis=1)
-    return np.clip(P[inside], box.lower(), box.upper())
+        for start in range(0, spec.lowdisc_points, _EVAL_BLOCK):
+            unit = halton.random(min(_EVAL_BLOCK, spec.lowdisc_points - start))
+            yield lo + unit * (hi - lo)
 
 
-def _clause(name, margins, P, tol) -> ClauseReport:
-    """Worst margin, its point P[i] (None when P is None) and the violations."""
-    if len(margins) == 0:
-        return ClauseReport(name, 0, -math.inf, None, 0, True)
-    i = int(np.argmax(margins))
-    worst = float(margins[i])
-    nviol = int(np.sum(margins > tol))
-    return ClauseReport(name, len(margins), worst,
-                        None if P is None else P[i].copy(), nviol, nviol == 0)
+def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
+                   ctx: KernelContext):
+    """Blocks of sample points inside the box, clipped onto it: points
+    leaving it by more than 1e-12 are dropped."""
+    lo, hi = ctx.box.lower(), ctx.box.upper()
+    for P in _raw_blocks(anchors, consts, spec, ctx):
+        inside = np.all((P >= lo - 1e-12) & (P <= hi + 1e-12), axis=1)
+        if not inside.all():
+            P = P[inside]
+        if len(P):
+            yield np.clip(P, lo, hi, out=P)
+
+
+class _ClauseGroup:
+    """Running reduction of clauses that share their sample points, one row
+    per clause: worst margin, its point, point count and violations."""
+
+    def __init__(self, rows: int, tol: float):
+        self.tol = tol
+        self.n = 0
+        self.worst = np.full(rows, -math.inf)
+        self.point = [None] * rows
+        self.violations = np.zeros(rows, dtype=np.intp)
+
+    def add(self, margins: np.ndarray, P=None, idx=None):
+        """Fold in margins (rows, k) of the points P[idx]; no points when P
+        is None."""
+        k = margins.shape[1]
+        if k == 0:
+            return
+        i = np.argmax(margins, axis=1)
+        worst = margins[np.arange(len(i)), i]
+        # strict: on ties the earlier sample keeps its place
+        for row in np.flatnonzero(worst > self.worst):
+            self.worst[row] = worst[row]
+            self.point[row] = None if P is None else P[idx[i[row]]].copy()
+        self.violations += np.count_nonzero(margins > self.tol, axis=1)
+        self.n += k
+
+    def clause(self, name: str, row: int) -> ClauseReport:
+        nviol = int(self.violations[row])
+        return ClauseReport(name, self.n, float(self.worst[row]), self.point[row],
+                            nviol, nviol == 0)
 
 
 def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
@@ -462,58 +504,64 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
     a sample counts as a violation only beyond grid_spec.violation_tol,
     which absorbs kernel-evaluation roundoff next to the anchors where both
     sides of the quadratic clauses vanish.
+
+    The samples stream in blocks of at most _EVAL_BLOCK points: each block
+    gets its regions, one kernel pass for all s + 1 certificates, and its
+    near points' Fisher-Rao distances to their own anchors, and its margins
+    are reduced into the running clause reports at once.  Memory is bounded
+    by the block, whatever the number of points.  A clause's worst point is
+    its first sample with the worst margin, in sampling order.
     """
     anchors, ctx = certs.system.anchors, certs.system.ctx
     s = len(anchors)
-
-    P = _sample_points(anchors, consts, grid_spec, ctx)
-    # vals has the rows of certs; frdist is a near point's Fisher-Rao
-    # distance to its own anchor.  Blocks keep every temporary small.
-    region = np.empty(len(P), dtype=np.intp)
-    vals = np.empty((s + 1, len(P)))
-    frdist = np.zeros(len(P))
-    for lo in range(0, len(P), _EVAL_BLOCK):
-        blk = slice(lo, lo + _EVAL_BLOCK)
-        region[blk] = region_index_batch(P[blk], anchors, consts.r, ctx)
-        idx = lo + np.flatnonzero(region[blk] >= 0)
-        frdist[idx] = fr_distance_pairs(P[idx], anchors[region[idx]], ctx)
-        vals[:, blk] = certificate_values(certs, P[blk])
-
-    far = region < 0
-    near = [region == j for j in range(s)]
     tol = grid_spec.violation_tol
-    clauses = []
+
+    # group 0 holds the far points and group 1 + j the points near anchor j;
+    # row k of a group is certificate k's clause on those points
+    groups = [_ClauseGroup(s + 1, tol) for _ in range(s + 1)]
+    far_rhs = np.r_[1 - consts.eps_0, np.full(s, 1 - consts.eps_tilde_0)][:, None]
+    # |eta_l - [i == l]| near anchor i
+    local_target = np.eye(s)[:, :, None]
+    total = 0
+    for P in _sample_points(anchors, consts, grid_spec, ctx):
+        total += len(P)
+        region = region_index_batch(P, anchors, consts.r, ctx)
+        vals = certificate_values(certs, P)
+        near = np.flatnonzero(region >= 0)
+        frsq = np.zeros(len(P))
+        frsq[near] = fr_distance_pairs(P[near], anchors[region[near]], ctx) ** 2
+        for g, group in enumerate(groups):
+            idx = np.flatnonzero(region == g - 1)
+            if g == 0:
+                group.add(np.abs(vals[:, idx]) - far_rhs, P, idx)
+                continue
+            margins = np.empty((s + 1, len(idx)))
+            margins[0] = vals[0, idx] - (1 - consts.eps_2 * frsq[idx])
+            margins[1:] = (np.abs(local_target[g - 1] - vals[1:, idx])
+                           - consts.eps_tilde_2 * frsq[idx])
+            group.add(margins, P, idx)
 
     # interpolation margins are the value errors and gradient norms at the
     # anchors, which must vanish to 1e-8
+    interp = _ClauseGroup(s + 1, 1e-8)
     targets = np.vstack([np.ones(s), np.eye(s)])
-    interp = np.concatenate([
+    interp.add(np.concatenate([
         np.abs(certificate_values(certs, anchors) - targets),
-        np.linalg.norm(certificate_gradients(certs, anchors), axis=-1)], axis=1)
+        np.linalg.norm(certificate_gradients(certs, anchors), axis=-1)], axis=1))
 
-    clauses.append(_clause("global.interpolation", interp[0], None, 1e-8))
-    clauses.append(_clause("global.far",
-                           np.abs(vals[0, far]) - (1 - consts.eps_0), P[far], tol))
-    for j, near_j in enumerate(near):
-        rhs = 1 - consts.eps_2 * frdist[near_j] ** 2
-        clauses.append(_clause(f"global.near[{j}]",
-                               vals[0, near_j] - rhs, P[near_j], tol))
-
+    far = groups[0]
+    clauses = [interp.clause("global.interpolation", 0), far.clause("global.far", 0)]
+    clauses += [groups[1 + j].clause(f"global.near[{j}]", 0) for j in range(s)]
     for l in range(s):
-        clauses.append(_clause(f"local[{l}].interpolation", interp[1 + l], None, 1e-8))
-        clauses.append(_clause(f"local[{l}].far",
-                               np.abs(vals[1 + l, far]) - (1 - consts.eps_tilde_0),
-                               P[far], tol))
-        # |eta_l - [i == l]| near anchor i: near_self first, then near_other
+        clauses.append(interp.clause(f"local[{l}].interpolation", 1 + l))
+        clauses.append(far.clause(f"local[{l}].far", 1 + l))
+        # near_self first, then near_other
         for i in sorted(range(s), key=lambda i: i != l):
-            rhs = consts.eps_tilde_2 * frdist[near[i]] ** 2
             name = "near_self" if i == l else f"near_other[{i}]"
-            clauses.append(_clause(f"local[{l}].{name}",
-                                   np.abs(float(i == l) - vals[1 + l, near[i]]) - rhs,
-                                   P[near[i]], tol))
+            clauses.append(groups[1 + i].clause(f"local[{l}].{name}", 1 + l))
 
     return NondegeneracyReport(
         clauses=tuple(clauses),
         all_clauses_pass=all(c.passed for c in clauses),
-        points_evaluated=len(P),
+        points_evaluated=total,
     )

@@ -119,6 +119,13 @@ def _to_int(s: str) -> int:
     return int(s, 10)
 
 
+def _to_dimension(s: str) -> int:
+    d = _to_int(s)
+    if d < 1:
+        raise ValueError(f"must be at least 1, got {d}")
+    return d
+
+
 def _to_float_list(s: str):
     return [float(tok) for tok in _tokens(s)]
 
@@ -164,7 +171,7 @@ _SOLVER_PARSERS = {"int": _to_int, "float": float, "Optional[float]": float,
 # _to_matrix rows are parsed with the kernel.d read before them; the solver
 # defaults are SolverConfig's own.
 _KEYS = {
-    "kernel.d": (_to_int, 1),
+    "kernel.d": (_to_dimension, 1),
     "kernel.tau": (float, None),
     "kernel.tau_rule": (_choice("fixed", "prediction"), "fixed"),
     "scenario.weights": (_to_float_list, _REQUIRED),

@@ -49,6 +49,7 @@ __all__ = [
     "lambda_pair",
     "lambda_sum",
     "kernel_values",
+    "kernel_grad1_batch",
     "semi_distance_pairs",
     "grad1_batch",
     "grad2_batch",
@@ -161,10 +162,17 @@ def _tables(x, y, tau):
     return _kernel(A, B, C, dt), _partial(u, B, A, -dt), _partial(up, C, A, dt), T
 
 
+def kernel_grad1_batch(x, y, ctx: KernelContext):
+    """Kernel values and the gradient in the first argument from one pass,
+    shapes (...) and (..., 2d)."""
+    u, _, A, B, C, dt = _abc(x, y, ctx.tau)
+    K = _kernel(A, B, C, dt)
+    return K, K[..., None] * _partial(u, B, A, -dt)
+
+
 def grad1_batch(x, y, ctx: KernelContext):
     """Gradient in the first argument, shape (..., 2d)."""
-    u, _, A, B, C, dt = _abc(x, y, ctx.tau)
-    return _kernel(A, B, C, dt)[..., None] * _partial(u, B, A, -dt)
+    return kernel_grad1_batch(x, y, ctx)[1]
 
 
 def grad2_batch(x, y, ctx: KernelContext):

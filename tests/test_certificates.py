@@ -1,5 +1,6 @@
 """Interpolation certificates, curvature constants, operator-norm bounds."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,20 @@ from gmblasso import (
     verify_nondegeneracy,
 )
 from gmblasso import certificates
-from gmblasso.certificates import _ray_targets, operator_norms_batch
-from gmblasso.geometry import metric_diag_batch
+from gmblasso.certificates import (
+    ClauseReport,
+    NondegeneracyReport,
+    _axis,
+    _near_bounding_axes,
+    _ray_targets,
+    operator_norms_batch,
+)
+from gmblasso.geometry import (
+    fr_distance_pairs,
+    geodesic_spec,
+    metric_diag_batch,
+    region_index_batch,
+)
 from gmblasso.kernel import grad1_batch, grad12_batch, kernel_values
 
 from conftest import fd_gradient, random_locations, rel_error
@@ -228,6 +241,17 @@ class TestBatchEvaluation:
         np.testing.assert_allclose(vals, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
+    def test_fused_pass_is_the_exact_path(self, d):
+        certs, _ = self._setup(d, 70 + d)
+        rng = np.random.default_rng(80 + d)
+        P = random_locations(rng, 300, certs.system.ctx.box)
+        pts, ctx = certs.system.anchors, certs.system.ctx
+        want = (certs.alpha @ kernel_values(pts[:, None, :], P[None, :, :], ctx)
+                + np.einsum("kjd,jmd->km", certs.beta,
+                            grad1_batch(pts[:, None, :], P[None, :, :], ctx)))
+        assert np.array_equal(certificate_values(certs, P), want)
+
+    @pytest.mark.parametrize("d", [1, 2])
     def test_gradients_match_fd_of_direct_sum(self, d):
         certs, P = self._setup(d, 60 + d)
         grads = certificate_gradients(certs, P)
@@ -329,3 +353,147 @@ class TestNondegeneracy:
                 assert a.worst_point is None
             else:
                 np.testing.assert_array_equal(a.worst_point, b.worst_point)
+
+
+# --------------------------------------------------------------------------
+# the full-array verification, as the oracle of the streaming pass
+# --------------------------------------------------------------------------
+
+def _oracle_points(anchors, consts, spec, ctx):
+    """Every sample point in one array: full tensor grids, rays and one
+    Halton draw, concatenated, box-filtered and clipped."""
+    def grid(t_axes, u_axes):
+        mesh = np.meshgrid(*(list(t_axes) + list(u_axes)), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    box, d = ctx.box, ctx.d
+    chunks = [grid([_axis(box.t_lo[k], box.t_hi[k], spec.global_t_points)
+                    for k in range(d)],
+                   [_axis(box.u_min, box.u_max, spec.global_u_points)
+                    for k in range(d)])]
+    for a in anchors:
+        nt, nu = _near_bounding_axes(a, consts.r, ctx, spec)
+        chunks.append(grid(nt, nu))
+        ys = np.linspace(0.0, 1.0, spec.points_per_ray + 1)[1:]
+        for tgt in _ray_targets(nt, nu, spec.rays_per_region):
+            if not np.array_equal(tgt, a):
+                chunks.append(geodesic_spec(a, tgt, ctx).point(ys))
+    if spec.lowdisc_points > 0:
+        unit = qmc.Halton(d=2 * d, scramble=False).random(spec.lowdisc_points)
+        chunks.append(box.lower() + unit * (box.upper() - box.lower()))
+    P = np.concatenate(chunks, axis=0)
+    inside = np.all((P >= box.lower() - 1e-12) & (P <= box.upper() + 1e-12), axis=1)
+    return np.clip(P[inside], box.lower(), box.upper())
+
+
+def _oracle_clause(name, margins, P, tol):
+    if len(margins) == 0:
+        return ClauseReport(name, 0, -math.inf, None, 0, True)
+    i = int(np.argmax(margins))
+    nviol = int(np.sum(margins > tol))
+    return ClauseReport(name, len(margins), float(margins[i]),
+                        None if P is None else P[i].copy(), nviol, nviol == 0)
+
+
+def _oracle_verify(certs, consts, spec):
+    """Each clause reduced from its own masked copy of the full arrays."""
+    anchors, ctx = certs.system.anchors, certs.system.ctx
+    s = len(anchors)
+    P = _oracle_points(anchors, consts, spec, ctx)
+    region = region_index_batch(P, anchors, consts.r, ctx)
+    vals = (certs.alpha @ kernel_values(anchors[:, None, :], P[None, :, :], ctx)
+            + np.einsum("kjd,jmd->km", certs.beta,
+                        grad1_batch(anchors[:, None, :], P[None, :, :], ctx)))
+    frdist = np.zeros(len(P))
+    idx = np.flatnonzero(region >= 0)
+    frdist[idx] = fr_distance_pairs(P[idx], anchors[region[idx]], ctx)
+    far = region < 0
+    near = [region == j for j in range(s)]
+    tol = spec.violation_tol
+
+    targets = np.vstack([np.ones(s), np.eye(s)])
+    interp = np.concatenate([
+        np.abs(certificate_values(certs, anchors) - targets),
+        np.linalg.norm(certificate_gradients(certs, anchors), axis=-1)], axis=1)
+    clauses = [_oracle_clause("global.interpolation", interp[0], None, 1e-8),
+               _oracle_clause("global.far", np.abs(vals[0, far]) - (1 - consts.eps_0),
+                              P[far], tol)]
+    for j in range(s):
+        rhs = 1 - consts.eps_2 * frdist[near[j]] ** 2
+        clauses.append(_oracle_clause(f"global.near[{j}]", vals[0, near[j]] - rhs,
+                                      P[near[j]], tol))
+    for l in range(s):
+        clauses.append(_oracle_clause(f"local[{l}].interpolation", interp[1 + l],
+                                      None, 1e-8))
+        clauses.append(_oracle_clause(
+            f"local[{l}].far", np.abs(vals[1 + l, far]) - (1 - consts.eps_tilde_0),
+            P[far], tol))
+        for i in sorted(range(s), key=lambda i: i != l):
+            rhs = consts.eps_tilde_2 * frdist[near[i]] ** 2
+            name = "near_self" if i == l else f"near_other[{i}]"
+            clauses.append(_oracle_clause(
+                f"local[{l}].{name}",
+                np.abs(float(i == l) - vals[1 + l, near[i]]) - rhs, P[near[i]], tol))
+    return NondegeneracyReport(tuple(clauses), all(c.passed for c in clauses), len(P))
+
+
+def _certify_case(d):
+    """Certificates, constants and a small grid with u_min < u_max: two
+    anchors in d = 1, three in d = 2."""
+    if d == 1:
+        box = DomainBox((-20.0,), (20.0,), 0.5, 2.0)
+        ctx = KernelContext(1, 0.5, box)
+        anchors = np.array([[-11.0, 0.8], [12.5, 1.4]])
+    else:
+        box = DomainBox((-30.0, -30.0), (30.0, 30.0), 0.7, 1.5)
+        ctx = KernelContext(2, 0.7, box)
+        anchors = np.array([[-20.0, 0.0, 0.8, 1.2], [0.0, 18.0, 1.3, 0.9],
+                            [20.0, 0.0, 1.0, 1.0]])
+    certs = solve_certificates(build_upsilon(anchors, ctx))
+    spec = GridSpec(near_t_points=12 if d == 2 else 60,
+                    near_u_points=6 if d == 2 else 30,
+                    global_t_points=10 if d == 2 else 200,
+                    global_u_points=5 if d == 2 else 40,
+                    lowdisc_points=1500, rays_per_region=4, points_per_ray=16)
+    return certs, lpc_constants(d, len(anchors), ctx.tau, box), spec
+
+
+class TestStreamingVerification:
+    @pytest.mark.parametrize("block", [None, 97])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_full_array_oracle(self, d, block, monkeypatch):
+        certs, consts, spec = _certify_case(d)
+        if block is not None:
+            monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
+        got = verify_nondegeneracy(certs, consts, spec)
+        want = _oracle_verify(certs, consts, spec)
+        assert got.points_evaluated == want.points_evaluated
+        assert got.all_clauses_pass == want.all_clauses_pass
+        assert [c.name for c in got.clauses] == [c.name for c in want.clauses]
+        # every clause has points, so each worst point is a sample point
+        assert all(c.n_points > 0 for c in want.clauses)
+        for a, b in zip(got.clauses, want.clauses):
+            assert (a.name, a.n_points, a.worst_margin, a.violations, a.passed) == \
+                (b.name, b.n_points, b.worst_margin, b.violations, b.passed)
+            if b.worst_point is None:
+                assert a.worst_point is None
+            else:
+                np.testing.assert_array_equal(a.worst_point, b.worst_point)
+
+    def test_memory_is_bounded_by_the_block(self):
+        certs, consts, spec = _certify_case(1)
+
+        def peak(global_t_points):
+            grid = GridSpec(**{**spec.__dict__, "global_t_points": global_t_points})
+            tracemalloc.start()
+            try:
+                report = verify_nondegeneracy(certs, consts, grid)
+                return report.points_evaluated, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 8000 global grid points fill one block already
+        points, one = peak(spec.global_t_points)
+        points_10, ten = peak(10 * spec.global_t_points)
+        assert points_10 - points == 9 * spec.global_t_points * spec.global_u_points
+        assert ten <= 1.5 * one, (one, ten)

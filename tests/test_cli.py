@@ -205,6 +205,13 @@ class TestCertify:
         assert main(["certify", "--config", cfg]) == 2
         assert "config:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_dimension_below_one_exit_2(self, tmp_path, capsys, d):
+        cfg = write_cfg(tmp_path, SEPARATED.replace("kernel.d = 1", f"kernel.d = {d}"))
+        assert main(["certify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"config:2:12: kernel.d: must be at least 1, got {d}"
+
     def test_unreadable_config_exit_2(self, tmp_path, capsys):
         assert main(["certify", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err

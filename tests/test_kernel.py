@@ -31,6 +31,7 @@ from gmblasso.kernel import (
     grad2_batch,
     grad12_batch,
     hess2_batch,
+    kernel_grad1_batch,
     kernel_values,
     lambda_sum,
     moment_table,
@@ -129,6 +130,23 @@ class TestDerivatives:
         for x, y, g in zip(X, Y, G):
             fd = fd_gradient(lambda z: float(kernel_values(z, y, ctx2)), x)
             assert rel_error(g, fd) < 1e-6
+
+    @pytest.mark.parametrize("ctx", ["ctx1", "ctx2"])
+    def test_fused_pass_is_the_exact_path(self, ctx, request):
+        # kernel_grad1_batch's two outputs are kernel_values and the gradient
+        # formula grad1_batch had before it was defined through the fused
+        # pass, bit for bit; the boxes have u_min < u_max
+        ctx = request.getfixturevalue(ctx)
+        X, Y = self._pairs(ctx, 40, 12)
+        X, Y = X[:8, None, :], Y[None, :, :]
+        K, G1 = kernel_grad1_batch(X, Y, ctx)
+        u, _, A, B, C, dt = kernel_module._abc(X, Y, ctx.tau)
+        old = (kernel_module._kernel(A, B, C, dt)[..., None]
+               * kernel_module._partial(u, B, A, -dt))
+        assert K.shape == (8, 40) and G1.shape == (8, 40, 2 * ctx.d)
+        assert np.array_equal(K, kernel_values(X, Y, ctx))
+        assert np.array_equal(G1, old)
+        assert np.array_equal(grad1_batch(X, Y, ctx), old)
 
     def test_grad2_fd(self, ctx2):
         X, Y = self._pairs(ctx2, 20, 11)
