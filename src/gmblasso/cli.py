@@ -119,6 +119,13 @@ def _to_int(s: str) -> int:
     return int(s, 10)
 
 
+def _to_seed(s: str) -> int:
+    seed = _to_int(s)
+    if seed < 0:
+        raise ValueError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _to_dimension(s: str) -> int:
     d = _to_int(s)
     if d < 1:
@@ -192,7 +199,7 @@ _KEYS = {
     "experiment.r_e": (_to_float_list, None),
     "data.file": (str, None),
     "output.dir": (str, "."),
-    "seed.master": (_to_int, 0),
+    "seed.master": (_to_seed, 0),
 }
 
 
@@ -585,7 +592,7 @@ def _kernel_check_suite(samples: int, seed: int):
 
         W = rng.normal(size=(min(m, 32), d))
         vec = data_witness(Xs, W, ctx)
-        loop = np.array([data_witness(x, W, ctx) for x in Xs])
+        loop = np.array([data_witness(x[None], W, ctx)[0] for x in Xs])
         err = float(np.max(np.abs(vec - loop)))
         yield f"d={d} witness vectorization", err, 1e-12
 
@@ -633,8 +640,10 @@ def _christoffel_fd_error(X, ctx) -> float:
 def _cmd_kernel_check(args) -> int:
     if args.samples <= 0:
         raise ConfigError(f"--samples must be a positive integer, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     failures = 0
-    for name, err, tol in _kernel_check_suite(args.samples, args.seed or 0):
+    for name, err, tol in _kernel_check_suite(args.samples, args.seed):
         ok = err < tol
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'}  {name}: max error {err:.3e} "

@@ -136,15 +136,8 @@ def region_mass_errors(mu_hat_omega: DiscreteMeasure, mu0_omega: DiscreteMeasure
 def renormalized_mass_errors(mu_hat_omega: DiscreteMeasure, mu0: DiscreteMeasure,
                              r_e: float, ctx: KernelContext) -> np.ndarray:
     """Per-region |a_j0 - (mu_hat_omega / W)(N_j(r_e))| on the amplitude scale."""
-    r_max = near_radius(ctx.d)
-    if not (0.0 < r_e <= r_max):
-        raise ValueError(f"effective radius must lie in (0, {r_max}], got {r_e}")
     amp = reparametrize(mu_hat_omega, ctx.tau, "from_omega")
-    region = _classify(amp, mu0.locations_array(), r_e, ctx)
-    return np.array([
-        abs(mu0.weights[j] - float(np.sum(amp.weights[region == j])))
-        for j in range(mu0.s)
-    ])
+    return region_mass_errors(amp, mu0, r_e, ctx).per_region
 
 
 def _l2_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -567,17 +567,17 @@ def data_witness(x, samples: np.ndarray, ctx: KernelContext,
 
     Returns (1/(n W(x))) sum_i prod_k phi(X_ik; t_k, u_k^2 + tau^2); with
     with_gradient=True additionally returns its gradient in (t, u).
-    x holds coordinates shaped (2d,) for one location or (m, 2d) for a batch.
+    x holds location rows shaped (m, 2d); values are (m,), gradients (m, 2d).
     `table`, a moment table of the same samples serving widths down to
     sqrt(2 (u_min^2 + tau^2)), replaces the direct sum over the samples.
     """
     X = _sample_matrix(samples)
     if X.shape[0] == 0:
         raise ValueError("witness needs at least one sample")
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    P = np.atleast_2d(pts)
-    d = P.shape[-1] // 2
+    P = np.asarray(x, dtype=float)
+    if P.ndim != 2:
+        raise ValueError(f"witness locations must be rows (m, 2d), got shape {P.shape}")
+    d = P.shape[1] // 2
     if X.shape[1] != d:
         raise ValueError("sample dimension disagrees with location dimension")
     if table is None:
@@ -587,19 +587,15 @@ def data_witness(x, samples: np.ndarray, ctx: KernelContext,
     else:
         sums = _table_sums(P, table, ctx.tau, with_gradient)
     W = weight_function(P, ctx.tau)
-    W = np.atleast_1d(W)
     n = X.shape[0]
     val = sums[0] / (n * W)
     if not with_gradient:
-        return float(val[0]) if single else val
+        return val
     B = 2 * P[:, d:] ** 2 + ctx.tau**2              # (m, d)
     gt = sums[1] / (n * W[:, None])
     gu = sums[2] / (n * W[:, None])
     gu += val[:, None] * P[:, d:] / B
-    grad = np.concatenate([gt, gu], axis=1)
-    if single:
-        return float(val[0]), grad[0]
-    return val, grad
+    return val, np.concatenate([gt, gu], axis=1)
 
 
 def lambda_pair(z, ctx: KernelContext) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "SolverResult",
     "RecommendedParameters",
     "objective",
-    "objective_core",
     "objective_gradient",
     "initial_measure",
     "cpgd_solve",
@@ -93,9 +92,10 @@ class ObjectiveContext:
         return self._fidelity_constant
 
 
-def _terms(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext):
-    """J - C/2 of the atoms (w, pts) and its analytic gradients (dJ/dw_j,
-    dJ/dx_j), shapes (s,) and (s, 2d), from one pass of each kernel term."""
+def objective_gradient(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext):
+    """J - C/2 of the atoms with weights w (s,) at rows pts (s, 2d), and its
+    analytic gradients (dJ/dw_j, dJ/dx_j), shapes (s,) and (s, 2d), from one
+    pass of each kernel term."""
     if len(w) == 0:
         return 0.0, np.zeros(0), np.zeros((0, 0))
     K = kernel_values(pts[:, None, :], pts[None, :, :], octx.ctx)
@@ -108,19 +108,10 @@ def _terms(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext):
     return J, grad_w, grad_x
 
 
-def objective_core(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
-    """Objective with the data constant omitted (J - C/2)."""
-    return _terms(mu_omega.weights, mu_omega.locations_array(), octx)[0]
-
-
 def objective(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
     """Full objective value J(mu_omega)."""
-    return objective_core(mu_omega, octx) + 0.5 * octx.fidelity_constant
-
-
-def objective_gradient(mu_omega: DiscreteMeasure, octx: ObjectiveContext):
-    """Analytic gradients (dJ/dw_j, dJ/dx_j); shapes (s,) and (s, 2d)."""
-    return _terms(mu_omega.weights, mu_omega.locations_array(), octx)[1:]
+    J = objective_gradient(mu_omega.weights, mu_omega.coords, octx)[0]
+    return J + 0.5 * octx.fidelity_constant
 
 
 @dataclass(frozen=True)
@@ -264,18 +255,18 @@ def _merge(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig, ctx: KernelContext
     return w, pts
 
 
-def prune_merge(mu_omega: DiscreteMeasure, cfg: SolverConfig,
-                ctx: KernelContext) -> DiscreteMeasure:
-    """Drop dust atoms, then merge pairs closer than the merge radius."""
-    w, pts = _prune(mu_omega.weights, mu_omega.locations_array(), cfg)
-    return DiscreteMeasure.from_arrays(*_merge(w, pts, cfg, ctx))
+def prune_merge(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig,
+                ctx: KernelContext):
+    """Drop dust atoms, then merge pairs closer than the merge radius; the
+    atoms are weights (s,) at rows (s, 2d), returned as (w, pts)."""
+    return _merge(*_prune(w, pts, cfg), cfg, ctx)
 
 
 def _merge_alone(w, pts, terms, cfg: SolverConfig, octx: ObjectiveContext):
     """(w, pts, terms) after merging close pairs, if that does not raise J."""
     w_m, pts_m = _merge(w, pts, cfg, octx.ctx)
     if len(w_m) < len(w):
-        terms_m = _terms(w_m, pts_m, octx)
+        terms_m = objective_gradient(w_m, pts_m, octx)
         if terms_m[0] <= terms[0]:
             return w_m, pts_m, terms_m
     return w, pts, terms
@@ -290,7 +281,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     if not box.contains(pts, atol=1e-9):
         raise ValueError("initial atom outside the domain box")
 
-    J = objective_core(init, octx)
+    J, gw, gx = objective_gradient(w, pts, octx)
     trace: list[TraceRow] = []
     eta_w, eta_x = cfg.step_w, cfg.step_x
     lo, hi = box.lower(), box.upper()
@@ -302,7 +293,6 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     if not math.isfinite(J):
         return SolverResult(init, (), False, False, True,
                             "non-finite objective at initialization", 0)
-    gw, gx = objective_gradient(init, octx)
 
     for it in range(1, cfg.iterations + 1):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gx))):
@@ -314,7 +304,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
         for _ in range(cfg.max_backtracks + 1):
             w_try = w * np.exp(np.clip(-eta_w * gw, -60.0, 60.0))
             pts_try = np.clip(pts - eta_x * ginv * gx, lo, hi)
-            J_try, gw_try, gx_try = _terms(w_try, pts_try, octx)
+            J_try, gw_try, gx_try = objective_gradient(w_try, pts_try, octx)
             if not math.isfinite(J_try):
                 aborted, reason = True, f"non-finite objective at iteration {it}"
                 break
@@ -334,11 +324,11 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
             # prune and merge as one candidate; if that raises J (a dust atom
             # whose removal costs more than the merge gains), the merge alone.
             # A candidate with as many atoms is the current point.
-            cand = prune_merge(DiscreteMeasure.from_arrays(w, pts), cfg, octx.ctx)
-            if cand.s < len(w):
-                terms = _terms(cand.weights, cand.locations_array(), octx)
+            w_c, pts_c = prune_merge(w, pts, cfg, octx.ctx)
+            if len(w_c) < len(w):
+                terms = objective_gradient(w_c, pts_c, octx)
                 if terms[0] <= J:
-                    w, pts = cand.weights, cand.locations_array()
+                    w, pts = w_c, pts_c
                 else:
                     w, pts, terms = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
                 J, gw, gx = terms
@@ -359,7 +349,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     # is kept only if it does not raise the objective
     w_kept, pts_kept = _prune(w, pts, cfg)
     if len(w_kept) < len(w):
-        w, pts, J, gw, gx = w_kept, pts_kept, *_terms(w_kept, pts_kept, octx)
+        w, pts, J, gw, gx = w_kept, pts_kept, *objective_gradient(w_kept, pts_kept, octx)
     w, pts, _ = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
     return SolverResult(DiscreteMeasure.from_arrays(w, pts), tuple(trace),
                         converged, stalled, aborted, reason, it)

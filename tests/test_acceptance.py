@@ -139,7 +139,8 @@ def test_criterion_02_quadrature_cross_check():
         ref, _ = quad(lambda z: emp(z) * comp(z, x[0], x[1]), -40, 40,
                       limit=400, epsabs=1e-13, epsrel=1e-11)
         ref /= float(weight_function(x, tau))
-        worst = max(worst, abs(float(data_witness(x, samples, ctx)) - ref) / abs(ref))
+        worst = max(worst, abs(float(data_witness(x[None], samples, ctx)[0]) - ref)
+                    / abs(ref))
 
         # pairwise sample interaction at a sub-bandwidth offset
         off = float(rng.uniform(-2.0, 2.0)) * tau
@@ -324,7 +325,7 @@ def test_criterion_05_certificates():
 def test_criterion_06_estimation_rate(sep_mixture, tuned_solver):
     t0 = time.perf_counter()
     report = rate_sweep(sep_mixture, (1000, 3000, 10_000, 30_000, 100_000), 30,
-                        "agnostic", "fixed", 7, solver=tuned_solver)
+                        "agnostic", "fixed", 7, threads=2, solver=tuned_solver)
     slope = report.slopes.get("mass_error", math.nan)
     failed_rows = [r for r in report.rows if not r.ok]
     failures = []
@@ -339,7 +340,7 @@ def test_criterion_06_estimation_rate(sep_mixture, tuned_solver):
 def test_criterion_07_prediction_rate(sep_mixture, tuned_solver):
     t0 = time.perf_counter()
     report = rate_sweep(sep_mixture, (1000, 3000, 10_000, 30_000, 100_000), 10,
-                        "small_reg", "prediction", 21, solver=tuned_solver)
+                        "small_reg", "prediction", 21, threads=2, solver=tuned_solver)
     slope = report.slopes.get("prediction_error", math.nan)
     failed_rows = [r for r in report.rows if not r.ok]
     failures = []
@@ -354,7 +355,7 @@ def test_criterion_07_prediction_rate(sep_mixture, tuned_solver):
 def test_criterion_08_soft_thresholding(sep_mixture, tuned_solver):
     t0 = time.perf_counter()
     report = rate_sweep(sep_mixture, (10_000,), 50, "agnostic", "fixed", 13,
-                        solver=tuned_solver)
+                        threads=2, solver=tuned_solver)
     kappa = report.rows[0].kappa
     mean_tv = report.aggregates[0].mean_tv_error
     bound = 4 * sep_mixture.s * kappa
@@ -370,7 +371,7 @@ def test_criterion_08_soft_thresholding(sep_mixture, tuned_solver):
 def test_criterion_09_sparsity_at_large_n(sep_mixture, tuned_solver):
     t0 = time.perf_counter()
     report = rate_sweep(sep_mixture, (100_000,), 20, "agnostic", "fixed", 3,
-                        solver=tuned_solver)
+                        threads=2, solver=tuned_solver)
     rate = report.aggregates[0].sparsity_rate
     failures = []
     if any(not r.ok for r in report.rows):

@@ -324,6 +324,22 @@ class TestSolve:
         assert err.startswith("config") and "u_min" in err
 
 
+    def test_negative_seed_key_exit_2(self, tmp_path, capsys):
+        self._config(tmp_path, drop="seed.master")
+        text = (tmp_path / "run.cfg").read_text() + "seed.master = -3\n"
+        line = len(text.splitlines())
+        assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"config:{line}:15: seed.master: must be a nonnegative integer, got -3"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        assert main(["solve", "--config", self._config(tmp_path),
+                     "--seed", "-5"]) == 2
+        assert capsys.readouterr().err.strip() == \
+            "config error: seed.master: must be a nonnegative integer, got -5"
+        assert not (tmp_path / "out").exists()
+
     def test_zero_patience_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, extra="solver.patience = 0\n")
         assert main(["solve", "--config", cfg]) == 2
@@ -411,6 +427,15 @@ class TestRates:
         err = capsys.readouterr().err
         assert err.startswith("config") and "experiment.r_e" in err
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        self._config(tmp_path)
+        text = (tmp_path / "rates.cfg").read_text().replace("seed.master = 9",
+                                                            "seed.master = -3")
+        assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and "seed.master: must be a nonnegative" in err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         text = SEPARATED + f"output.dir = {tmp_path}/out\n"
         assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2
@@ -445,6 +470,11 @@ class TestKernelCheck:
         assert main(["kernel-check", "--samples", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config") and "positive" in err
+
+    def test_rejects_negative_seed(self, capsys):
+        assert main(["kernel-check", "--samples", "200", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config") and "--seed" in err and "nonnegative" in err
 
     def test_detects_seeded_defect(self, capsys, monkeypatch):
         # flip the sign of one Christoffel family; the metric-consistency

@@ -287,7 +287,7 @@ class TestQuadratureOracles:
         val, _ = quad(lambda z: emp_smoothed(z)
                       * self._smoothed(z, x[0], x[1], tau), -30, 30, limit=400, epsabs=1e-13, epsrel=1e-11)
         val /= weight_function(x, tau)
-        assert data_witness(x, samples, ctx1) == pytest.approx(val, rel=1e-6)
+        assert data_witness(x[None], samples, ctx1)[0] == pytest.approx(val, rel=1e-6)
 
 
 class TestWitness:
@@ -297,7 +297,7 @@ class TestWitness:
         P = random_locations(rng, 9, ctx1.box)
         vals = data_witness(P, samples, ctx1)
         for p, v in zip(P, vals):
-            assert data_witness(p, samples, ctx1) == pytest.approx(v, rel=1e-12)
+            assert data_witness(p[None], samples, ctx1)[0] == pytest.approx(v, rel=1e-12)
 
     def test_gradient_fd(self, ctx1):
         rng = np.random.default_rng(23)
@@ -305,26 +305,28 @@ class TestWitness:
         P = random_locations(rng, 8, ctx1.box, margin=0.05)
         vals, grads = data_witness(P, samples, ctx1, with_gradient=True)
         for p, v, g in zip(P, vals, grads):
-            assert data_witness(p, samples, ctx1) == pytest.approx(v, rel=1e-12)
-            fd = fd_gradient(lambda z: data_witness(z, samples, ctx1), p)
+            assert data_witness(p[None], samples, ctx1)[0] == pytest.approx(v, rel=1e-12)
+            fd = fd_gradient(lambda z: data_witness(z[None], samples, ctx1)[0], p)
             assert rel_error(g, fd) < 1e-6
 
     def test_rejects_empty_samples(self, ctx1):
         with pytest.raises(ValueError):
-            data_witness(np.array([0.0, 1.0]), np.zeros((0, 1)), ctx1)
+            data_witness(np.array([[0.0, 1.0]]), np.zeros((0, 1)), ctx1)
 
     def test_rejects_dimension_mismatch(self, ctx2):
         with pytest.raises(ValueError):
-            data_witness(np.array([0.0, 0.0, 1.0, 1.0]), np.zeros((5, 3)), ctx2)
+            data_witness(np.array([[0.0, 0.0, 1.0, 1.0]]), np.zeros((5, 3)), ctx2)
 
     def test_location_input(self, ctx1):
-        # one location (2d,) gives a float; a batch (m, 2d) gives an array
+        # a batch (m, 2d) gives arrays (m,) and (m, 2d); one location (2d,)
+        # is not a batch and is refused
         samples = np.array([0.1, -0.2, 0.3])
         x = np.array([0.0, 1.0])
-        val = data_witness(x, samples, ctx1)
-        assert isinstance(val, float)
-        assert val == pytest.approx(
-            data_witness(x[None, :], samples, ctx1)[0], rel=1e-15)
+        val, grad = data_witness(x[None, :], samples, ctx1, with_gradient=True)
+        assert val.shape == (1,) and grad.shape == (1, 2)
+        for with_gradient in (False, True):
+            with pytest.raises(ValueError, match="rows"):
+                data_witness(x, samples, ctx1, with_gradient=with_gradient)
 
 
 class TestDirectBlocks:
@@ -437,13 +439,13 @@ class TestMomentTable:
         X = np.linspace(-1.0, 1.0, 30)
         table = moment_table(X, 2.0)
         with pytest.raises(ValueError, match="cell width"):
-            data_witness(np.array([0.0, 0.5]), X, ctx1, table=table)
+            data_witness(np.array([[0.0, 0.5]]), X, ctx1, table=table)
 
     def test_rejects_table_of_other_samples(self, ctx1):
         X = np.linspace(-1.0, 1.0, 30)
         table = _witness_table(X[:, None], ctx1)
         with pytest.raises(ValueError, match="other samples"):
-            data_witness(np.array([0.0, 1.0]), X[:20], ctx1, table=table)
+            data_witness(np.array([[0.0, 1.0]]), X[:20], ctx1, table=table)
 
     def test_choice_follows_the_work(self, ctx1):
         rng = np.random.default_rng(31)

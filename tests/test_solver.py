@@ -27,7 +27,7 @@ from gmblasso import (
     weight_function,
 )
 from gmblasso.kernel import data_witness, semi_distance_pairs
-from gmblasso.solver import objective_core, resolve_tau
+from gmblasso.solver import resolve_tau
 
 from conftest import random_locations, rel_error
 
@@ -146,29 +146,29 @@ class TestObjective:
         assert objective(mu, octx) == pytest.approx(expected, rel=1e-6)
 
     def test_core_plus_constant(self, small_octx):
+        # objective adds C/2 to the value the solver iterates on, nothing else
         rng = np.random.default_rng(55)
         mu = _measure(rng, 5, small_octx.ctx.box)
-        assert objective(mu, small_octx) == pytest.approx(
-            objective_core(mu, small_octx)
-            + 0.5 * small_octx.fidelity_constant, rel=1e-14)
+        core = objective_gradient(mu.weights, mu.coords, small_octx)[0]
+        assert objective(mu, small_octx) == core + 0.5 * small_octx.fidelity_constant
 
 
 class TestGradient:
     def test_matches_fd(self, small_octx):
         rng = np.random.default_rng(56)
         mu = _measure(rng, 4, small_octx.ctx.box)
-        gw, gx = objective_gradient(mu, small_octx)
-        w0 = mu.weights
-        p0 = mu.locations_array()
+        w0, p0 = mu.weights.copy(), mu.coords.copy()
+        _, gw, gx = objective_gradient(w0, p0, small_octx)
         h = 1e-6
+
+        def core(w, pts):
+            return objective_gradient(w, pts, small_octx)[0]
 
         for j in range(mu.s):
             wp, wm = w0.copy(), w0.copy()
             wp[j] += h
             wm[j] -= h
-            fd = (objective_core(DiscreteMeasure.from_arrays(wp, p0), small_octx)
-                  - objective_core(DiscreteMeasure.from_arrays(wm, p0),
-                                   small_octx)) / (2 * h)
+            fd = (core(wp, p0) - core(wm, p0)) / (2 * h)
             assert gw[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
         for j in range(mu.s):
@@ -176,10 +176,7 @@ class TestGradient:
                 pp, pm = p0.copy(), p0.copy()
                 pp[j, c] += h
                 pm[j, c] -= h
-                fd = (objective_core(DiscreteMeasure.from_arrays(w0, pp),
-                                     small_octx)
-                      - objective_core(DiscreteMeasure.from_arrays(w0, pm),
-                                       small_octx)) / (2 * h)
+                fd = (core(w0, pp) - core(w0, pm)) / (2 * h)
                 assert gx[j, c] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_zero_weights(self, small_octx):
@@ -188,53 +185,49 @@ class TestGradient:
         from gmblasso import data_witness
         rng = np.random.default_rng(57)
         pts = random_locations(rng, 3, small_octx.ctx.box)
-        mu = DiscreteMeasure.from_arrays(np.zeros(3), pts)
-        gw, gx = objective_gradient(mu, small_octx)
+        _, gw, gx = objective_gradient(np.zeros(3), pts, small_octx)
         wit = data_witness(pts, small_octx.samples, small_octx.ctx)
         np.testing.assert_allclose(gw, small_octx.kappa - wit, rtol=1e-12)
         np.testing.assert_allclose(gx, 0.0, atol=1e-15)
 
     def test_identical_atoms_identical_rows(self, small_octx):
         pts = np.array([[0.5, 1.0], [0.5, 1.0]])
-        mu = DiscreteMeasure.from_arrays(np.array([0.2, 0.2]), pts)
-        gw, gx = objective_gradient(mu, small_octx)
+        _, gw, gx = objective_gradient(np.array([0.2, 0.2]), pts, small_octx)
         assert gw[0] == pytest.approx(gw[1], rel=1e-14)
         np.testing.assert_allclose(gx[0], gx[1], rtol=1e-14)
 
     def test_empty_measure(self, small_octx):
-        gw, gx = objective_gradient(DiscreteMeasure.empty(), small_octx)
-        assert gw.shape == (0,) and gx.shape == (0, 0)
+        empty = DiscreteMeasure.empty()
+        J, gw, gx = objective_gradient(empty.weights, empty.coords, small_octx)
+        assert J == 0.0 and gw.shape == (0,) and gx.shape == (0, 0)
 
 
 class TestPruneMerge:
     def test_drops_dust(self, ctx1):
         cfg = SolverConfig(prune_threshold=0.01, merge_radius=0.05)
-        mu = DiscreteMeasure.from_arrays(
-            np.array([0.5, 1e-4]), np.array([[0.0, 1.0], [2.0, 1.0]]))
-        out = prune_merge(mu, cfg, ctx1)
-        assert out.s == 1
-        assert out.weights[0] == pytest.approx(0.5)
+        w, pts = prune_merge(np.array([0.5, 1e-4]),
+                             np.array([[0.0, 1.0], [2.0, 1.0]]), cfg, ctx1)
+        assert len(w) == 1 and pts.shape == (1, 2)
+        assert w[0] == pytest.approx(0.5)
 
     def test_merges_close_atoms(self, ctx1):
         cfg = SolverConfig(prune_threshold=1e-9, merge_radius=0.3)
-        mu = DiscreteMeasure.from_arrays(
-            np.array([0.3, 0.1]), np.array([[0.0, 1.0], [0.05, 1.0]]))
-        out = prune_merge(mu, cfg, ctx1)
-        assert out.s == 1
-        assert out.weights[0] == pytest.approx(0.4, rel=1e-12)
+        w, pts = prune_merge(np.array([0.3, 0.1]),
+                             np.array([[0.0, 1.0], [0.05, 1.0]]), cfg, ctx1)
+        assert len(w) == 1
+        assert w[0] == pytest.approx(0.4, rel=1e-12)
         # merged mean is the weight-shared average of the t coordinates
-        assert out.coords[0, 0] == pytest.approx(0.0125, abs=1e-10)
+        assert pts[0, 0] == pytest.approx(0.0125, abs=1e-10)
 
     def test_keeps_separated_atoms(self, ctx1):
         cfg = SolverConfig(prune_threshold=1e-9, merge_radius=0.3)
-        mu = DiscreteMeasure.from_arrays(
-            np.array([0.3, 0.1]), np.array([[-2.0, 1.0], [2.0, 1.0]]))
-        assert prune_merge(mu, cfg, ctx1).s == 2
+        w, pts = prune_merge(np.array([0.3, 0.1]),
+                             np.array([[-2.0, 1.0], [2.0, 1.0]]), cfg, ctx1)
+        assert len(w) == 2 and pts.shape == (2, 2)
 
     def test_empty_passthrough(self, ctx1):
-        cfg = SolverConfig()
-        mu = DiscreteMeasure.empty()
-        assert prune_merge(mu, cfg, ctx1).s == 0
+        w, pts = prune_merge(np.zeros(0), np.zeros((0, 2)), SolverConfig(), ctx1)
+        assert w.shape == (0,) and pts.shape == (0, 2)
 
 
 class TestInitialMeasure:
@@ -303,7 +296,7 @@ class TestDescent:
 
     def test_one_witness_call_per_iteration(self, small_octx, monkeypatch):
         # each trial is evaluated once and its gradient drives the next step:
-        # two calls at the start, one per iteration, one for a final merge
+        # one call at the start, one per iteration, one for a final merge
         from gmblasso import solver
         calls = []
 
@@ -316,7 +309,7 @@ class TestDescent:
                            prune_threshold=0.0, record_trace=False)
         res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
         assert res.iterations_run > 1
-        assert len(calls) <= res.iterations_run + 3
+        assert len(calls) <= res.iterations_run + 2
 
     def test_single_component_recovery(self):
         box = DomainBox((-5.0,), (5.0,), 0.5, 2.0)
