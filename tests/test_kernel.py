@@ -297,7 +297,8 @@ class TestWitness:
         P = random_locations(rng, 9, ctx1.box)
         vals = data_witness(P, samples, ctx1)
         for p, v in zip(P, vals):
-            assert data_witness(p[None], samples, ctx1)[0] == pytest.approx(v, rel=1e-12)
+            assert data_witness(p[None], samples, ctx1)[0] == \
+                pytest.approx(v, rel=1e-12)
 
     def test_gradient_fd(self, ctx1):
         rng = np.random.default_rng(23)
@@ -305,7 +306,8 @@ class TestWitness:
         P = random_locations(rng, 8, ctx1.box, margin=0.05)
         vals, grads = data_witness(P, samples, ctx1, with_gradient=True)
         for p, v, g in zip(P, vals, grads):
-            assert data_witness(p[None], samples, ctx1)[0] == pytest.approx(v, rel=1e-12)
+            assert data_witness(p[None], samples, ctx1)[0] == \
+                pytest.approx(v, rel=1e-12)
             fd = fd_gradient(lambda z: data_witness(z[None], samples, ctx1)[0], p)
             assert rel_error(g, fd) < 1e-6
 

@@ -157,7 +157,7 @@ class TestGradient:
     def test_matches_fd(self, small_octx):
         rng = np.random.default_rng(56)
         mu = _measure(rng, 4, small_octx.ctx.box)
-        w0, p0 = mu.weights.copy(), mu.coords.copy()
+        w0, p0 = mu.weights, mu.coords
         _, gw, gx = objective_gradient(w0, p0, small_octx)
         h = 1e-6
 
