@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.stats import qmc
 
 from .geometry import (
     fr_distance_pairs,
@@ -130,6 +128,7 @@ def build_upsilon(anchors, ctx: KernelContext) -> CertificateSystem:
 
 def _solve_system(U: np.ndarray, rhs: np.ndarray):
     """Solve U X = rhs for SPD-ish U with a conditioning fallback."""
+    import scipy.linalg   # here, so that only certify pays its ~0.35 s import
     w = scipy.linalg.eigvalsh(U)
     lo, hi = float(w[0]), float(w[-1])
     cond = math.inf if lo <= 0 else hi / lo
@@ -401,13 +400,41 @@ def _near_bounding_axes(anchor: np.ndarray, r: float, ctx: KernelContext, spec: 
     return t_axes, u_axes
 
 
+def _primes(k: int) -> list:
+    """The first k primes, by trial division."""
+    primes = []
+    c = 2
+    while len(primes) < k:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def _halton(start: int, n: int, dim: int) -> np.ndarray:
+    """Points start, ..., start + n - 1 of the unscrambled Halton sequence,
+    (n, dim) in [0, 1): column k holds the radical inverses of the indices in
+    the k-th prime.  The digits are added least significant first, with a
+    weight divided by the base at each digit, the order of scipy's
+    van_der_corput, so the points equal those of scipy's unscrambled Halton
+    sampler bit for bit (and are laid out as its are, the transpose of a
+    (dim, n) array)."""
+    out = np.zeros((dim, n))
+    for col, base in zip(out, _primes(dim)):
+        q, weight = np.arange(start, start + n), 1.0 / base
+        while q.any():
+            q, digit = np.divmod(q, base)
+            col += digit * weight
+            weight /= base
+    return out.T
+
+
 def _ray_targets(t_axes, u_axes, n: int) -> np.ndarray:
     """Deterministic boundary points of the near bounding box, used as ray ends."""
     lo = np.array([ax[0] for ax in t_axes] + [ax[0] for ax in u_axes])
     hi = np.array([ax[-1] for ax in t_axes] + [ax[-1] for ax in u_axes])
     dim = len(lo)
-    halton = qmc.Halton(d=max(dim - 1, 1), scramble=False)
-    face_pts = halton.random(n)
+    face_pts = _halton(0, n, max(dim - 1, 1))
     # target i lies on face i % dim, on the hi side for odd i // dim; the
     # other axes take the Halton coordinates of point i in order (the face
     # axis reads a clamped column and is then overwritten)
@@ -443,11 +470,9 @@ def _raw_blocks(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
                 yield ray[lo:lo + _EVAL_BLOCK]
 
     if spec.lowdisc_points > 0:
-        # one sampler drawn block by block gives the points of a single draw
-        halton = qmc.Halton(d=2 * d, scramble=False)
         lo, hi = box.lower(), box.upper()
         for start in range(0, spec.lowdisc_points, _EVAL_BLOCK):
-            unit = halton.random(min(_EVAL_BLOCK, spec.lowdisc_points - start))
+            unit = _halton(start, min(_EVAL_BLOCK, spec.lowdisc_points - start), 2 * d)
             yield lo + unit * (hi - lo)
 
 

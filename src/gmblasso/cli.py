@@ -119,11 +119,11 @@ def _to_int(s: str) -> int:
     return int(s, 10)
 
 
-def _to_seed(s: str) -> int:
-    seed = _to_int(s)
-    if seed < 0:
-        raise ValueError(f"must be a nonnegative integer, got {seed}")
-    return seed
+def _to_nonnegative(s: str) -> int:
+    k = _to_int(s)
+    if k < 0:
+        raise ValueError(f"must be a nonnegative integer, got {k}")
+    return k
 
 
 def _to_dimension(s: str) -> int:
@@ -192,14 +192,14 @@ _KEYS = {
        for f in dataclasses.fields(SolverConfig) if f.name != "seed"},
     "experiment.n": (_to_int, None),
     "experiment.n_grid": (lambda s: [_to_int(tok) for tok in _tokens(s)], []),
-    "experiment.replications": (_to_int, 1),
+    "experiment.replications": (_to_nonnegative, 1),
     "experiment.kappa_rule": (_choice("agnostic", "s_dependent", "small_reg"),
                               "agnostic"),
     "experiment.kappa": (float, None),
     "experiment.r_e": (_to_float_list, None),
     "data.file": (str, None),
     "output.dir": (str, "."),
-    "seed.master": (_to_seed, 0),
+    "seed.master": (_to_nonnegative, 0),
 }
 
 
@@ -478,8 +478,6 @@ def _cmd_rates(args) -> int:
     run = _load_run_config(args)
     if not run.n_grid:
         raise ConfigError("experiment.n_grid must list at least one sample size")
-    if run.replications < 0:
-        raise ConfigError("experiment.replications must be nonnegative")
     os.makedirs(run.out_dir, exist_ok=True)
 
     report = rate_sweep(run.mixture, run.n_grid, run.replications, run.kappa_rule,

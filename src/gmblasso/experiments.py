@@ -318,8 +318,8 @@ def _fork_context():
 
     A fork copies only the calling thread, so a lock another thread holds at
     that moment stays held in the child forever; fork only while this is the
-    process's sole thread.  Spawn would re-import numpy and scipy in every
-    worker (1.2-1.6 s each, longer than a small sweep).
+    process's sole thread.  Spawn would re-import numpy and the package in
+    every worker, about 0.3 s each.
     """
     if threading.active_count() > 1:
         return None

@@ -26,6 +26,7 @@ from gmblasso.certificates import (
     ClauseReport,
     NondegeneracyReport,
     _axis,
+    _halton,
     _near_bounding_axes,
     _ray_targets,
     operator_norms_batch,
@@ -302,6 +303,19 @@ def small_grid():
 
 
 class TestNondegeneracy:
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 17])
+    def test_halton_matches_scipy(self, dim):
+        # consecutive blocks of uneven sizes, so start offsets cross the
+        # verification block size and several digit counts
+        sampler = qmc.Halton(d=dim, scramble=False)
+        start = 0
+        for n in (1, 16, 4096, 1000, 3 * 4096):
+            want = sampler.random(n)
+            got = _halton(start, n, dim)
+            assert got.shape == (n, dim)
+            assert np.array_equal(got, want), (dim, start, n)
+            start += n
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_ray_targets_match_loop(self, dim):

@@ -436,6 +436,19 @@ class TestRates:
         assert err.startswith("config:") and "seed.master: must be a nonnegative" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("count, code", [("-1", 2), ("0", 0)])
+    def test_replications_range_at_its_line(self, tmp_path, capsys, count, code):
+        self._config(tmp_path)
+        text = (tmp_path / "rates.cfg").read_text().replace(
+            "experiment.replications = 2", f"experiment.replications = {count}")
+        line = text.splitlines().index(f"experiment.replications = {count}") + 1
+        assert main(["rates", "--config", write_cfg(tmp_path, text)]) == code
+        err = capsys.readouterr().err.strip()
+        if code:
+            assert err == (f"config:{line}:27: experiment.replications: "
+                           f"must be a nonnegative integer, got {count}")
+            assert not (tmp_path / "out").exists()
+
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         text = SEPARATED + f"output.dir = {tmp_path}/out\n"
         assert main(["rates", "--config", write_cfg(tmp_path, text)]) == 2

@@ -1,9 +1,14 @@
-"""Package surface: every name a module exports in __all__ resolves, and every
-name the benchmark's span tracer wraps exists in the form it wraps."""
+"""Package surface: every name a module exports in __all__ resolves, every
+name the benchmark's span tracer wraps exists in the form it wraps, and scipy
+is loaded only by certify's certificate solve."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +61,54 @@ def test_traced_class_members_resolve(layer, module, cls_name, attr):
         member = member.fget
     assert inspect.isfunction(member), \
         f"{layer}: {cls_name}.{attr} is not a staticmethod, property or function"
+
+
+SCENARIO = """\
+kernel.d = 1
+kernel.tau = 1.0
+scenario.weights = 0.5, 0.5
+scenario.t = -13, 13
+scenario.u = 1, 1
+scenario.box.t_lo = -20
+scenario.box.t_hi = 20
+scenario.box.u_min = 1.0
+scenario.box.u_max = 1.0
+solver.iterations = 50
+experiment.n = 200
+"""
+
+# Runs in a fresh interpreter (this one has loaded scipy through the tests'
+# oracles): prints the loaded scipy modules after the imports, after a solve
+# and after a certify.
+IMPORT_PROBE = """\
+import json, sys
+import gmblasso, gmblasso.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cfg, out = sys.argv[1:]
+after = {"import": loaded()}
+gmblasso.cli.main(["solve", "--config", cfg, "--out", out + "/solve"])
+after["solve"] = loaded()
+gmblasso.cli.main(["certify", "--config", cfg, "--out", out + "/certify"])
+after["certify"] = loaded()
+print(json.dumps(after))
+"""
+
+
+def test_scipy_loaded_only_by_certify(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SCENARIO)
+    src = str(Path(gmblasso.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(cfg),
+                           str(tmp_path)], env=env, text=True,
+                          stdout=subprocess.PIPE, check=True)
+    after = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert after["import"] == []
+    assert after["solve"] == []
+    assert "scipy.linalg" in after["certify"]
+    assert not [m for m in after["certify"]
+                if m == "scipy.stats" or m.startswith("scipy.stats.")]
