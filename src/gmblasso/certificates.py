@@ -63,6 +63,9 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-9
+# a sample violates a clause only beyond this margin, which absorbs
+# kernel-evaluation roundoff next to the anchors
+_VIOLATION_TOL = 1e-10
 _EVAL_BLOCK = 4096    # sample points per block in verify_nondegeneracy
 
 
@@ -127,27 +130,24 @@ def build_upsilon(anchors, ctx: KernelContext) -> CertificateSystem:
 
 
 def _solve_system(U: np.ndarray, rhs: np.ndarray):
-    """Solve U X = rhs for SPD-ish U with a conditioning fallback."""
+    """Solve U X = rhs for symmetric positive definite U by Cholesky.
+
+    A system that is not positive definite, or whose condition number
+    reaches _COND_LIMIT, has no certificate to solve for: its residual
+    would miss _RESIDUAL_TOL by orders of magnitude."""
     import scipy.linalg   # here, so that only certify pays its ~0.35 s import
     w = scipy.linalg.eigvalsh(U)
     lo, hi = float(w[0]), float(w[-1])
     cond = math.inf if lo <= 0 else hi / lo
-    X = None
-    if lo > 0 and cond < _COND_LIMIT:
-        c, low = scipy.linalg.cho_factor(U, lower=True)
-        X = scipy.linalg.cho_solve((c, low), rhs)
-    else:
-        # pivoted fallback for users feeding unseparated anchors
-        try:
-            lu, piv = scipy.linalg.lu_factor(U)
-            X = scipy.linalg.lu_solve((lu, piv), rhs)
-        except (scipy.linalg.LinAlgError, ValueError):
-            raise SingularSystemError("certificate system is singular", cond)
+    if cond >= _COND_LIMIT:
+        raise SingularSystemError(
+            "certificate system is singular or ill-conditioned", cond)
+    X = scipy.linalg.cho_solve(scipy.linalg.cho_factor(U, lower=True), rhs)
     resid = np.abs(U @ X - rhs).max(axis=0)
     if np.any(~np.isfinite(X)) or np.max(resid) >= _RESIDUAL_TOL:
         raise SingularSystemError(
             "certificate solve residual exceeds tolerance", cond)
-    return X, resid, cond
+    return X, resid
 
 
 def solve_certificates(system: CertificateSystem) -> CertificateSet:
@@ -157,7 +157,7 @@ def solve_certificates(system: CertificateSystem) -> CertificateSet:
     rhs = np.zeros((s * m, s + 1))
     rhs[::m, 0] = 1.0                    # global: value 1 at every anchor
     rhs[::m, 1:] = np.eye(s)             # local j: indicator values
-    X, resid, _ = _solve_system(system.upsilon, rhs)
+    X, resid = _solve_system(system.upsilon, rhs)
     coef = X.T.reshape(s + 1, s, m)
     psq = np.array([rhs[:, k] @ X[:, k] for k in range(s + 1)])
     return CertificateSet(system, coef[:, :, 0].copy(), coef[:, :, 1:].copy(),
@@ -337,7 +337,6 @@ class GridSpec:
     lowdisc_points: int = 100_000
     rays_per_region: int = 16
     points_per_ray: int = 64
-    violation_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -526,8 +525,8 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
     """Sample the box and evaluate every non-degeneracy clause.
 
     Margins are lhs - rhs of each clause inequality (nonpositive = holds);
-    a sample counts as a violation only beyond grid_spec.violation_tol,
-    which absorbs kernel-evaluation roundoff next to the anchors where both
+    a sample counts as a violation only beyond _VIOLATION_TOL, which
+    absorbs kernel-evaluation roundoff next to the anchors where both
     sides of the quadratic clauses vanish.
 
     The samples stream in blocks of at most _EVAL_BLOCK points: each block
@@ -539,11 +538,10 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
     """
     anchors, ctx = certs.system.anchors, certs.system.ctx
     s = len(anchors)
-    tol = grid_spec.violation_tol
 
     # group 0 holds the far points and group 1 + j the points near anchor j;
     # row k of a group is certificate k's clause on those points
-    groups = [_ClauseGroup(s + 1, tol) for _ in range(s + 1)]
+    groups = [_ClauseGroup(s + 1, _VIOLATION_TOL) for _ in range(s + 1)]
     far_rhs = np.r_[1 - consts.eps_0, np.full(s, 1 - consts.eps_tilde_0)][:, None]
     # |eta_l - [i == l]| near anchor i
     local_target = np.eye(s)[:, :, None]

@@ -58,7 +58,6 @@ from .measures import DiscreteMeasure, DomainBox
 from .solver import (
     ObjectiveContext,
     SolverConfig,
-    TraceRow,
     acceptance_check,
     cpgd_solve,
     initial_measure,
@@ -137,15 +136,6 @@ def _to_float_list(s: str):
     return [float(tok) for tok in _tokens(s)]
 
 
-def _to_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
-
-
 def _to_matrix(s: str, d: int):
     rows = [r for r in s.split(";") if r.strip()] if ";" in s else None
     if rows is None:
@@ -170,8 +160,7 @@ def _choice(*options):
 
 
 _REQUIRED = object()
-_SOLVER_PARSERS = {"int": _to_int, "float": float, "Optional[float]": float,
-                   "bool": _to_bool}
+_SOLVER_PARSERS = {"int": _to_int, "float": float, "Optional[float]": float}
 
 # Every config key, in the order it is read: key -> (parser, default).  The
 # parsed values are the resolved configuration recorded in each sidecar.
@@ -189,7 +178,7 @@ _KEYS = {
     "scenario.box.u_min": (float, _REQUIRED),
     "scenario.box.u_max": (float, _REQUIRED),
     **{f"solver.{f.name}": (_SOLVER_PARSERS[f.type], f.default)
-       for f in dataclasses.fields(SolverConfig) if f.name != "seed"},
+       for f in dataclasses.fields(SolverConfig)},
     "experiment.n": (_to_int, None),
     "experiment.n_grid": (lambda s: [_to_int(tok) for tok in _tokens(s)], []),
     "experiment.replications": (_to_nonnegative, 1),
@@ -274,9 +263,8 @@ def build_run_config(entries: dict) -> RunConfig:
         ctx = KernelContext(d, tau if tau is not None else box.u_min, box)
         mixture = GroundTruthMixture(
             DiscreteMeasure.from_arrays(np.asarray(weights, float), locs), ctx)
-        solver_cfg = SolverConfig(seed=v["seed.master"], **{
-            key[len("solver."):]: val for key, val in v.items()
-            if key.startswith("solver.")})
+        solver_cfg = SolverConfig(**{key[len("solver."):]: val for key, val in v.items()
+                                     if key.startswith("solver.")})
         kappa = v["experiment.kappa"]
         if kappa is not None and not 0 < kappa < math.inf:
             raise ValueError("experiment.kappa must be positive and finite")
@@ -320,8 +308,6 @@ def _load_run_config(args) -> RunConfig:
 # --------------------------------------------------------------------------
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
@@ -467,8 +453,14 @@ def _cmd_solve(args) -> int:
              "iterations_run": result.iterations_run, "acceptance": accepted}
     _write_csv(os.path.join(run.out_dir, "solve_measure.csv"), header,
                measure_rows, run.resolved, extra)
+    # the trace holds the C-free core J - C/2; the file adds C/2 back
+    half_c = 0.5 * octx.fidelity_constant
+    trace_rows = [(row.iteration, row.objective + half_c,
+                   row.objective - octx.kappa * row.tv + half_c, row.tv,
+                   row.step_w, row.step_x, row.atoms) for row in result.trace]
     _write_csv(os.path.join(run.out_dir, "solve_trace.csv"),
-               *_columns(TraceRow, result.trace), run.resolved, extra)
+               ("iteration", "objective", "fidelity", "tv", "step_w", "step_x",
+                "atoms"), trace_rows, run.resolved, extra)
     return 0 if accepted and not result.aborted else 1
 
 
@@ -484,15 +476,15 @@ def _cmd_rates(args) -> int:
                         run.tau_rule, run.seed, threads=args.threads,
                         solver=run.solver, effective_radii=run.effective_radii)
 
-    n_radii = len(report.effective_radii)
-    radius_cols = tuple(f"mass_error_r{i}" for i in range(1, n_radii))
+    # every row, failed or not, has one mass error per radius
+    radius_cols = tuple(f"mass_error_r{i}"
+                        for i in range(1, len(report.effective_radii)))
     rows = []
     for row in report.rows:   # runtime deliberately not written: not reproducible
-        by_radius = row.mass_error_by_radius + (math.nan,) * (n_radii - len(
-            row.mass_error_by_radius))
+        first, *others = row.mass_error_by_radius
         rows.append((row.n, row.replication, row.kappa, row.tau, row.ok,
-                     row.error or "", by_radius[0], row.far_mass,
-                     *by_radius[1:], row.tv_error, row.prediction_error,
+                     row.error or "", first, row.far_mass, *others,
+                     row.tv_error, row.prediction_error,
                      row.atoms, row.exactly_one_each, row.converged))
     _write_csv(os.path.join(run.out_dir, "rates_replications.csv"),
                ("n", "replication", "kappa", "tau", "ok", "error", "mass_error",

@@ -346,8 +346,7 @@ def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
         raise ValueError(f"threads must be at least 1, got {threads}")
     n_grid = tuple(int(n) for n in n_grid)
     radii = tuple(effective_radii) if effective_radii else (near_radius(scenario.d),)
-    base = solver if solver is not None else SolverConfig()
-    solver_cfg = replace(base, record_trace=False)
+    solver_cfg = solver if solver is not None else SolverConfig()
     args = [(scenario, n, i, rep, kappa_rule, tau_rule, seed, solver_cfg, radii)
             for i, n in enumerate(n_grid) for rep in range(replications)]
 

@@ -114,6 +114,11 @@ def objective(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
     return J + 0.5 * octx.fidelity_constant
 
 
+# the objective builds (s, s, 2d) kernel arrays over the s <= max_particles
+# atoms; at this bound one evaluation peaks near 0.1 GB in d = 1, 0.25 GB in d = 3
+_MAX_PARTICLES = 1024
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Particle-descent settings; None values resolve to scale-aware defaults.
@@ -132,12 +137,11 @@ class SolverConfig:
     tolerance: float = 1e-11
     patience: int = 20
     max_backtracks: int = 30
-    seed: int = 0
-    record_trace: bool = True
 
     def __post_init__(self):
-        if self.max_particles < 1:
-            raise ValueError("need max_particles >= 1")
+        if not 1 <= self.max_particles <= _MAX_PARTICLES:
+            raise ValueError(f"need 1 <= max_particles <= {_MAX_PARTICLES}, "
+                             f"got {self.max_particles}")
         if self.iterations < 1:
             raise ValueError("need iterations >= 1")
         if self.patience < 1:
@@ -163,9 +167,10 @@ def _resolved_merge_radius(cfg: SolverConfig, d: int) -> float:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One iteration; objective is the C-free core J - C/2."""
+
     iteration: int
     objective: float
-    fidelity: float
     tv: float
     step_w: float
     step_x: float
@@ -187,7 +192,7 @@ class SolverResult:
 
 
 def initial_measure(octx: ObjectiveContext, cfg: SolverConfig,
-                    rng: Optional[np.random.Generator] = None) -> DiscreteMeasure:
+                    rng: np.random.Generator) -> DiscreteMeasure:
     """Data-driven start: means from a random sample subset, u at the
     geometric mid-scale, uniform weights at amplitude 1/K.
 
@@ -197,7 +202,6 @@ def initial_measure(octx: ObjectiveContext, cfg: SolverConfig,
     and particles cannot cross the exponentially flat gap between
     well-separated modes afterwards.
     """
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     X = octx.samples
     box = octx.ctx.box
     K = cfg.max_particles
@@ -333,11 +337,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
                     w, pts, terms = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
                 J, gw, gx = terms
 
-        if cfg.record_trace:
-            C = octx.fidelity_constant
-            tv = float(np.sum(w))
-            trace.append(TraceRow(it, J + 0.5 * C, J - octx.kappa * tv + 0.5 * C,
-                                  tv, eta_w, eta_x, len(w)))
+        trace.append(TraceRow(it, J, float(np.sum(w)), eta_w, eta_x, len(w)))
 
         still = still + 1 if drop <= cfg.tolerance * max(1.0, abs(J)) else 0
         if still >= cfg.patience:

@@ -116,8 +116,7 @@ def tuned_solver():
     """Settings used throughout the rate experiments: generous steps with
     backtracking, frequent merges at the near-region scale."""
     return SolverConfig(iterations=1000, step_w=4.0, step_x=8.0,
-                        merge_radius=0.605, merge_period=10,
-                        record_trace=False)
+                        merge_radius=0.605, merge_period=10)
 
 
 def sorted_atoms(mu: DiscreteMeasure):

@@ -203,6 +203,14 @@ class TestSolve:
         fd = fd_gradient(lambda z: certificate_values(certs, z[None, :])[0, 0], x)
         assert rel_error(g, fd) < 1e-6
 
+    def test_near_coincident_anchors_raise(self, sep_ctx):
+        # a gap of 0.1 in t gives a condition number of about 5e16: no
+        # certificate is solved for, and the error names the estimate
+        system = build_upsilon(np.array([[0.0, 1.0], [0.1, 1.0]]), sep_ctx)
+        with pytest.raises(SingularSystemError, match="ill-conditioned") as err:
+            solve_certificates(system)
+        assert err.value.condition_estimate >= certificates._COND_LIMIT
+
     def test_decay_away_from_anchors(self, sep_system):
         certs = solve_certificates(sep_system)
         mid = np.array([[0.0, 1.0]])
@@ -423,7 +431,7 @@ def _oracle_verify(certs, consts, spec):
     frdist[idx] = fr_distance_pairs(P[idx], anchors[region[idx]], ctx)
     far = region < 0
     near = [region == j for j in range(s)]
-    tol = spec.violation_tol
+    tol = certificates._VIOLATION_TOL
 
     targets = np.vstack([np.ones(s), np.eye(s)])
     interp = np.concatenate([

@@ -116,6 +116,37 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError):
             build_run_config(parse_config_text(text))
 
+    def test_per_coordinate_box_bounds(self):
+        text = ("kernel.d = 2\n"
+                "kernel.tau = 1.0\n"
+                "scenario.weights = 0.5, 0.5\n"
+                "scenario.t = -5 0; 5 8\n"
+                "scenario.u = 1 1; 1 1\n"
+                "scenario.box.t_lo = -10, -2\n"
+                "scenario.box.t_hi = 10, 12\n"
+                "scenario.box.u_min = 1.0\n"
+                "scenario.box.u_max = 1.0\n")
+        run = build_run_config(parse_config_text(text))
+        assert run.box.t_lo == (-10.0, -2.0) and run.box.t_hi == (10.0, 12.0)
+        assert run.resolved["scenario.box.t_lo"] == [-10.0, -2.0]
+        assert run.resolved["scenario.box.t_hi"] == [10.0, 12.0]
+
+    def test_box_bound_list_of_wrong_length_exit_2(self, tmp_path, capsys):
+        text = ("kernel.d = 2\n"
+                "kernel.tau = 1.0\n"
+                "scenario.weights = 0.5, 0.5\n"
+                "scenario.t = -5 0; 5 8\n"
+                "scenario.u = 1 1; 1 1\n"
+                "scenario.box.t_lo = -10, -2, -3\n"
+                "scenario.box.t_hi = 10\n"
+                "scenario.box.u_min = 1.0\n"
+                "scenario.box.u_max = 1.0\n"
+                f"output.dir = {tmp_path}/out\n")
+        assert main(["certify", "--config", write_cfg(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            "config error: scenario.box.t_lo needs 1 or 2 entries, got 3"
+        assert not (tmp_path / "out").exists()
+
     def test_domain_error_becomes_config_error(self):
         text = SEPARATED.replace("scenario.weights = 0.5, 0.5",
                                  "scenario.weights = 0.7, 0.5")
@@ -153,7 +184,6 @@ class TestBuildRunConfig:
             "solver.merge_radius": None, "solver.prune_threshold": None,
             "solver.merge_period": 25, "solver.tolerance": 1e-11,
             "solver.patience": 20, "solver.max_backtracks": 30,
-            "solver.record_trace": True,
             "experiment.n": None, "experiment.n_grid": [],
             "experiment.replications": 1, "experiment.kappa_rule": "agnostic",
             "experiment.kappa": None, "experiment.r_e": None,
@@ -164,8 +194,7 @@ class TestBuildRunConfig:
         # same JSON too, so ints stay ints in the sidecar
         assert json.dumps(resolved, sort_keys=True) == \
             json.dumps(expected, sort_keys=True)
-        solver_keys = {f"solver.{f.name}" for f in dataclasses.fields(SolverConfig)
-                       if f.name != "seed"}
+        solver_keys = {f"solver.{f.name}" for f in dataclasses.fields(SolverConfig)}
         assert solver_keys <= set(resolved)
 
 
@@ -199,6 +228,25 @@ class TestCertify:
         clauses = read_rows(tmp_path / "out" / "certify_clauses.csv")
         sep_row = clauses[1]
         assert sep_row[0] == "separation" and sep_row[5] == "false"
+
+    def test_coincident_components_exit_1(self, tmp_path):
+        # two identical components: the certificate system is singular, and
+        # certify reports it as a failed clause instead of raising
+        text = SEPARATED.replace("scenario.t = -13, 13", "scenario.t = 2, 2")
+        cfg = write_cfg(tmp_path, text + f"output.dir = {tmp_path}/out\n")
+        assert main(["certify", "--config", cfg]) == 1
+        clauses = read_rows(tmp_path / "out" / "certify_clauses.csv")
+        assert [row[0] for row in clauses[1:]] == ["separation", "certificate-system"]
+        assert clauses[2] == ["certificate-system", "0", "inf", "", "1", "false"]
+        assert read_rows(tmp_path / "out" / "certify_solutions.csv") == [
+            ["kind", "index", "p_norm", "residual", "p_norm_sq_bound", "within_bound"]]
+        for name in ("certify_clauses.csv", "certify_solutions.csv"):
+            meta = read_meta(tmp_path / "out" / f"{name}.meta.json")
+            assert meta["all_clauses_pass"] is False
+            assert meta["separation_satisfied"] is False
+            assert meta["error"] == ("singular certificate system (anchors 0 and 1 "
+                                     "coincide; system is singular (condition "
+                                     "estimate inf))")
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "kernel.d 1\n")
@@ -345,6 +393,23 @@ class TestSolve:
         assert main(["solve", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config") and "patience" in err
+
+    def test_kappa_override_is_used(self, tmp_path):
+        cfg = self._config(tmp_path, extra="experiment.kappa = 0.02\n")
+        assert main(["solve", "--config", cfg]) == 0
+        for name in ("solve_measure.csv", "solve_trace.csv"):
+            meta = read_meta(tmp_path / "out" / f"{name}.meta.json")
+            assert meta["kappa"] == 0.02
+            assert meta["config"]["experiment.kappa"] == 0.02
+
+    def test_max_particles_above_bound_exit_2(self, tmp_path, capsys):
+        # (s, s, 2d) kernel arrays at s = 1e5 would need about 75 GiB; the
+        # config is refused before any sample is drawn
+        cfg = self._config(tmp_path, extra="solver.max_particles = 100000\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err.strip() == \
+            "config error: need 1 <= max_particles <= 1024, got 100000"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
     def test_bad_kappa_exit_2(self, tmp_path, capsys, kappa):

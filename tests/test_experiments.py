@@ -220,8 +220,7 @@ class TestSparsity:
 @pytest.fixture(scope="module")
 def quick_cfg():
     return SolverConfig(max_particles=4, iterations=40, step_w=4.0,
-                        step_x=8.0, merge_radius=0.605, merge_period=10,
-                        record_trace=False)
+                        step_x=8.0, merge_radius=0.605, merge_period=10)
 
 
 class TestRateSweep:

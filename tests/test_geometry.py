@@ -185,6 +185,20 @@ class TestGeodesics:
         assert still.kinds == ("constant",)
         assert still.length == 0.0
 
+    def test_constant_coordinate_plane(self, ctx2):
+        # the endpoints agree in plane 0 (t_0, u_0): it stays fixed along the
+        # geodesic, and the length is plane 1's distance alone
+        x = np.array([0.5, -1.0, 0.8, 1.2])
+        y = np.array([0.5, 2.0, 0.8, 0.7])
+        spec = geodesic_spec(x, y, ctx2)
+        assert spec.kinds == ("constant", "semicircle")
+        pts = spec.point(np.linspace(0.0, 1.0, 17))
+        np.testing.assert_allclose(pts[:, [0, 2]], np.broadcast_to(x[[0, 2]], (17, 2)),
+                                   rtol=1e-15)
+        assert spec.length == pytest.approx(
+            float(fr_distance_pairs(x[[1, 3]], y[[1, 3]], ctx2)), rel=1e-15)
+        np.testing.assert_allclose(pts[[0, -1]], np.stack([x, y]), rtol=1e-12)
+
     def test_semidistance_monotone_along_geodesic(self, ctx1):
         # y -> semidistance(x0, gamma(y)) is nondecreasing while inside the
         # near region

@@ -39,6 +39,10 @@ def small_octx(ctx1):
     return ObjectiveContext(samples, 0.05, ctx1)
 
 
+def _start(octx, cfg, seed=0):
+    return initial_measure(octx, cfg, np.random.default_rng(seed))
+
+
 def _measure(rng, m, box):
     pts = random_locations(rng, m, box, margin=0.1)
     return DiscreteMeasure.from_arrays(0.05 + 0.4 * rng.random(m), pts)
@@ -233,7 +237,7 @@ class TestPruneMerge:
 class TestInitialMeasure:
     def test_in_box_positive_weights(self, small_octx):
         cfg = SolverConfig(max_particles=8)
-        mu = initial_measure(small_octx, cfg)
+        mu = initial_measure(small_octx, cfg, np.random.default_rng(0))
         assert mu.s == 8
         assert np.all(mu.weights > 0)
         for x in mu.coords:
@@ -255,20 +259,21 @@ class TestInitialMeasure:
 
     def test_more_particles_than_samples(self, ctx1):
         octx = ObjectiveContext(np.array([0.0, 1.0]), 0.05, ctx1)
-        mu = initial_measure(octx, SolverConfig(max_particles=8))
+        mu = initial_measure(octx, SolverConfig(max_particles=8),
+                             np.random.default_rng(0))
         assert mu.s == 8
 
     def test_deterministic_given_seed(self, small_octx):
-        cfg = SolverConfig(max_particles=6, seed=123)
-        a = initial_measure(small_octx, cfg)
-        b = initial_measure(small_octx, cfg)
+        cfg = SolverConfig(max_particles=6)
+        a = initial_measure(small_octx, cfg, np.random.default_rng(123))
+        b = initial_measure(small_octx, cfg, np.random.default_rng(123))
         np.testing.assert_array_equal(a.locations_array(), b.locations_array())
 
 
 class TestDescent:
     def test_monotone_trace(self, small_octx):
-        cfg = SolverConfig(iterations=60, record_trace=True)
-        res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
+        cfg = SolverConfig(iterations=60)
+        res = cpgd_solve(_start(small_octx, cfg), small_octx, cfg)
         vals = [row.objective for row in res.trace]
         assert len(vals) > 0
         assert np.all(np.diff(vals) <= 1e-12)
@@ -306,8 +311,8 @@ class TestDescent:
 
         monkeypatch.setattr(solver, "data_witness", counted)
         cfg = SolverConfig(iterations=40, max_backtracks=0, merge_period=0,
-                           prune_threshold=0.0, record_trace=False)
-        res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
+                           prune_threshold=0.0)
+        res = cpgd_solve(_start(small_octx, cfg), small_octx, cfg)
         assert res.iterations_run > 1
         assert len(calls) <= res.iterations_run + 2
 
@@ -322,8 +327,7 @@ class TestDescent:
         octx = ObjectiveContext(X, rec.kappa_agnostic, ctx)
         cfg = SolverConfig(iterations=400, step_w=4.0, step_x=8.0,
                            merge_radius=0.605, merge_period=10,
-                           prune_threshold=rec.kappa_agnostic / 2,
-                           record_trace=False)
+                           prune_threshold=rec.kappa_agnostic / 2)
         res = cpgd_solve(initial_measure(octx, cfg, rng), octx, cfg)
         assert not res.aborted
         assert res.measure.s == 1
@@ -337,7 +341,7 @@ class TestDescent:
         rng = np.random.default_rng(61)
         X = sample(sep_mixture, 300, rng)
         octx = ObjectiveContext(X, 0.05, sep_ctx)
-        cfg = SolverConfig(max_particles=1, iterations=40, record_trace=False)
+        cfg = SolverConfig(max_particles=1, iterations=40)
         res = cpgd_solve(initial_measure(octx, cfg, rng), octx, cfg)
         assert not res.aborted
         assert res.measure.s <= 1
@@ -347,9 +351,8 @@ class TestDescent:
         # treadmill below the convergence tolerance forever
         cfg = SolverConfig(iterations=2000, step_w=2.0, step_x=4.0,
                            prune_threshold=small_octx.kappa / 2,
-                           merge_period=10, tolerance=1e-9,
-                           record_trace=False)
-        res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
+                           merge_period=10, tolerance=1e-9)
+        res = cpgd_solve(_start(small_octx, cfg), small_octx, cfg)
         assert res.converged
         assert res.iterations_run < 2000
         assert np.all(res.measure.weights >= small_octx.kappa / 2)
@@ -361,9 +364,8 @@ class TestDescent:
         # atoms lowers it; the merge alone must still go through
         cfg = SolverConfig(iterations=2000, step_w=2.0, step_x=4.0,
                            prune_threshold=small_octx.kappa / 2,
-                           merge_period=10, tolerance=1e-9,
-                           record_trace=True)
-        res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
+                           merge_period=10, tolerance=1e-9)
+        res = cpgd_solve(_start(small_octx, cfg), small_octx, cfg)
         assert res.converged
         assert res.trace[-1].atoms <= 2
 
@@ -376,10 +378,11 @@ class TestDescent:
         X = sample(mix, 5000, 0)
         rec = recommended_parameters(5000, 1, ctx.tau, box)
         octx = ObjectiveContext(X, rec.kappa_agnostic, ctx)
-        cfg = SolverConfig(merge_radius=3.0, merge_period=0, record_trace=True)
-        res = cpgd_solve(initial_measure(octx, cfg), octx, cfg)
+        cfg = SolverConfig(merge_radius=3.0, merge_period=0)
+        res = cpgd_solve(_start(octx, cfg), octx, cfg)
         assert res.measure.s >= 2
-        assert objective(res.measure, octx) <= res.trace[-1].objective
+        assert objective(res.measure, octx) <= \
+            res.trace[-1].objective + 0.5 * octx.fidelity_constant
 
     def test_stall_is_not_convergence(self, sep_mixture, sep_ctx):
         # steps this large fail their only backtrack on every iteration
@@ -387,7 +390,7 @@ class TestDescent:
         rec = recommended_parameters(2000, 1, sep_ctx.tau, sep_ctx.box)
         octx = ObjectiveContext(X, rec.kappa_agnostic, sep_ctx)
         cfg = SolverConfig(step_w=1e6, step_x=1e6, max_backtracks=0, patience=5)
-        res = cpgd_solve(initial_measure(octx, cfg), octx, cfg)
+        res = cpgd_solve(_start(octx, cfg), octx, cfg)
         assert res.stalled and not res.converged
         assert res.iterations_run == 5
         assert len({row.objective for row in res.trace}) == 1
@@ -412,20 +415,20 @@ class TestInvariants:
         cfg = SolverConfig(max_particles=4, iterations=25, step_w=step,
                            step_x=step, merge_radius=merge_radius,
                            merge_period=merge_period, prune_threshold=0.0,
-                           max_backtracks=max_backtracks, patience=patience,
-                           seed=seed, record_trace=True)
-        res = cpgd_solve(initial_measure(octx, cfg), octx, cfg)
+                           max_backtracks=max_backtracks, patience=patience)
+        res = cpgd_solve(_start(octx, cfg, seed), octx, cfg)
         assert not (res.converged and res.stalled)
         assert ctx1.box.contains(res.measure.coords)
         if res.trace:
-            assert objective(res.measure, octx) <= res.trace[-1].objective
+            assert objective(res.measure, octx) <= \
+                res.trace[-1].objective + 0.5 * octx.fidelity_constant
 
 
 class TestAcceptanceCheck:
     def test_accepts_optimized(self, small_octx):
-        cfg = SolverConfig(iterations=150, record_trace=False)
-        res = cpgd_solve(initial_measure(small_octx, cfg), small_octx, cfg)
-        start = initial_measure(small_octx, cfg)
+        cfg = SolverConfig(iterations=150)
+        res = cpgd_solve(_start(small_octx, cfg), small_octx, cfg)
+        start = _start(small_octx, cfg)
         assert acceptance_check(res.measure, start, small_octx)
 
     def test_rejects_worse_measure(self, small_octx):
@@ -500,6 +503,11 @@ class TestSolverConfig:
                 ("prune_threshold", -1e-6), ("prune_threshold", math.nan)]:
             with pytest.raises(ValueError, match=field.split("_")[0]):
                 SolverConfig(**{field: value})
+
+    def test_max_particles_is_bounded(self):
+        assert SolverConfig(max_particles=1024).max_particles == 1024
+        with pytest.raises(ValueError, match="max_particles <= 1024, got 1025"):
+            SolverConfig(max_particles=1025)
 
     def test_default_merge_radius_scales_with_d(self):
         from gmblasso.solver import _resolved_merge_radius
