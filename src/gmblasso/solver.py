@@ -337,7 +337,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
                     w, pts, terms = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
                 J, gw, gx = terms
 
-        trace.append(TraceRow(it, J, float(np.sum(w)), eta_w, eta_x, len(w)))
+        trace.append(TraceRow(it, J, float(w.sum()), eta_w, eta_x, len(w)))
 
         still = still + 1 if drop <= cfg.tolerance * max(1.0, abs(J)) else 0
         if still >= cfg.patience:
