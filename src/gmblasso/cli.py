@@ -6,9 +6,10 @@ Configuration grammar (UTF-8, line oriented):
     section.key = value
 
 Values are scalars, comma-separated lists, or (for per-atom coordinates in
-d > 1) semicolon-separated rows of whitespace-separated numbers. Parse and
-validation problems are reported as ``config:LINE:COL: message`` and exit
-with status 2; failed checks exit 1; success exits 0.
+d > 1) semicolon-separated rows of whitespace-separated numbers; a single
+row needs no semicolon. Parse and validation problems are reported as
+``config:LINE:COL: message`` and exit with status 2; failed checks exit 1;
+success exits 0.
 
 All CSV output uses shortest round-trip float formatting and ``\n``
 terminators so identical configurations reproduce byte-identical files
@@ -58,6 +59,7 @@ from .measures import DiscreteMeasure, DomainBox
 from .solver import (
     ObjectiveContext,
     SolverConfig,
+    SolverConfigError,
     acceptance_check,
     cpgd_solve,
     initial_measure,
@@ -137,16 +139,20 @@ def _to_float_list(s: str):
 
 
 def _to_matrix(s: str, d: int):
-    rows = [r for r in s.split(";") if r.strip()] if ";" in s else None
-    if rows is None:
-        if d != 1:
-            raise ValueError("d > 1 needs ';'-separated rows of coordinates")
+    """Rows of d coordinates: ';'-separated rows, one value per row in d = 1,
+    or a single row of d values without ';'."""
+    if ";" in s:
+        rows = [r for r in s.split(";") if r.strip()]
+    elif d == 1:
         return [[v] for v in _to_float_list(s)]
+    else:
+        rows = [s]
     out = []
     for row in rows:
         vals = _to_float_list(row)
         if len(vals) != d:
-            raise ValueError(f"row {row.strip()!r} has {len(vals)} values, expected {d}")
+            raise ValueError(f"row {row.strip()!r} has {len(vals)} values, expected {d}"
+                             + ("" if ";" in s else "; separate rows with ';'"))
         out.append(vals)
     return out
 
@@ -273,6 +279,10 @@ def build_run_config(entries: dict) -> RunConfig:
         if radii is not None and not all(0 < r <= near_radius(d) for r in radii):
             raise ValueError("experiment.r_e entries must lie in "
                              f"(0, {near_radius(d)}]")
+    except SolverConfigError as exc:
+        # defaults are in range, so the offending value came from the config
+        key = f"solver.{exc.field}"
+        raise ConfigError(f"{key}: {exc}", *entries[key][1:]) from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

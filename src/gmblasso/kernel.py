@@ -27,7 +27,11 @@ where phi(.; m, v) is the Gaussian density with mean m and variance v.
 These sums over the n samples are computed directly, in blocks of samples,
 or from a Hermite moment table of the samples (MomentTable, the moment form
 of the fast Gauss transform) at O(cells p^d) per target; choose_table picks
-the table when that work is the smaller.
+the table when that work is the smaller.  The pair sum behind the data
+constant, sum_ii' lambda(X_i - X_i'), is either the exact blocked sum, O(n^2),
+or a contraction of the table's moments over pairs of cells,
+O(cells^2 p^(d+1)) and free of n; choose_pair_table picks between them the
+same way.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ __all__ = [
     "MomentTable",
     "moment_table",
     "choose_table",
+    "choose_pair_table",
     "data_witness",
     "lambda_pair",
     "lambda_sum",
@@ -314,8 +319,17 @@ _TABLE_RATIO = 0.5
 # measurement runs on a shared 2-core host.  Near the threshold (n = 1e3 on the
 # separated scenario) both paths cost about 0.2 ms per pair of calls.
 _TABLE_COST = 8.0
-# Hermite factors held at once by one target chunk of a table evaluation
+# values held at once by one chunk of a table evaluation: the Hermite factors
+# of a chunk of targets, or the moment products of a block of cell rows
 _TABLE_CHUNK = 2**18
+# the cell-pair form of the pair sum is chosen when
+# _PAIR_COST[d - 1] * cells^2 * p^(d+1) < n^2: its time per unit of that work
+# over the blocked pair sum's per ordered pair of samples.  On uniform data
+# at n = 2000-4000 (2-core host) it read 0.037-0.040 in d = 1 over 424-1799
+# cells (0.8-1.0 ns over 19-26 ns) and 0.005-0.006 in d = 2 over 25-1232
+# cells (0.25-0.30 ns over 43-63 ns); the d = 2 scenario's 125-193 cells
+# read 0.007-0.009
+_PAIR_COST = (0.04, 0.006)
 
 
 def _truncation_order(ratio: float) -> int:
@@ -411,6 +425,60 @@ class MomentTable:
         sums = sums.reshape(1 + 2 * d, m)
         return [sums[0], sums[1:1 + d].T, sums[1 + d:].T]
 
+    def pair_sum(self, delta: float) -> float:
+        """sum_{i,i'} prod_k exp(-(X_ik - X_i'k)^2 / delta^2) over all ordered
+        pairs of samples, for a width delta >= width, from the moments alone.
+
+        A source cell c's Hermite series, sum_a q^a moments[c, a] h_a((t - c)/delta)
+        with q = width/delta, is Taylor-expanded about s = (c' - c)/delta for the
+        targets t of a cell c', using h_a^(b) = (-1)^b h_{a+b}.  The cell pair
+        (c, c') then adds
+
+            sum_{a,b} moments[c, a] moments[c', b]
+                      * prod_k q^(a_k+b_k) (-1)^b_k h_{a_k+b_k}(s_k),
+
+        the moments of c contracted with one p x p Hankel matrix per coordinate
+        and then with those of c': O(p^(d+1)) work per pair of cells and none
+        per sample.  The pairs (c, c') and (c', c) add the same, as
+        h_N(-s) = (-1)^N h_N(s), so only c' >= c is built, a block of rows of
+        cells at a time.
+
+        Truncation: per pair of samples and coordinate, |q y| <= 1/2 in both
+        series, so by Cramer's inequality the dropped terms (a >= p or b >= p)
+        sum to at most K sum_{a or b >= p} 2^(-(a+b)/2) sqrt((a+b)!) / (a! b!)
+        relative to the pair's peak term, 1.0e-16 < 2^-53 at
+        p = _truncation_order(1/2) = 27.
+        """
+        delta = float(delta)
+        if delta < self.width * (1.0 - 1e-6):
+            raise ValueError("Gauss width below the moment table's cell width")
+        d, p = self.centers.shape[1], self.order
+        # q^a on both cells' moments, and (-1)^b on the target cell's
+        scale = (self.width / delta) ** np.arange(p)
+        source = self.moments * functools.reduce(np.multiply.outer, [scale] * d)
+        target = source * functools.reduce(np.multiply.outer,
+                                           [(-1.0) ** np.arange(p)] * d)
+        # blocks of cell rows c, each against the cells c' >= its first row;
+        # weight 1 on c' = c, 2 on c' > c and 0 below the diagonal
+        step = max(1, _TABLE_CHUNK // (self.cells * p**d))
+        total = 0.0
+        for c0 in range(0, self.cells, step):
+            # s[i, r] = (centers[c0 + r] - centers[c0 + i]) / delta, (rows, rest, d)
+            s = (self.centers[None, c0:] - self.centers[c0:c0 + step, None]) / delta
+            # hankel[i, r, k, a, b] = h_{a+b}(s[i, r, k]), a view
+            hankel = np.lib.stride_tricks.sliding_window_view(
+                _hermite_recurrence(s, 2 * p - 1), p, axis=-1)
+            # contract a_1, ..., a_d in turn; each b_k takes the last axis
+            shape = s.shape[:2] + (p,) * d
+            mixed = np.broadcast_to(source[c0:c0 + step, None], shape)
+            for k in range(d):
+                flat = np.moveaxis(mixed, 2, -1).reshape(s.shape[:2] + (-1, p))
+                mixed = (flat @ hankel[:, :, k]).reshape(shape)
+            pairs = (mixed * target[c0:]).reshape(s.shape[:2] + (-1,)).sum(axis=-1)
+            weight = np.triu(np.full(s.shape[:2], 2.0), 1) + np.eye(*s.shape[:2])
+            total += float((weight * pairs).sum())
+        return total
+
 
 @functools.lru_cache(maxsize=None)
 def _hermite_coefficients(count: int) -> np.ndarray:
@@ -441,6 +509,25 @@ def _hermite_functions(s: np.ndarray, count: int) -> np.ndarray:
         clipped = np.minimum(np.maximum(s, -40.0), 40.0)[..., None]
         clipped.repeat(count - 1, axis=-1).cumprod(axis=-1, out=powers[..., 1:])
     return (powers @ _hermite_coefficients(count).T) * np.exp(-s * s)[..., None]
+
+
+def _hermite_recurrence(s: np.ndarray, count: int) -> np.ndarray:
+    """h_a(s) = H_a(s) exp(-s^2) for a < count, shape s.shape + (count,), by
+    h_{a+1} = 2 s h_a - 2 a h_{a-1}.
+
+    Unlike the power form of _hermite_functions, the recurrence keeps its
+    digits at the orders up to 2p - 2 that the cell-pair sum needs.  Where
+    exp(-s^2) underflows to zero, every order is zero.
+    """
+    two_s = 2.0 * s
+    h = np.empty((count,) + s.shape)
+    h[0] = np.exp(-s * s)
+    if count > 1:
+        np.multiply(two_s, h[0], out=h[1])
+    for a in range(1, count - 1):
+        np.multiply(two_s, h[a], out=h[a + 1])
+        h[a + 1] -= 2.0 * a * h[a - 1]
+    return np.moveaxis(h, 0, -1)
 
 
 def _contract(moments, factors):
@@ -511,10 +598,9 @@ def _build_table(X, width, layout, order) -> MomentTable:
     return MomentTable(centers, np.ascontiguousarray(moments), width, n)
 
 
-def choose_table(samples: np.ndarray, delta: float) -> Optional[MomentTable]:
-    """The moment table for widths >= delta when its per-target work,
-    cells * p^d, undercuts n by _TABLE_COST; otherwise None (direct sum).
-    d >= 3 always takes the direct sum."""
+def _table_if_cheaper(samples, delta: float, cheaper) -> Optional[MomentTable]:
+    """The moment table for widths >= delta if cheaper(n, cells, p, d) holds
+    of its layout, otherwise None; d >= 3 always gets None."""
     X = _sample_matrix(samples)
     n, d = X.shape
     if d > 2:
@@ -522,9 +608,26 @@ def choose_table(samples: np.ndarray, delta: float) -> Optional[MomentTable]:
     width = float(delta)
     order = _truncation_order(_TABLE_RATIO)
     layout = _cell_layout(X, width)
-    if _TABLE_COST * len(layout[1]) * order**d >= n:
+    if not cheaper(n, len(layout[1]), order, d):
         return None
     return _build_table(X, width, layout, order)
+
+
+def choose_table(samples: np.ndarray, delta: float) -> Optional[MomentTable]:
+    """The moment table for widths >= delta when its per-target work,
+    cells * p^d, undercuts n by _TABLE_COST; otherwise None (direct sum).
+    d >= 3 always takes the direct sum."""
+    return _table_if_cheaper(samples, delta, lambda n, cells, p, d:
+                             _TABLE_COST * cells * p**d < n)
+
+
+def choose_pair_table(samples: np.ndarray, delta: float) -> Optional[MomentTable]:
+    """The moment table for lambda_sum at width delta when the cell-pair
+    work, cells^2 * p^(d+1), undercuts the n^2 of the pair sum by
+    _PAIR_COST[d - 1]; otherwise None (pair sum).  d >= 3 always takes the
+    pair sum."""
+    return _table_if_cheaper(samples, delta, lambda n, cells, p, d:
+                             _PAIR_COST[d - 1] * cells**2 * p**(d + 1) < n**2)
 
 
 def _direct_sums(P, X, tau, with_gradient):
@@ -611,9 +714,9 @@ def lambda_sum(samples: np.ndarray, ctx: KernelContext,
                table: Optional[MomentTable] = None) -> float:
     """sum_{i,i'} lambda(X_i - X_i') over all ordered pairs of samples.
 
-    Without a table this is a blocked exact pair sum; with a moment table of
-    the samples serving width sqrt(2) tau it is the table's Gauss sum at
-    every sample, times lambda's normalisation.
+    Without a table this is a blocked exact pair sum, O(n^2); with a moment
+    table of the samples serving width sqrt(2) tau it is the table's
+    cell-pair sum, MomentTable.pair_sum, times lambda(0).
     """
     X = _sample_matrix(samples)
     n = X.shape[0]
@@ -621,8 +724,7 @@ def lambda_sum(samples: np.ndarray, ctx: KernelContext,
     if table is not None:
         if table.n != n:
             raise ValueError("moment table built from other samples")
-        delta = math.sqrt(2.0) * ctx.tau
-        return lam0 * float(np.sum(table.hermite_sums(X, delta)[0]))
+        return lam0 * table.pair_sum(math.sqrt(2.0) * ctx.tau)
     total = n * lam0
     block = 2048
     for i0 in range(0, n, block):

@@ -8,8 +8,11 @@ In the omega parametrization the objective is pure kernel algebra,
 with the data constant C = (1/n^2) sum_ii' lambda(X_i - X_i').  C does not
 influence the optimization, so the iteration tracks the C-free core value and
 the constant is computed lazily only when a full objective value is actually
-requested.  The witness and C come from a Hermite moment table of the samples
-when its work per target is below the direct sum's (kernel.choose_table).
+requested.  The witness comes from a Hermite moment table of the samples when
+its work per target is below the direct sum's (kernel.choose_table).  C comes
+from a second table's sum over pairs of cells, whose work, cells^2 p^(d+1),
+does not grow with n, when that undercuts the n^2 pair sum
+(kernel.choose_pair_table).
 
 The solver performs multiplicative (conic) weight updates w <- w e^{-eta_w g}
 and metric-preconditioned position updates x <- clip(x - eta_x g_x^{-1} grad),
@@ -27,6 +30,7 @@ from .geometry import _from_halfplane, _halfplane, metric_diag_batch, near_radiu
 from .kernel import (
     KernelContext,
     MomentTable,
+    choose_pair_table,
     choose_table,
     data_witness,
     grad1_batch,
@@ -39,6 +43,7 @@ from .measures import DiscreteMeasure, weight_function
 __all__ = [
     "ObjectiveContext",
     "SolverConfig",
+    "SolverConfigError",
     "TraceRow",
     "SolverResult",
     "RecommendedParameters",
@@ -87,7 +92,7 @@ class ObjectiveContext:
         """C = (1/n^2) sum_{i,i'} lambda(X_i - X_i'), computed once per dataset."""
         if self._fidelity_constant is None:
             X = self.samples
-            table = choose_table(X, math.sqrt(2.0) * self.ctx.tau)
+            table = choose_pair_table(X, math.sqrt(2.0) * self.ctx.tau)
             self._fidelity_constant = lambda_sum(X, self.ctx, table) / self.n**2
         return self._fidelity_constant
 
@@ -119,6 +124,14 @@ def objective(mu_omega: DiscreteMeasure, octx: ObjectiveContext) -> float:
 _MAX_PARTICLES = 1024
 
 
+class SolverConfigError(ValueError):
+    """A SolverConfig value out of range; `field` names the setting."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Particle-descent settings; None values resolve to scale-aware defaults.
@@ -140,23 +153,25 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 1 <= self.max_particles <= _MAX_PARTICLES:
-            raise ValueError(f"need 1 <= max_particles <= {_MAX_PARTICLES}, "
-                             f"got {self.max_particles}")
+            raise SolverConfigError("max_particles",
+                                    f"need 1 <= max_particles <= {_MAX_PARTICLES}, "
+                                    f"got {self.max_particles}")
         if self.iterations < 1:
-            raise ValueError("need iterations >= 1")
+            raise SolverConfigError("iterations", "need iterations >= 1")
         if self.patience < 1:
-            raise ValueError("need patience >= 1")
+            raise SolverConfigError("patience", "need patience >= 1")
         if self.max_backtracks < 0:
-            raise ValueError("need max_backtracks >= 0")
+            raise SolverConfigError("max_backtracks", "need max_backtracks >= 0")
         if self.merge_period < 0:
-            raise ValueError("need merge_period >= 0")
-        if not (self.step_w > 0 and self.step_x > 0
-                and math.isfinite(self.step_w) and math.isfinite(self.step_x)):
-            raise ValueError("step sizes must be positive and finite")
+            raise SolverConfigError("merge_period", "need merge_period >= 0")
+        for name in ("step_w", "step_x"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise SolverConfigError(name, "step sizes must be positive and finite")
         for name in ("tolerance", "merge_radius", "prune_threshold"):
             value = getattr(self, name)
             if value is not None and not (value >= 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be nonnegative and finite")
+                raise SolverConfigError(name, f"{name} must be nonnegative and finite")
 
 
 def _resolved_merge_radius(cfg: SolverConfig, d: int) -> float:

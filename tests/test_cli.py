@@ -131,6 +131,43 @@ class TestBuildRunConfig:
         assert run.resolved["scenario.box.t_lo"] == [-10.0, -2.0]
         assert run.resolved["scenario.box.t_hi"] == [10.0, 12.0]
 
+    def test_single_coordinate_row_without_semicolon(self, tmp_path):
+        text = ("kernel.d = 2\n"
+                "kernel.tau = 1.0\n"
+                "scenario.weights = 1.0\n"
+                "scenario.t = 0 5\n"
+                "scenario.u = 1 1\n"
+                "scenario.box.t_lo = -8\n"
+                "scenario.box.t_hi = 8, 13\n"
+                "scenario.box.u_min = 1.0\n"
+                "scenario.box.u_max = 1.0\n"
+                + SOLVE_TUNING.replace("0.605", "0.214") +
+                "experiment.n = 500\n"
+                f"output.dir = {tmp_path}/out\n")
+        run = build_run_config(parse_config_text(text))
+        assert run.resolved["scenario.t"] == [[0.0, 5.0]]
+        assert run.resolved["scenario.u"] == [[1.0, 1.0]]
+        assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 0
+        assert read_rows(tmp_path / "out" / "solve_measure.csv")[0] == \
+            ["atom", "weight", "t_0", "t_1", "u_0", "u_1"]
+
+    def test_row_of_wrong_length_without_semicolon_exit_2(self, tmp_path, capsys):
+        text = ("kernel.d = 2\n"
+                "kernel.tau = 1.0\n"
+                "scenario.weights = 1.0\n"
+                "scenario.t = 0 5 7\n"
+                "scenario.u = 1 1\n"
+                "scenario.box.t_lo = -8\n"
+                "scenario.box.t_hi = 8\n"
+                "scenario.box.u_min = 1.0\n"
+                "scenario.box.u_max = 1.0\n"
+                f"output.dir = {tmp_path}/out\n")
+        assert main(["certify", "--config", write_cfg(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            ("config:4:14: scenario.t: row '0 5 7' has 3 values, expected 2; "
+             "separate rows with ';'")
+        assert not (tmp_path / "out").exists()
+
     def test_box_bound_list_of_wrong_length_exit_2(self, tmp_path, capsys):
         text = ("kernel.d = 2\n"
                 "kernel.tau = 1.0\n"
@@ -390,9 +427,22 @@ class TestSolve:
 
     def test_zero_patience_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, extra="solver.patience = 0\n")
+        line = len((tmp_path / "run.cfg").read_text().splitlines())
         assert main(["solve", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config") and "patience" in err
+        assert capsys.readouterr().err.strip() == \
+            f"config:{line}:19: solver.patience: need patience >= 1"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_backtracks", "-1", "need max_backtracks >= 0"),
+        ("tolerance", "-1e-9", "tolerance must be nonnegative and finite")])
+    def test_solver_range_error_at_key_position(self, tmp_path, capsys, key,
+                                                value, message):
+        cfg = self._config(tmp_path, extra=f"solver.{key} = {value}\n")
+        line = len((tmp_path / "run.cfg").read_text().splitlines())
+        col = len(f"solver.{key} = ") + 1
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"config:{line}:{col}: solver.{key}: {message}"
 
     def test_kappa_override_is_used(self, tmp_path):
         cfg = self._config(tmp_path, extra="experiment.kappa = 0.02\n")
@@ -406,9 +456,11 @@ class TestSolve:
         # (s, s, 2d) kernel arrays at s = 1e5 would need about 75 GiB; the
         # config is refused before any sample is drawn
         cfg = self._config(tmp_path, extra="solver.max_particles = 100000\n")
+        line = len((tmp_path / "run.cfg").read_text().splitlines())
         assert main(["solve", "--config", cfg]) == 2
-        assert capsys.readouterr().err.strip() == \
-            "config error: need 1 <= max_particles <= 1024, got 100000"
+        assert capsys.readouterr().err.strip() == (
+            f"config:{line}:24: solver.max_particles: "
+            "need 1 <= max_particles <= 1024, got 100000")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])

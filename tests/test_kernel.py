@@ -25,6 +25,11 @@ from gmblasso.geometry import metric_diag_batch
 from gmblasso import kernel as kernel_module
 from gmblasso.kernel import (
     _christoffel_coeffs,
+    _hermite_coefficients,
+    _hermite_functions,
+    _hermite_recurrence,
+    _truncation_order,
+    choose_pair_table,
     choose_table,
     grad1_batch,
     grad1_rhess2_batch,
@@ -437,11 +442,44 @@ class TestMomentTable:
         X = rng.normal(0.0, spread, size=(n, d))
         _assert_table_matches(_table_targets(rng, ctx.box, 9), X, ctx)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("tau_fraction", [1.0, 0.3])
+    def test_pair_sum_of_far_clusters(self, d, tau_fraction):
+        # clusters 40 delta apart: exp(-s^2), and with it every h_a(s) between
+        # them, underflows to zero
+        ctx = _table_ctx(d, tau_fraction)
+        delta = math.sqrt(2.0) * ctx.tau
+        rng = np.random.default_rng(30 + d)
+        near = rng.normal(0.0, 0.5, size=(40, d))
+        far = near[:25] + 40.0 * delta
+        X = np.concatenate([near, far])
+        C = lambda_sum(X, ctx, moment_table(X, delta))
+        assert C == pytest.approx(lambda_sum(X, ctx), rel=1e-13)
+        assert C == pytest.approx(lambda_sum(near, ctx) + lambda_sum(far, ctx),
+                                  rel=1e-13)
+
+    def test_pair_sum_truncation_bound(self):
+        # Cramer's bound on the terms a >= p or b >= p of the cell-pair double
+        # series, per pair of samples and coordinate with |q y| <= 1/2:
+        # K 2^(-(a+b)/2) sqrt((a+b)!) / (a! b!)
+        p = _truncation_order(0.5)
+
+        def term(a, b):
+            return kernel_module._CRAMER_K * math.exp(
+                -0.5 * (a + b) * math.log(2.0) + 0.5 * math.lgamma(a + b + 1)
+                - math.lgamma(a + 1) - math.lgamma(b + 1))
+
+        tail = sum(term(a, b) for a in range(200) for b in range(200)
+                   if a >= p or b >= p)
+        assert tail <= 2.0**-53
+
     def test_rejects_width_below_cells(self, ctx1):
         X = np.linspace(-1.0, 1.0, 30)
         table = moment_table(X, 2.0)
         with pytest.raises(ValueError, match="cell width"):
             data_witness(np.array([[0.0, 0.5]]), X, ctx1, table=table)
+        with pytest.raises(ValueError, match="cell width"):
+            table.pair_sum(1.0)
 
     def test_rejects_table_of_other_samples(self, ctx1):
         X = np.linspace(-1.0, 1.0, 30)
@@ -458,6 +496,50 @@ class TestMomentTable:
         assert choose_table(np.linspace(-1e4, 1e4, 20000), delta) is None
         # d >= 3 always takes the direct sum
         assert choose_table(rng.normal(size=(20000, 3)), delta) is None
+
+    def test_pair_choice_follows_the_work(self, ctx1):
+        rng = np.random.default_rng(32)
+        delta = math.sqrt(2.0) * ctx1.tau
+        assert choose_pair_table(rng.normal(size=2000), delta) is not None
+        assert choose_pair_table(rng.normal(size=(2000, 2)), delta) is not None
+        assert choose_pair_table(rng.uniform(-100.0, 100.0, size=3), delta) is None
+        # d = 2 data spread over as many cells as samples
+        assert choose_pair_table(rng.uniform(-1e3, 1e3, size=(2000, 2)),
+                                 delta) is None
+        # d >= 3 always takes the pair sum
+        assert choose_pair_table(rng.normal(size=(2000, 3)), delta) is None
+
+
+class TestHermiteRecurrence:
+    """h_a(s) = H_a(s) exp(-s^2) by recurrence, to the orders 2p - 2 of the
+    cell-pair sum."""
+
+    def test_matches_hermval(self):
+        from numpy.polynomial.hermite import hermval
+        count = 2 * _truncation_order(0.5) - 1
+        s = np.linspace(-6.0, 6.0, 241)
+        ref = np.stack([hermval(s, np.eye(count)[a]) for a in range(count)],
+                       axis=-1) * np.exp(-s * s)[:, None]
+        # Cramer's envelope 2^(a/2) sqrt(a!) exp(-s^2/2) of |h_a(s)|
+        a = np.arange(count)
+        envelope = np.exp(0.5 * a * math.log(2.0) + 0.5 * np.array(
+            [math.lgamma(k + 1) for k in a]) - 0.5 * (s * s)[:, None])
+        err = np.abs(_hermite_recurrence(s, count) - ref)
+        assert np.all(err <= 1e-13 * envelope)
+
+    def test_matches_power_form(self):
+        count = _truncation_order(0.5) + 2
+        s = np.linspace(-6.0, 6.0, 481)
+        # the power form's own rounding scale: the sum of its absolute terms
+        scale = ((np.abs(s)[:, None] ** np.arange(count))
+                 @ np.abs(_hermite_coefficients(count)).T) * np.exp(-s * s)[:, None]
+        err = np.abs(_hermite_recurrence(s, count) - _hermite_functions(s, count))
+        assert np.all(err <= 1e-14 * scale)
+
+    def test_underflow_gives_zeros(self):
+        h = _hermite_recurrence(np.array([[30.0, -45.0], [1e6, -1e6]]), 53)
+        assert h.shape == (2, 2, 53)
+        assert np.all(h == 0.0)
 
 
 class TestContext:

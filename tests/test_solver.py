@@ -75,7 +75,8 @@ class TestObjectiveContext:
         assert octx.fidelity_constant == pytest.approx(brute, rel=1e-12)
 
     def test_fidelity_constant_blocked_sum_large(self, ctx1):
-        # exceed one 2048 block to exercise the off-diagonal path
+        # n = 3000 exceeds one 2048 block of the pair sum; C takes the
+        # cell-pair form here
         rng = np.random.default_rng(52)
         X = rng.normal(size=3000)
         octx = ObjectiveContext(X, 0.1, ctx1)
