@@ -165,11 +165,15 @@ def solve_certificates(system: CertificateSystem) -> CertificateSet:
 
 
 def certificate_values(certs: CertificateSet, P: np.ndarray) -> np.ndarray:
-    """eta of each certificate at coordinate rows P (m, 2d), shape (k, m)."""
+    """eta of each certificate at coordinate rows P (m, 2d), shape (k, m).
+
+    The gradient block (2d, s, m) flattens to (2d s, m) without a copy, so
+    the beta terms of all k certificates are one GEMM."""
     pts, ctx = certs.system.anchors, certs.system.ctx
     P = np.asarray(P, dtype=float)
-    K, G1 = kernel_grad1_batch(pts[:, None, :], P[None, :, :], ctx)     # (s, m), (s, m, 2d)
-    return certs.alpha @ K + np.einsum("kjd,jmd->km", certs.beta, G1)
+    K, G1 = kernel_grad1_batch(pts[:, None, :], P[None, :, :], ctx)     # (s, m), (2d, s, m)
+    beta = certs.beta.transpose(0, 2, 1).reshape(len(certs.beta), -1)  # (k, 2d s)
+    return certs.alpha @ K + beta @ G1.reshape(beta.shape[1], -1)
 
 
 def certificate_gradients(certs: CertificateSet, P: np.ndarray) -> np.ndarray:
@@ -366,14 +370,15 @@ def _grid_blocks(t_axes, u_axes):
     """The tensor grid of the axes in blocks of at most _EVAL_BLOCK rows.
 
     Rows come by flat-index range in the order of meshgrid(indexing="ij").
+    Each block is the transpose of a C-contiguous (2d, rows) array, the
+    coordinate-first layout the kernel passes compute in.
     """
     axes = list(t_axes) + list(u_axes)
     shape = tuple(len(ax) for ax in axes)
     total = math.prod(shape)
     for lo in range(0, total, _EVAL_BLOCK):
         flat = np.arange(lo, min(lo + _EVAL_BLOCK, total))
-        yield np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))],
-                       axis=-1)
+        yield np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))]).T
 
 
 def _near_bounding_axes(anchor: np.ndarray, r: float, ctx: KernelContext, spec: GridSpec):

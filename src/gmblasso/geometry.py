@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelContext, _split, semi_distance_pairs
+from .kernel import KernelContext, _firsts, semi_distance_pairs
 
 __all__ = [
     "GeodesicSpec",
@@ -41,15 +41,22 @@ def near_radius(d: int) -> float:
 
 
 def metric_diag_batch(x, tau: float) -> np.ndarray:
-    _, u = _split(x)
+    x = np.asarray(x, dtype=float)
+    u = x[..., x.shape[-1] // 2:]
     B = 2 * u**2 + tau**2
     return np.concatenate([1.0 / B, 2 * u**2 / B**2], axis=-1)
 
 
+def _height(u, tau: float):
+    """Half-plane height h = sqrt(u^2 + tau^2/2) of scales u of any layout."""
+    return np.sqrt(u**2 + tau**2 / 2)
+
+
 def _halfplane(x, tau: float):
-    """Half-plane coordinates (t, h) of x, h = sqrt(u^2 + tau^2/2)."""
-    t, u = _split(x)
-    return t, np.sqrt(u**2 + tau**2 / 2)
+    """Half-plane coordinates (t, h) of rows x (..., 2d)."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1] // 2
+    return x[..., :d], _height(x[..., d:], tau)
 
 
 def _from_halfplane(t, h, tau: float) -> np.ndarray:
@@ -59,9 +66,11 @@ def _from_halfplane(t, h, tau: float) -> np.ndarray:
 
 
 def fr_distance_coord(x, y, tau: float) -> np.ndarray:
-    """Per-coordinate Fisher-Rao distances, shape (..., d)."""
-    t, h = _halfplane(x, tau)
-    tp, hp = _halfplane(y, tau)
+    """Per-coordinate Fisher-Rao distances (d, ...) of coordinate-first x
+    and y (2d, ...)."""
+    d = len(x) // 2
+    t, h = x[:d], _height(x[d:], tau)
+    tp, hp = y[:d], _height(y[d:], tau)
     near = np.hypot(t - tp, h - hp)
     far = np.hypot(t - tp, h + hp)
     ratio = (near + far) / (2 * np.sqrt(h * hp))
@@ -69,8 +78,8 @@ def fr_distance_coord(x, y, tau: float) -> np.ndarray:
 
 
 def fr_distance_pairs(x, y, ctx: KernelContext) -> np.ndarray:
-    per = fr_distance_coord(np.asarray(x, float), np.asarray(y, float), ctx.tau)
-    return np.sqrt(np.sum(per**2, axis=-1))
+    per = fr_distance_coord(*_firsts(x, y), ctx.tau)
+    return np.sqrt((per**2).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,8 @@ def region_index_batch(P: np.ndarray, anchors: np.ndarray, r: float,
     radius r, or -1 for far; ties break to the smallest index."""
     if len(anchors) == 0:
         return np.full(len(P), -1)
-    dist = semi_distance_pairs(P[:, None, :], anchors[None, :, :], ctx)
-    j = np.argmin(dist, axis=1)
-    out = np.where(dist[np.arange(len(P)), j] <= r, j, -1)
-    return out
+    # anchors first, so the point axis is the long contiguous one; the
+    # semi-distance is symmetric bit for bit
+    dist = semi_distance_pairs(anchors[:, None, :], P[None, :, :], ctx)
+    j = np.argmin(dist, axis=0)
+    return np.where(dist[j, np.arange(len(P))] <= r, j, -1)

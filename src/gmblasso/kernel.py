@@ -86,18 +86,35 @@ class KernelContext:
 
 
 # --------------------------------------------------------------------------
-# vectorized core: inputs are coordinate arrays (..., 2d), broadcastable
+# vectorized core.  The public functions take coordinate rows (..., 2d) that
+# broadcast against each other.  The core computes on C-contiguous
+# coordinate-first copies (2d, ...), so each ufunc runs one contiguous loop
+# over the pairs, not one loop of length d per pair, and the sums over
+# coordinates add whole rows.
 # --------------------------------------------------------------------------
 
-def _split(x):
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
-    return x[..., :d], x[..., d:]
+def _firsts(*rows):
+    """Coordinate rows (..., 2d) as C-contiguous coordinate-first copies
+    (2d, ...) of one rank, which broadcast as the rows do."""
+    rows = [np.asarray(x, dtype=float) for x in rows]
+    nd = max(x.ndim for x in rows)
+    axes = (nd - 1,) + tuple(range(nd - 1))
+    return [np.ascontiguousarray(x.reshape((1,) * (nd - x.ndim) + x.shape)
+                                 .transpose(axes)) for x in rows]
+
+
+def _rows(a, k=1):
+    """An array with k leading coordinate axes, (2d, ..., pairs...), as
+    C-contiguous rows (pairs..., 2d, ...)."""
+    return np.ascontiguousarray(a.transpose(tuple(range(k, a.ndim)) + tuple(range(k))))
 
 
 def _abc(x, y, tau):
-    t, u = _split(x)
-    tp, up = _split(y)
+    """u, u', A, B, C and dt = t - t', each (d, ...), of coordinate-first x
+    and y (2d, ...)."""
+    d = len(x) // 2
+    t, u = x[:d], x[d:]
+    tp, up = y[:d], y[d:]
     A = u**2 + up**2 + tau**2
     B = 2 * u**2 + tau**2
     C = 2 * up**2 + tau**2
@@ -112,9 +129,9 @@ def _logcosh(z):
 
 def semi_distance_sq_pairs(x, y, ctx: KernelContext):
     """Per-pair squared semi-distance; clamped at 0 against rounding."""
-    _, _, A, B, C, dt = _abc(x, y, ctx.tau)
+    _, _, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
     per = dt**2 / A + _logcosh(0.5 * (np.log(B) - np.log(C)))
-    return np.maximum(np.sum(per, axis=-1), 0.0)
+    return np.maximum(per.sum(axis=0), 0.0)
 
 
 def semi_distance_pairs(x, y, ctx: KernelContext):
@@ -123,23 +140,25 @@ def semi_distance_pairs(x, y, ctx: KernelContext):
 
 def _kernel(A, B, C, dt):
     L = 0.25 * np.log(B) + 0.25 * np.log(C) - 0.5 * np.log(A) - dt**2 / (2 * A)
-    return np.exp(np.sum(L, axis=-1))
+    return np.exp(L.sum(axis=0))
 
 
 def kernel_values(x, y, ctx: KernelContext):
-    _, _, A, B, C, dt = _abc(x, y, ctx.tau)
+    _, _, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
     return _kernel(A, B, C, dt)
 
 
 def _partial(v, V, A, sdt):
-    """First partial of sum_k L_k in one argument, stacked (t_1..t_d, u_1..u_d),
-    shape (..., 2d): (v, V, sdt) is (u, B, -dt) for x and (up, C, dt) for y."""
-    return np.concatenate([sdt / A, v / V - v / A + v * sdt**2 / (A * A)], axis=-1)
+    """First partial of sum_k L_k in one argument, coordinate-first (2d, ...)
+    with rows t_1..t_d, u_1..u_d: (v, V, sdt) is (u, B, -dt) for x and
+    (up, C, dt) for y."""
+    return np.concatenate([sdt / A, v / V - v / A + v * sdt**2 / (A * A)])
 
 
 def _tables(x, y, tau):
     """K, g1 = _partial in x, g2 = _partial in y, and the per-coordinate
-    higher partials of L_k; keys name the differentiated slots.
+    higher partials of L_k, each (d, ...), of coordinate-first x and y; keys
+    name the differentiated slots.
 
     c_** are the mixed second partials, mm_** the pure second-arg second
     partials, and w3_*_** the third partials with one first-arg and two
@@ -168,34 +187,35 @@ def _tables(x, y, tau):
 
 
 def kernel_grad1_batch(x, y, ctx: KernelContext):
-    """Kernel values and the gradient in the first argument from one pass,
-    shapes (...) and (..., 2d)."""
-    u, _, A, B, C, dt = _abc(x, y, ctx.tau)
+    """Kernel values (...) and the gradient in the first argument from one
+    pass, the gradient coordinate-first as one C-contiguous block (2d, ...),
+    ready for a contraction over its leading axes."""
+    u, _, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
     K = _kernel(A, B, C, dt)
-    return K, K[..., None] * _partial(u, B, A, -dt)
+    return K, K * _partial(u, B, A, -dt)
 
 
 def grad1_batch(x, y, ctx: KernelContext):
     """Gradient in the first argument, shape (..., 2d)."""
-    return kernel_grad1_batch(x, y, ctx)[1]
+    return _rows(kernel_grad1_batch(x, y, ctx)[1])
 
 
 def grad2_batch(x, y, ctx: KernelContext):
-    _, up, A, B, C, dt = _abc(x, y, ctx.tau)
-    return _kernel(A, B, C, dt)[..., None] * _partial(up, C, A, dt)
+    _, up, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
+    return _rows(_kernel(A, B, C, dt) * _partial(up, C, A, dt))
 
 
 def _pack(T, keys, d, shape):
-    """Matrix (..., 2d, 2d) of second partials of sum_k L_k: the tables named
-    by keys = (tt, tu, ut, uu) fill coordinate k's four entries, and entries
-    across coordinates are zero."""
-    M = np.zeros(shape + (2 * d, 2 * d))
+    """Coordinate-first matrix (2d, 2d, ...) of second partials of sum_k L_k:
+    the tables named by keys = (tt, tu, ut, uu) fill coordinate k's four
+    entries, and entries across coordinates are zero."""
+    M = np.zeros((2 * d, 2 * d) + shape)
     k = np.arange(d)
     tt, tu, ut, uu = keys
-    M[..., k, k] = T[tt]
-    M[..., k, d + k] = T[tu]
-    M[..., d + k, k] = T[ut]
-    M[..., d + k, d + k] = T[uu]
+    M[k, k] = T[tt]
+    M[k, d + k] = T[tu]
+    M[d + k, k] = T[ut]
+    M[d + k, d + k] = T[uu]
     return M
 
 
@@ -204,53 +224,59 @@ _SECOND = ("mm_tt", "mm_tu", "mm_tu", "mm_uu")    # second-arg second partials
 
 
 def _mixed(K, g1, g2, cc):
-    """d^2 K / dx dy from K, the first partials and the packed c_** matrix."""
-    return K[..., None, None] * (g1[..., :, None] * g2[..., None, :] + cc)
+    """d^2 K / dx dy, (2d, 2d, ...), from K, the first partials and the packed
+    c_** matrix."""
+    return K * (g1[:, None] * g2[None, :] + cc)
 
 
 def grad12_batch(x, y, ctx: KernelContext):
     """Mixed derivative matrix d^2 K / dx dy, shape (..., 2d, 2d)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
+    x, y = _firsts(x, y)
     K, g1, g2, T = _tables(x, y, ctx.tau)
-    return _mixed(K, g1, g2, _pack(T, _PAIR, d, K.shape))
+    return _rows(_mixed(K, g1, g2, _pack(T, _PAIR, len(x) // 2, K.shape)), 2)
 
 
-def _hess2_grad2(x, y, ctx: KernelContext):
-    """Plain second derivative and gradient in the second argument, from one
-    kernel evaluation and one table of partials."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
-    K, _, g2, T = _tables(x, y, ctx.tau)
-    M = g2[..., :, None] * g2[..., None, :] + _pack(T, _SECOND, d, K.shape)
-    return K[..., None, None] * M, K[..., None] * g2
+def _hess2_grad2(x, y, tau):
+    """Plain second derivative (2d, 2d, ...) and gradient (2d, ...) in the
+    second argument of coordinate-first x and y, from one kernel evaluation
+    and one table of partials."""
+    K, _, g2, T = _tables(x, y, tau)
+    M = g2[:, None] * g2[None, :] + _pack(T, _SECOND, len(x) // 2, K.shape)
+    return K * M, K * g2
 
 
 def hess2_batch(x, y, ctx: KernelContext):
     """Plain second derivative in the second argument, shape (..., 2d, 2d)."""
-    return _hess2_grad2(x, y, ctx)[0]
+    return _rows(_hess2_grad2(*_firsts(x, y), ctx.tau)[0], 2)
 
 
-def _christoffel_coeffs(y, tau):
-    """Nonzero Christoffel values at y: (Gamma^t_{ut}, Gamma^u_{tt}, Gamma^u_{uu})."""
-    _, up = _split(y)
+def _christoffel_scales(up, tau):
+    """Nonzero Christoffel values at scales up of any layout:
+    (Gamma^t_{ut}, Gamma^u_{tt}, Gamma^u_{uu})."""
     B = 2 * up**2 + tau**2
     return -2 * up / B, 1.0 / up, (tau**2 - 2 * up**2) / (up * B)
 
 
-def _subtract_christoffel(out, D, y, tau):
-    """out[..., z, w] -= sum_c Gamma^c_{zw}(y) D[..., c], in place.
+def _christoffel_coeffs(y, tau):
+    """Nonzero Christoffel values at rows y (..., 2d), each (..., d)."""
+    y = np.asarray(y, dtype=float)
+    return _christoffel_scales(y[..., y.shape[-1] // 2:], tau)
 
-    D is a first derivative in the second argument; y broadcasts against the
-    leading axes of out and D.
+
+def _subtract_christoffel(out, D, y, tau):
+    """out[b, z, w] -= sum_c Gamma^c_{zw}(y) D[b, c], in place.
+
+    Coordinate-first: out is (b, 2d, 2d, ...), D a first derivative in the
+    second argument (b, 2d, ...), and y (2d, ...) broadcasts against the
+    trailing pair axes.
     """
-    d = D.shape[-1] // 2
-    gt, gu_tt, gu_uu = _christoffel_coeffs(np.asarray(y, dtype=float), tau)
+    d = D.shape[1] // 2
+    gt, gu_tt, gu_uu = _christoffel_scales(y[d:], tau)
     k = np.arange(d)
-    out[..., k, d + k] -= gt * D[..., k]
-    out[..., d + k, k] -= gt * D[..., k]
-    out[..., k, k] -= gu_tt * D[..., d + k]
-    out[..., d + k, d + k] -= gu_uu * D[..., d + k]
+    out[:, k, d + k] -= gt * D[:, k]
+    out[:, d + k, k] -= gt * D[:, k]
+    out[:, k, k] -= gu_tt * D[:, d + k]
+    out[:, d + k, d + k] -= gu_uu * D[:, d + k]
 
 
 def rhess2_batch(x, y, ctx: KernelContext):
@@ -259,9 +285,10 @@ def rhess2_batch(x, y, ctx: KernelContext):
     H = hess2 - sum_k Gamma^{t'_k} dK/dt'_k - sum_k Gamma^{u'_k} dK/du'_k,
     with the Christoffel matrices evaluated at y.
     """
-    H, g2 = _hess2_grad2(x, y, ctx)
-    _subtract_christoffel(H, g2, y, ctx.tau)
-    return H
+    x, y = _firsts(x, y)
+    H, g2 = _hess2_grad2(x, y, ctx.tau)
+    _subtract_christoffel(H[None], g2[None], y, ctx.tau)
+    return _rows(H, 2)
 
 
 def grad1_rhess2_batch(x, y, ctx: KernelContext):
@@ -272,31 +299,29 @@ def grad1_rhess2_batch(x, y, ctx: KernelContext):
     of y only, so differentiation passes through to the mixed derivative
     matrix.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
+    x, y = _firsts(x, y)
+    d = len(x) // 2
     K, g1, g2, T = _tables(x, y, ctx.tau)
     shape = K.shape
     mm = _pack(T, _SECOND, d, shape)
     cc = _pack(T, _PAIR, d, shape)
-    thr = np.zeros(shape + (2 * d, 2 * d, 2 * d))
+    thr = np.zeros((2 * d, 2 * d, 2 * d) + shape)
     k = np.arange(d)
-    thr[..., k, k, d + k] = T["w3_t_tu"]
-    thr[..., k, d + k, k] = T["w3_t_tu"]
-    thr[..., k, d + k, d + k] = T["w3_t_uu"]
-    thr[..., d + k, k, k] = T["w3_u_tt"]
-    thr[..., d + k, k, d + k] = T["w3_u_tu"]
-    thr[..., d + k, d + k, k] = T["w3_u_tu"]
-    thr[..., d + k, d + k, d + k] = T["w3_u_uu"]
-    out = np.einsum("...b,...z,...w->...bzw", g1, g2, g2)
-    out += np.einsum("...b,...zw->...bzw", g1, mm)
-    out += np.einsum("...bz,...w->...bzw", cc, g2)
-    out += np.einsum("...bw,...z->...bzw", cc, g2)
+    thr[k, k, d + k] = T["w3_t_tu"]
+    thr[k, d + k, k] = T["w3_t_tu"]
+    thr[k, d + k, d + k] = T["w3_t_uu"]
+    thr[d + k, k, k] = T["w3_u_tt"]
+    thr[d + k, k, d + k] = T["w3_u_tu"]
+    thr[d + k, d + k, k] = T["w3_u_tu"]
+    thr[d + k, d + k, d + k] = T["w3_u_uu"]
+    out = np.einsum("b...,z...,w...->bzw...", g1, g2, g2)
+    out += np.einsum("b...,zw...->bzw...", g1, mm)
+    out += np.einsum("bz...,w...->bzw...", cc, g2)
+    out += np.einsum("bw...,z...->bzw...", cc, g2)
     out += thr
-    out = K[..., None, None, None] * out
-    # the index b moves to the front, so y broadcasts against the pair axes
-    _subtract_christoffel(np.moveaxis(out, -3, 0),
-                          np.moveaxis(_mixed(K, g1, g2, cc), -2, 0), y, ctx.tau)
-    return out
+    out = K * out
+    _subtract_christoffel(out, _mixed(K, g1, g2, cc), y, ctx.tau)
+    return _rows(out, 3)
 
 
 # --------------------------------------------------------------------------
@@ -312,13 +337,17 @@ _TABLE_TOL = 2.0**-53
 # |X - c| / delta <= 1/2 for every sample and every served variance: the cell
 # width equals the smallest delta = sqrt(2 v) the table serves
 _TABLE_RATIO = 0.5
-# the table is chosen when _TABLE_COST * cells * p^d < n.  _TABLE_COST is the
+# the table is chosen when _TABLE_COST[d - 1] * cells * p^d < n.  It is the
 # table's cost per target and moment coefficient over the direct sum's per
 # target and sample, for a value call plus a value-and-gradient call at m = 8
-# targets, d = 1: 100-270 ns over 17-30 ns, a ratio of 6 to 10 across
-# measurement runs on a shared 2-core host.  Near the threshold (n = 1e3 on the
-# separated scenario) both paths cost about 0.2 ms per pair of calls.
-_TABLE_COST = 8.0
+# targets, measured on a shared 2-core host.  d = 1: 100-270 ns over 17-30 ns,
+# a ratio of 6 to 10 across runs; near the threshold (n = 1e3 on the separated
+# scenario) both paths cost about 0.2 ms per pair of calls.  d = 2, on the
+# d = 2 scenario at n = 1e3-1e5 (55-107 cells): 0.037-0.063, the table's
+# p^2 = 729 coefficients per cell costing far less each than a sample of the
+# direct sum; at n = 3e3 both paths take about 4.8 ms, at n = 1e4 the table
+# 3.0 ms against 13.7 ms, at n = 1e5 4.6 ms against 127 ms
+_TABLE_COST = (8.0, 0.06)
 # values held at once by one chunk of a table evaluation: the Hermite factors
 # of a chunk of targets, or the moment products of a block of cell rows
 _TABLE_CHUNK = 2**18
@@ -615,10 +644,10 @@ def _table_if_cheaper(samples, delta: float, cheaper) -> Optional[MomentTable]:
 
 def choose_table(samples: np.ndarray, delta: float) -> Optional[MomentTable]:
     """The moment table for widths >= delta when its per-target work,
-    cells * p^d, undercuts n by _TABLE_COST; otherwise None (direct sum).
-    d >= 3 always takes the direct sum."""
+    cells * p^d, undercuts n by _TABLE_COST[d - 1]; otherwise None (direct
+    sum).  d >= 3 always takes the direct sum."""
     return _table_if_cheaper(samples, delta, lambda n, cells, p, d:
-                             _TABLE_COST * cells * p**d < n)
+                             _TABLE_COST[d - 1] * cells * p**d < n)
 
 
 def choose_pair_table(samples: np.ndarray, delta: float) -> Optional[MomentTable]:

@@ -254,11 +254,8 @@ class TestBatchEvaluation:
         certs, _ = self._setup(d, 70 + d)
         rng = np.random.default_rng(80 + d)
         P = random_locations(rng, 300, certs.system.ctx.box)
-        pts, ctx = certs.system.anchors, certs.system.ctx
-        want = (certs.alpha @ kernel_values(pts[:, None, :], P[None, :, :], ctx)
-                + np.einsum("kjd,jmd->km", certs.beta,
-                            grad1_batch(pts[:, None, :], P[None, :, :], ctx)))
-        assert np.array_equal(certificate_values(certs, P), want)
+        assert np.array_equal(certificate_values(certs, P),
+                              _values_from_parts(certs, P))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_gradients_match_fd_of_direct_sum(self, d):
@@ -408,6 +405,17 @@ def _oracle_points(anchors, consts, spec, ctx):
     return np.clip(P[inside], box.lower(), box.upper())
 
 
+def _values_from_parts(certs, P):
+    """certificate_values from separate kernel_values and grad1_batch calls,
+    in its contraction: alpha @ K, plus beta laid out (k, 2d s) times the
+    gradient moved coordinate-first and flattened to (2d s, m)."""
+    pts, ctx = certs.system.anchors, certs.system.ctx
+    G1 = np.moveaxis(grad1_batch(pts[:, None, :], P[None, :, :], ctx), -1, 0)
+    beta = certs.beta.transpose(0, 2, 1).reshape(len(certs.beta), -1)
+    return (certs.alpha @ kernel_values(pts[:, None, :], P[None, :, :], ctx)
+            + beta @ G1.reshape(beta.shape[1], -1))
+
+
 def _oracle_clause(name, margins, P, tol):
     if len(margins) == 0:
         return ClauseReport(name, 0, -math.inf, None, 0, True)
@@ -423,9 +431,7 @@ def _oracle_verify(certs, consts, spec):
     s = len(anchors)
     P = _oracle_points(anchors, consts, spec, ctx)
     region = region_index_batch(P, anchors, consts.r, ctx)
-    vals = (certs.alpha @ kernel_values(anchors[:, None, :], P[None, :, :], ctx)
-            + np.einsum("kjd,jmd->km", certs.beta,
-                        grad1_batch(anchors[:, None, :], P[None, :, :], ctx)))
+    vals = _values_from_parts(certs, P)
     frdist = np.zeros(len(P))
     idx = np.flatnonzero(region >= 0)
     frdist[idx] = fr_distance_pairs(P[idx], anchors[region[idx]], ctx)

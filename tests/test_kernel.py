@@ -21,7 +21,8 @@ from gmblasso import (
     lambda_pair,
     weight_function,
 )
-from gmblasso.geometry import metric_diag_batch
+from gmblasso.certificates import build_upsilon, certificate_values, solve_certificates
+from gmblasso.geometry import fr_distance_pairs, metric_diag_batch
 from gmblasso import kernel as kernel_module
 from gmblasso.kernel import (
     _christoffel_coeffs,
@@ -139,19 +140,19 @@ class TestDerivatives:
     @pytest.mark.parametrize("ctx", ["ctx1", "ctx2"])
     def test_fused_pass_is_the_exact_path(self, ctx, request):
         # kernel_grad1_batch's two outputs are kernel_values and the gradient
-        # formula grad1_batch had before it was defined through the fused
-        # pass, bit for bit; the boxes have u_min < u_max
+        # formula of the coordinate-first core, bit for bit, and grad1_batch
+        # is that gradient laid out as rows; the boxes have u_min < u_max
         ctx = request.getfixturevalue(ctx)
         X, Y = self._pairs(ctx, 40, 12)
         X, Y = X[:8, None, :], Y[None, :, :]
         K, G1 = kernel_grad1_batch(X, Y, ctx)
-        u, _, A, B, C, dt = kernel_module._abc(X, Y, ctx.tau)
-        old = (kernel_module._kernel(A, B, C, dt)[..., None]
-               * kernel_module._partial(u, B, A, -dt))
-        assert K.shape == (8, 40) and G1.shape == (8, 40, 2 * ctx.d)
+        u, _, A, B, C, dt = kernel_module._abc(*kernel_module._firsts(X, Y), ctx.tau)
+        old = kernel_module._kernel(A, B, C, dt) * kernel_module._partial(u, B, A, -dt)
+        assert K.shape == (8, 40) and G1.shape == (2 * ctx.d, 8, 40)
+        assert G1.flags.c_contiguous
         assert np.array_equal(K, kernel_values(X, Y, ctx))
         assert np.array_equal(G1, old)
-        assert np.array_equal(grad1_batch(X, Y, ctx), old)
+        assert np.array_equal(grad1_batch(X, Y, ctx), np.moveaxis(old, 0, -1))
 
     def test_grad2_fd(self, ctx2):
         X, Y = self._pairs(ctx2, 20, 11)
@@ -237,6 +238,53 @@ class TestDerivatives:
         X, Y = np.stack([x, y]), np.stack([y, x])
         for fn in (grad1_batch, grad12_batch, rhess2_batch):
             np.testing.assert_allclose(fn(x, y, ctx1), fn(X, Y, ctx1)[0])
+
+
+def _layouts(X):
+    """X (m, 2d) as C-ordered, Fortran-ordered and a strided transposed view
+    of a coordinate-first buffer, with the same values."""
+    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X),
+            "T": np.repeat(X.T, 2, axis=1)[:, ::2].T}
+
+
+class TestLayout:
+    """The batch functions copy their inputs coordinate-first, so the input
+    layout changes no bit of the output, and the derivative outputs come back
+    as C-contiguous rows (..., 2d)."""
+
+    @pytest.mark.parametrize("ctx", ["ctx1", "ctx2"])
+    def test_same_bits_for_every_input_layout(self, ctx, request):
+        ctx = request.getfixturevalue(ctx)
+        d = ctx.d
+        rng = np.random.default_rng(34 + d)
+        X = random_locations(rng, 9, ctx.box)
+        Y = random_locations(rng, 9, ctx.box)
+        anchors = np.array([[-3.0] * d + [0.7] * d, [3.0] * d + [1.6] * d])
+        certs = solve_certificates(build_upsilon(anchors, ctx))
+        funcs = {
+            "kernel_values": (kernel_values, ()),
+            "grad1_batch": (grad1_batch, (2 * d,)),
+            "grad2_batch": (grad2_batch, (2 * d,)),
+            "grad12_batch": (grad12_batch, (2 * d, 2 * d)),
+            "semi_distance_pairs": (semi_distance_pairs, ()),
+            "fr_distance_pairs": (fr_distance_pairs, ()),
+        }
+        got = {}
+        xs, ys = _layouts(X), _layouts(Y)
+        for name in xs:
+            x, y = xs[name], ys[name]
+            out = {}
+            for fname, (fn, tail) in funcs.items():
+                for shape, args in (((9,), (x, y)), ((4, 9), (x[:4, None], y[None]))):
+                    r = fn(*args, ctx)
+                    assert r.shape == shape + tail, (fname, name)
+                    if tail:
+                        assert r.flags.c_contiguous, (fname, name)
+                    out[fname, shape] = r.tobytes()
+            out["certificate_values"] = certificate_values(certs, y).tobytes()
+            got[name] = out
+        assert got["F"] == got["C"]
+        assert got["T"] == got["C"]
 
 
 class TestQuadratureOracles:
@@ -496,6 +544,21 @@ class TestMomentTable:
         assert choose_table(np.linspace(-1e4, 1e4, 20000), delta) is None
         # d >= 3 always takes the direct sum
         assert choose_table(rng.normal(size=(20000, 3)), delta) is None
+
+    @pytest.mark.parametrize("n, table", [(1000, False), (10_000, True),
+                                          (100_000, True)])
+    def test_d2_scenario_choice(self, n, table):
+        # the d = 2 scenario: weights 0.3, 0.3 and 0.4 at (t; u) = (-20, 0;
+        # 0.8, 1.2), (0, 18; 1.3, 0.9) and (20, 0; 1.0, 1.0), u_min = tau =
+        # 0.7.  Its 55-107 cells of p^2 = 729 coefficients cost less than the
+        # direct sum from n of a few thousand on
+        rng = np.random.default_rng(33)
+        means = np.array([[-20.0, 0.0], [0.0, 18.0], [20.0, 0.0]])
+        scales = np.array([[0.8, 1.2], [1.3, 0.9], [1.0, 1.0]])
+        idx = rng.choice(3, size=n, p=[0.3, 0.3, 0.4])
+        X = rng.normal(means[idx], scales[idx])
+        delta = math.sqrt(2 * (0.7**2 + 0.7**2))
+        assert (choose_table(X, delta) is not None) == table
 
     def test_pair_choice_follows_the_work(self, ctx1):
         rng = np.random.default_rng(32)
