@@ -93,14 +93,18 @@ class KernelContext:
 # coordinates add whole rows.
 # --------------------------------------------------------------------------
 
-def _firsts(*rows):
-    """Coordinate rows (..., 2d) as C-contiguous coordinate-first copies
-    (2d, ...) of one rank, which broadcast as the rows do."""
-    rows = [np.asarray(x, dtype=float) for x in rows]
-    nd = max(x.ndim for x in rows)
-    axes = (nd - 1,) + tuple(range(nd - 1))
-    return [np.ascontiguousarray(x.reshape((1,) * (nd - x.ndim) + x.shape)
-                                 .transpose(axes)) for x in rows]
+def _firsts(x, y):
+    """Coordinate rows x and y (..., 2d) as C-contiguous coordinate-first
+    copies (2d, ...) of one rank, which broadcast as the rows do."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != y.ndim:
+        nd = max(x.ndim, y.ndim)
+        x = x.reshape((1,) * (nd - x.ndim) + x.shape)
+        y = y.reshape((1,) * (nd - y.ndim) + y.shape)
+    axes = (x.ndim - 1, *range(x.ndim - 1))
+    return (np.ascontiguousarray(x.transpose(axes)),
+            np.ascontiguousarray(y.transpose(axes)))
 
 
 def _rows(a, k=1):
@@ -115,9 +119,10 @@ def _abc(x, y, tau):
     d = len(x) // 2
     t, u = x[:d], x[d:]
     tp, up = y[:d], y[d:]
-    A = u**2 + up**2 + tau**2
-    B = 2 * u**2 + tau**2
-    C = 2 * up**2 + tau**2
+    u2, up2, tau2 = u**2, up**2, tau**2
+    A = u2 + up2 + tau2
+    B = 2 * u2 + tau2
+    C = 2 * up2 + tau2
     return u, up, A, B, C, t - tp
 
 
