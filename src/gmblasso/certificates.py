@@ -493,38 +493,6 @@ def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
             yield np.clip(P, lo, hi, out=P)
 
 
-class _ClauseGroup:
-    """Running reduction of clauses that share their sample points, one row
-    per clause: worst margin, its point, point count and violations."""
-
-    def __init__(self, rows: int, tol: float):
-        self.tol = tol
-        self.n = 0
-        self.worst = np.full(rows, -math.inf)
-        self.point = [None] * rows
-        self.violations = np.zeros(rows, dtype=np.intp)
-
-    def add(self, margins: np.ndarray, P=None, idx=None):
-        """Fold in margins (rows, k) of the points P[idx]; no points when P
-        is None."""
-        k = margins.shape[1]
-        if k == 0:
-            return
-        i = np.argmax(margins, axis=1)
-        worst = margins[np.arange(len(i)), i]
-        # strict: on ties the earlier sample keeps its place
-        for row in np.flatnonzero(worst > self.worst):
-            self.worst[row] = worst[row]
-            self.point[row] = None if P is None else P[idx[i[row]]].copy()
-        self.violations += np.count_nonzero(margins > self.tol, axis=1)
-        self.n += k
-
-    def clause(self, name: str, row: int) -> ClauseReport:
-        nviol = int(self.violations[row])
-        return ClauseReport(name, self.n, float(self.worst[row]), self.point[row],
-                            nviol, nviol == 0)
-
-
 def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
                          grid_spec: GridSpec) -> NondegeneracyReport:
     """Sample the box and evaluate every non-degeneracy clause.
@@ -536,60 +504,77 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
 
     The samples stream in blocks of at most _EVAL_BLOCK points: each block
     gets its regions, one kernel pass for all s + 1 certificates, and its
-    near points' Fisher-Rao distances to their own anchors, and its margins
-    are reduced into the running clause reports at once.  Memory is bounded
-    by the block, whatever the number of points.  A clause's worst point is
+    near points' Fisher-Rao distances to their own anchors.  Its margins,
+    one row per certificate, fold into a running clause table indexed by
+    (region, certificate), whose cells are the clauses.  Memory is bounded
+    by the block, whatever the number of points; the largest per-block
+    array holds (s + 1)^2 margins per point.  A clause's worst point is
     its first sample with the worst margin, in sampling order.
     """
     anchors, ctx = certs.system.anchors, certs.system.ctx
     s = len(anchors)
 
-    # group 0 holds the far points and group 1 + j the points near anchor j;
-    # row k of a group is certificate k's clause on those points
-    groups = [_ClauseGroup(s + 1, _VIOLATION_TOL) for _ in range(s + 1)]
+    # the clause table: region g is the far region (g = 0) or the near region
+    # of anchor g - 1, and cell (g, c) is certificate c's clause on it
+    worst = np.full((s + 1, s + 1), -math.inf)
+    worst_point = np.zeros((s + 1, s + 1, 2 * ctx.d))
+    violations = np.zeros((s + 1, s + 1), dtype=np.intp)
+    n_points = np.zeros(s + 1, dtype=np.intp)
     far_rhs = np.r_[1 - consts.eps_0, np.full(s, 1 - consts.eps_tilde_0)][:, None]
-    # |eta_l - [i == l]| near anchor i
-    local_target = np.eye(s)[:, :, None]
-    total = 0
+    regions = np.arange(-1, s)[:, None]
     for P in _sample_points(anchors, consts, grid_spec, ctx):
-        total += len(P)
         region = region_index_batch(P, anchors, consts.r, ctx)
         vals = certificate_values(certs, P)
+        margins = np.abs(vals) - far_rhs
         near = np.flatnonzero(region >= 0)
-        frsq = np.zeros(len(P))
-        frsq[near] = fr_distance_pairs(P[near], anchors[region[near]], ctx) ** 2
-        for g, group in enumerate(groups):
-            idx = np.flatnonzero(region == g - 1)
-            if g == 0:
-                group.add(np.abs(vals[:, idx]) - far_rhs, P, idx)
-                continue
-            margins = np.empty((s + 1, len(idx)))
-            margins[0] = vals[0, idx] - (1 - consts.eps_2 * frsq[idx])
-            margins[1:] = (np.abs(local_target[g - 1] - vals[1:, idx])
-                           - consts.eps_tilde_2 * frsq[idx])
-            group.add(margins, P, idx)
+        j = region[near]
+        frsq = fr_distance_pairs(P[near], anchors[j], ctx) ** 2
+        margins[0, near] = vals[0, near] - (1 - consts.eps_2 * frsq)
+        # |[c - 1 == j] - eta_c| near anchor j
+        margins[1:, near] = (np.abs((j == regions[1:]) - vals[1:, near])
+                             - consts.eps_tilde_2 * frsq)
+
+        in_region = region == regions                                  # (g, m)
+        table = np.where(in_region[:, None], margins, -math.inf)      # (g, c, m)
+        i = np.argmax(table, axis=2)
+        block_worst = np.take_along_axis(table, i[..., None], axis=2)[..., 0]
+        # strict: on ties the earlier sample keeps its place
+        better = block_worst > worst
+        worst[better] = block_worst[better]
+        worst_point[better] = P[i[better]]
+        violations += np.count_nonzero(table > _VIOLATION_TOL, axis=2)
+        n_points += np.count_nonzero(in_region, axis=1)
 
     # interpolation margins are the value errors and gradient norms at the
-    # anchors, which must vanish to 1e-8
-    interp = _ClauseGroup(s + 1, 1e-8)
+    # anchors, which must vanish to 1e-8; they have no sample points
     targets = np.vstack([np.ones(s), np.eye(s)])
-    interp.add(np.concatenate([
+    interp = np.concatenate([
         np.abs(certificate_values(certs, anchors) - targets),
-        np.linalg.norm(certificate_gradients(certs, anchors), axis=-1)], axis=1))
+        np.linalg.norm(certificate_gradients(certs, anchors), axis=-1)], axis=1)
 
-    far = groups[0]
-    clauses = [interp.clause("global.interpolation", 0), far.clause("global.far", 0)]
-    clauses += [groups[1 + j].clause(f"global.near[{j}]", 0) for j in range(s)]
+    def clause(name, g, c):
+        """Certificate c's clause on region g, or its interpolation clause
+        when g is None."""
+        if g is None:
+            n, w, point = interp.shape[1], interp[c].max(), None
+            nviol = int(np.count_nonzero(interp[c] > 1e-8))
+        else:
+            n, w, nviol = int(n_points[g]), worst[g, c], int(violations[g, c])
+            point = worst_point[g, c].copy() if w > -math.inf else None
+        return ClauseReport(name, n, float(w), point, nviol, nviol == 0)
+
+    clauses = [clause("global.interpolation", None, 0), clause("global.far", 0, 0)]
+    clauses += [clause(f"global.near[{j}]", 1 + j, 0) for j in range(s)]
     for l in range(s):
-        clauses.append(interp.clause(f"local[{l}].interpolation", 1 + l))
-        clauses.append(far.clause(f"local[{l}].far", 1 + l))
+        clauses.append(clause(f"local[{l}].interpolation", None, 1 + l))
+        clauses.append(clause(f"local[{l}].far", 0, 1 + l))
         # near_self first, then near_other
         for i in sorted(range(s), key=lambda i: i != l):
             name = "near_self" if i == l else f"near_other[{i}]"
-            clauses.append(groups[1 + i].clause(f"local[{l}].{name}", 1 + l))
+            clauses.append(clause(f"local[{l}].{name}", 1 + i, 1 + l))
 
     return NondegeneracyReport(
         clauses=tuple(clauses),
         all_clauses_pass=all(c.passed for c in clauses),
-        points_evaluated=total,
+        points_evaluated=int(n_points.sum()),
     )

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -302,7 +303,7 @@ def _load_run_config(args) -> RunConfig:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     entries = parse_config_text(text)
     if args.seed is not None:
@@ -311,6 +312,13 @@ def _load_run_config(args) -> RunConfig:
     if args.out is not None:
         run.out_dir = args.out
     return run
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:   # an existing file, or a path below one
+        raise ConfigError(f"cannot create output directory: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +367,7 @@ def _cmd_certify(args) -> int:
     run = _load_run_config(args)
     if run.tau is None:
         raise ConfigError("kernel.tau is required for certify")
-    os.makedirs(run.out_dir, exist_ok=True)
+    _make_out_dir(run.out_dir)
     ctx = KernelContext(run.d, run.tau, run.box)
     mu0 = run.mixture.measure
     consts = lpc_constants(run.d, mu0.s, run.tau, run.box)
@@ -408,7 +416,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_solve(args) -> int:
     run = _load_run_config(args)
-    os.makedirs(run.out_dir, exist_ok=True)
+    _make_out_dir(run.out_dir)
     rng = np.random.default_rng(np.random.SeedSequence((run.seed, 0, 0)))
 
     if run.data_file is not None:
@@ -417,7 +425,10 @@ def _cmd_solve(args) -> int:
         if not os.path.isfile(run.data_file):
             raise ConfigError(f"data file not found: {run.data_file}")
         try:
-            X = np.loadtxt(run.data_file, ndmin=2)
+            # an empty file is diagnosed below; numpy's warning would come first
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                X = np.loadtxt(run.data_file, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"cannot parse data file: {exc}") from None
         if X.shape[1] != run.d:
@@ -480,7 +491,7 @@ def _cmd_rates(args) -> int:
     run = _load_run_config(args)
     if not run.n_grid:
         raise ConfigError("experiment.n_grid must list at least one sample size")
-    os.makedirs(run.out_dir, exist_ok=True)
+    _make_out_dir(run.out_dir)
 
     report = rate_sweep(run.mixture, run.n_grid, run.replications, run.kappa_rule,
                         run.tau_rule, run.seed, threads=args.threads,

@@ -465,18 +465,25 @@ def _oracle_verify(certs, consts, spec):
     return NondegeneracyReport(tuple(clauses), all(c.passed for c in clauses), len(P))
 
 
-def _certify_case(d):
-    """Certificates, constants and a small grid with u_min < u_max: two
-    anchors in d = 1, three in d = 2."""
-    if d == 1:
+def _certify_case(case):
+    """Certificates, constants and a small grid: with u_min < u_max, two
+    anchors in d = 1 (case 1) and three in d = 2 (case 2); with u_min = u_max
+    in d = 1, two anchors 3 apart ("close"), whose far clauses fail (1
+    violation of global.far and 169 of each local far clause)."""
+    if case == 1:
         box = DomainBox((-20.0,), (20.0,), 0.5, 2.0)
         ctx = KernelContext(1, 0.5, box)
         anchors = np.array([[-11.0, 0.8], [12.5, 1.4]])
+    elif case == "close":
+        box = DomainBox((-20.0,), (20.0,), 1.0, 1.0)
+        ctx = KernelContext(1, 1.0, box)
+        anchors = np.array([[-1.5, 1.0], [1.5, 1.0]])
     else:
         box = DomainBox((-30.0, -30.0), (30.0, 30.0), 0.7, 1.5)
         ctx = KernelContext(2, 0.7, box)
         anchors = np.array([[-20.0, 0.0, 0.8, 1.2], [0.0, 18.0, 1.3, 0.9],
                             [20.0, 0.0, 1.0, 1.0]])
+    d = ctx.d
     certs = solve_certificates(build_upsilon(anchors, ctx))
     spec = GridSpec(near_t_points=12 if d == 2 else 60,
                     near_u_points=6 if d == 2 else 30,
@@ -488,9 +495,9 @@ def _certify_case(d):
 
 class TestStreamingVerification:
     @pytest.mark.parametrize("block", [None, 97])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_full_array_oracle(self, d, block, monkeypatch):
-        certs, consts, spec = _certify_case(d)
+    @pytest.mark.parametrize("case", [1, 2, "close"])
+    def test_matches_full_array_oracle(self, case, block, monkeypatch):
+        certs, consts, spec = _certify_case(case)
         if block is not None:
             monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
         got = verify_nondegeneracy(certs, consts, spec)
@@ -500,6 +507,10 @@ class TestStreamingVerification:
         assert [c.name for c in got.clauses] == [c.name for c in want.clauses]
         # every clause has points, so each worst point is a sample point
         assert all(c.n_points > 0 for c in want.clauses)
+        # the close pair compares counts and verdicts of failing clauses too
+        failing = {c.name: c.violations for c in want.clauses if not c.passed}
+        assert failing == ({} if case != "close" else
+                           {"global.far": 1, "local[0].far": 169, "local[1].far": 169})
         for a, b in zip(got.clauses, want.clauses):
             assert (a.name, a.n_points, a.worst_margin, a.violations, a.passed) == \
                 (b.name, b.n_points, b.worst_margin, b.violations, b.passed)

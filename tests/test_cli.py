@@ -297,9 +297,15 @@ class TestCertify:
         assert capsys.readouterr().err.strip() == \
             f"config:2:12: kernel.d: must be at least 1, got {d}"
 
-    def test_unreadable_config_exit_2(self, tmp_path, capsys):
-        assert main(["certify", "--config", str(tmp_path / "nope.cfg")]) == 2
-        assert "cannot read config" in capsys.readouterr().err
+    @pytest.mark.parametrize("content", [None, b"kernel.d = 1\xff\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "run.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["certify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot read config file: ")
 
     @pytest.mark.parametrize("command", ["certify", "solve"])
     def test_threads_is_a_rates_flag(self, tmp_path, command, capsys):
@@ -399,6 +405,16 @@ class TestSolve:
         assert main(["solve", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config") and "non-finite" in err
+
+    def test_empty_data_file_exit_2(self, tmp_path, capsys, recwarn):
+        data = tmp_path / "obs.txt"
+        data.write_text("")
+        cfg = self._config(tmp_path, extra=f"data.file = {data}\n",
+                           drop="experiment.n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: need at least 2 observations\n"
+        # numpy's "input contained no data" warning is not printed before it
+        assert not recwarn.list
 
     def test_prediction_tau_above_u_min_exit_2(self, tmp_path, capsys):
         # n = 5 gives tau = sqrt(2) / sqrt(ln 5) = 1.115 > u_min = 1
@@ -587,6 +603,26 @@ class TestRates:
         err = capsys.readouterr().err
         assert err.startswith("config") and "experiment.n_grid" in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "rates"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_output_dir_that_cannot_be_made_exit_2(tmp_path, capsys, command, below):
+    # an existing file named by output.dir, or a path below one named by --out
+    config = {"certify": SEPARATED,
+              "solve": SINGLE_COMPONENT + "experiment.n = 300\n",
+              "rates": SEPARATED + "experiment.n_grid = 300\n"}[command]
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "out" if below else tmp_path / "taken"
+    argv = [command, "--config"]
+    if below:
+        argv += [write_cfg(tmp_path, config), "--out", str(out)]
+    else:
+        argv += [write_cfg(tmp_path, config + f"output.dir = {out}\n")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory: ")
+    assert str(out) in err and err.count("\n") == 1
 
 
 class TestKernelCheck:
