@@ -431,17 +431,20 @@ def _cmd_solve(args) -> int:
                 X = np.loadtxt(run.data_file, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"cannot parse data file: {exc}") from None
+        n = len(X)
+    else:
+        if run.n is None:
+            raise ConfigError("experiment.n is required when no data.file is given")
+        X, n = None, run.n
+    # before the column check: an empty or comment-only file loads as shape
+    # (0, 1), whatever d is
+    if n < 2:
+        raise ConfigError("need at least 2 observations")
+    if X is not None:
         if X.shape[1] != run.d:
             raise ConfigError(f"data file has {X.shape[1]} columns, expected {run.d}")
         if not np.all(np.isfinite(X)):
             raise ConfigError("data file holds a non-finite value")
-    else:
-        if run.n is None:
-            raise ConfigError("experiment.n is required when no data.file is given")
-        X = None
-    n = run.n if X is None else X.shape[0]
-    if n < 2:
-        raise ConfigError("need at least 2 observations")
 
     try:
         tau = resolve_tau(run.tau_rule, run.tau, run.box, n)

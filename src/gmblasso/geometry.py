@@ -165,14 +165,52 @@ def geodesic_spec(x, xp, ctx: KernelContext) -> GeodesicSpec:
                         sig0, sig1, center, radius)
 
 
+def _reaching_anchors(P: np.ndarray, anchors: np.ndarray, r: float,
+                      tau: float) -> np.ndarray:
+    """Indices, in order, of the anchors whose semi-distance ball of radius r
+    may hold a point of P.
+
+    Every term of the squared semi-distance is nonnegative, so for any
+    coordinate k, d^2 >= dt_k^2 / A_k with A_k = u_{a,k}^2 + u_k^2 + tau^2
+    <= u_{a,k}^2 + U_k^2 + tau^2, where U_k is the largest |u_k| in P (not
+    the box's u_max: P may leave the box).  An anchor whose gap in t_k to
+    P's range [min t_k, max t_k] exceeds its reach r sqrt(u_{a,k}^2 + U_k^2
+    + tau^2) is farther than r from every point of P, and it is dropped.
+
+    The reach is widened to r (1 + 1e-9) + 1e-6 to cover the rounding of
+    both sides.  The gap and dt are differences of the same floats, each
+    rounded once, and the reach, A_k and dt_k^2 / A_k carry a few relative
+    roundings, all far below the relative 1e-9.  The log-cosh terms are
+    computed as |z| + log1p(e^{-2|z|}) - ln 2 and can fall below 0 by a few
+    ulps of ln 2; the absolute 1e-6 adds 1e-12 to the squared reach, which
+    covers that loss for d below 2000, whatever r is.  A NaN in P keeps
+    every anchor.
+    """
+    d = P.shape[1] // 2
+    t_lo, t_hi = P[:, :d].min(axis=0), P[:, :d].max(axis=0)
+    U2 = (P[:, d:] ** 2).max(axis=0)
+    ta, ua = anchors[:, :d], anchors[:, d:]
+    gap = np.maximum(t_lo - ta, ta - t_hi)                            # (s, d)
+    reach = (r * (1 + 1e-9) + 1e-6) * np.sqrt(ua**2 + U2 + tau**2)
+    return np.flatnonzero(~np.any(gap > reach, axis=1))
+
+
 def region_index_batch(P: np.ndarray, anchors: np.ndarray, r: float,
                        ctx: KernelContext) -> np.ndarray:
     """Index of the nearest anchor within the closed semi-distance ball of
-    radius r, or -1 for far; ties break to the smallest index."""
-    if len(anchors) == 0:
+    radius r, or -1 for far; ties break to the smallest index.
+
+    Semi-distances are computed only to the anchors that can reach P (see
+    _reaching_anchors); a dropped anchor is farther than r from every point,
+    so it can neither hold a point nor win a tie inside the ball, and the
+    result equals that of the pass over all anchors."""
+    if len(anchors) == 0 or len(P) == 0:
+        return np.full(len(P), -1)
+    kept = _reaching_anchors(P, anchors, r, ctx.tau)
+    if len(kept) == 0:
         return np.full(len(P), -1)
     # anchors first, so the point axis is the long contiguous one; the
     # semi-distance is symmetric bit for bit
-    dist = semi_distance_pairs(anchors[:, None, :], P[None, :, :], ctx)
+    dist = semi_distance_pairs(anchors[kept, None, :], P[None, :, :], ctx)
     j = np.argmin(dist, axis=0)
-    return np.where(dist[j, np.arange(len(P))] <= r, j, -1)
+    return np.where(dist[j, np.arange(len(P))] <= r, kept[j], -1)

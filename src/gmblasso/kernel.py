@@ -542,7 +542,9 @@ def _hermite_functions(s: np.ndarray, count: int) -> np.ndarray:
     if count > 1:
         clipped = np.minimum(np.maximum(s, -40.0), 40.0)[..., None]
         clipped.repeat(count - 1, axis=-1).cumprod(axis=-1, out=powers[..., 1:])
-    return (powers @ _hermite_coefficients(count).T) * np.exp(-s * s)[..., None]
+    # one (points, count) @ (count, count) GEMM, not a stack of (1, count) ones
+    poly = powers.reshape(-1, count) @ _hermite_coefficients(count).T
+    return poly.reshape(powers.shape) * np.exp(-s * s)[..., None]
 
 
 def _hermite_recurrence(s: np.ndarray, count: int) -> np.ndarray:

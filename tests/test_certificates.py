@@ -27,6 +27,7 @@ from gmblasso.certificates import (
     NondegeneracyReport,
     _axis,
     _halton,
+    _halton_points,
     _near_bounding_axes,
     _ray_targets,
     operator_norms_batch,
@@ -363,15 +364,48 @@ class TestNondegeneracy:
         whole = report()
         monkeypatch.setattr(certificates, "_EVAL_BLOCK", 97)
         blocked = report()
-        assert blocked.points_evaluated == whole.points_evaluated > 97
-        assert len(blocked.clauses) == len(whole.clauses)
-        for a, b in zip(blocked.clauses, whole.clauses):
-            assert (a.name, a.n_points, a.worst_margin, a.violations, a.passed) == \
-                (b.name, b.n_points, b.worst_margin, b.violations, b.passed)
-            if b.worst_point is None:
-                assert a.worst_point is None
-            else:
-                np.testing.assert_array_equal(a.worst_point, b.worst_point)
+        assert whole.points_evaluated > 97
+        _assert_same_report(blocked, whole)
+
+    def test_halton_points_cached_read_only(self):
+        pts = _halton_points(1500, 4)
+        assert _halton_points(1500, 4) is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+        # filled block by block, yet equal to one draw of the sequence
+        assert np.array_equal(pts, _halton(0, 1500, 4))
+        # the blocks verification clips in place are fresh, writable arrays
+        certs, consts, spec = _certify_case(2)
+        last = list(certificates._raw_blocks(certs.system.anchors, consts, spec,
+                                             certs.system.ctx))[-1]
+        assert last.flags.writeable and not np.shares_memory(last, _halton_points(1500, 4))
+
+    def test_consecutive_reports_are_equal(self):
+        # the second call reads the cached Halton set, the third rebuilds it
+        certs, consts, spec = _certify_case(2)
+        _halton_points.cache_clear()
+        first = verify_nondegeneracy(certs, consts, spec)
+        second = verify_nondegeneracy(certs, consts, spec)
+        _halton_points.cache_clear()
+        third = verify_nondegeneracy(certs, consts, spec)
+        _assert_same_report(second, first)
+        _assert_same_report(third, first)
+
+
+def _assert_same_report(got, want):
+    """Every field of two NondegeneracyReports equal, floats bit for bit."""
+    assert (got.all_clauses_pass, got.points_evaluated) == \
+        (want.all_clauses_pass, want.points_evaluated)
+    assert [c.name for c in got.clauses] == [c.name for c in want.clauses]
+    for a, b in zip(got.clauses, want.clauses):
+        assert (a.name, a.n_points, a.worst_margin.hex(), a.violations, a.passed) == \
+            (b.name, b.n_points, b.worst_margin.hex(), b.violations, b.passed)
+        if b.worst_point is None:
+            assert a.worst_point is None
+        else:
+            assert a.worst_point.dtype == b.worst_point.dtype
+            assert a.worst_point.tobytes() == b.worst_point.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -502,22 +536,13 @@ class TestStreamingVerification:
             monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
         got = verify_nondegeneracy(certs, consts, spec)
         want = _oracle_verify(certs, consts, spec)
-        assert got.points_evaluated == want.points_evaluated
-        assert got.all_clauses_pass == want.all_clauses_pass
-        assert [c.name for c in got.clauses] == [c.name for c in want.clauses]
         # every clause has points, so each worst point is a sample point
         assert all(c.n_points > 0 for c in want.clauses)
         # the close pair compares counts and verdicts of failing clauses too
         failing = {c.name: c.violations for c in want.clauses if not c.passed}
         assert failing == ({} if case != "close" else
                            {"global.far": 1, "local[0].far": 169, "local[1].far": 169})
-        for a, b in zip(got.clauses, want.clauses):
-            assert (a.name, a.n_points, a.worst_margin, a.violations, a.passed) == \
-                (b.name, b.n_points, b.worst_margin, b.violations, b.passed)
-            if b.worst_point is None:
-                assert a.worst_point is None
-            else:
-                np.testing.assert_array_equal(a.worst_point, b.worst_point)
+        _assert_same_report(got, want)
 
     def test_memory_is_bounded_by_the_block(self):
         certs, consts, spec = _certify_case(1)

@@ -35,6 +35,18 @@ scenario.box.u_min = 0.5
 scenario.box.u_max = 2.0
 """
 
+SINGLE_COMPONENT_D2 = """\
+kernel.d = 2
+kernel.tau = 1.0
+scenario.weights = 1.0
+scenario.t = 0 0
+scenario.u = 1 1
+scenario.box.t_lo = -8
+scenario.box.t_hi = 8
+scenario.box.u_min = 1.0
+scenario.box.u_max = 1.0
+"""
+
 SOLVE_TUNING = """\
 solver.iterations = 400
 solver.step_w = 4.0
@@ -317,8 +329,9 @@ class TestCertify:
 
 
 class TestSolve:
-    def _config(self, tmp_path, *, extra="", drop="", name="run.cfg"):
-        text = (SINGLE_COMPONENT + SOLVE_TUNING
+    def _config(self, tmp_path, *, extra="", drop="", name="run.cfg",
+                scenario=SINGLE_COMPONENT):
+        text = (scenario + SOLVE_TUNING
                 + "experiment.n = 3000\n"
                 + f"output.dir = {tmp_path}/out\n"
                 + "seed.master = 42\n"
@@ -406,11 +419,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("config") and "non-finite" in err
 
-    def test_empty_data_file_exit_2(self, tmp_path, capsys, recwarn):
+    @pytest.mark.parametrize("text", ["", "# no observations\n"],
+                             ids=["empty", "comments"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_data_file_exit_2(self, tmp_path, capsys, recwarn, d, text):
+        # numpy loads either file as shape (0, 1), so in d = 2 the row count
+        # must be checked before the column count
         data = tmp_path / "obs.txt"
-        data.write_text("")
+        data.write_text(text)
         cfg = self._config(tmp_path, extra=f"data.file = {data}\n",
-                           drop="experiment.n")
+                           drop="experiment.n",
+                           scenario=SINGLE_COMPONENT_D2 if d == 2 else SINGLE_COMPONENT)
         assert main(["solve", "--config", cfg]) == 2
         assert capsys.readouterr().err == "config error: need at least 2 observations\n"
         # numpy's "input contained no data" warning is not printed before it

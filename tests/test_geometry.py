@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from gmblasso import DiscreteMeasure, geodesic_spec
+from gmblasso import DiscreteMeasure, DomainBox, KernelContext, geodesic_spec
 from gmblasso.geometry import (
     _from_halfplane,
     _halfplane,
+    _reaching_anchors,
     fr_distance_pairs,
     metric_diag_batch,
+    near_radius,
     region_index_batch,
 )
 from gmblasso.kernel import (
@@ -269,3 +271,105 @@ class TestRegions:
             dist = [float(semi_distance_pairs(p, a, ctx1)) for a in anchors]
             j = int(np.argmin(dist))
             assert i == (j if dist[j] <= 0.4 else -1)
+
+
+def _all_anchor_regions(P, anchors, r, ctx):
+    """region_index_batch without the anchor skip: semi-distances from every
+    point to every anchor."""
+    dist = semi_distance_pairs(anchors[:, None, :], P[None, :, :], ctx)
+    j = np.argmin(dist, axis=0)
+    return np.where(dist[j, np.arange(len(P))] <= r, j, -1)
+
+
+class TestAnchorSkip:
+    """region_index_batch drops the anchors out of a block's reach; its
+    result must equal the pass over every anchor, point for point."""
+
+    def _check(self, P, anchors, r, ctx):
+        want = _all_anchor_regions(P, anchors, r, ctx)
+        got = region_index_batch(P, anchors, r, ctx)
+        np.testing.assert_array_equal(got, want)
+        for i in range(len(P)):      # every point as its own block too
+            assert region_index_batch(P[i:i + 1], anchors, r, ctx)[0] == want[i]
+        return got
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_blocks_match_the_full_pass(self, d):
+        rng = np.random.default_rng(70 + d)
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        anchors = random_locations(rng, 6, box)
+        dropped = near = 0
+        for block in range(40):
+            # blocks around an anchor or a random centre, narrow or wide, with
+            # scales below u_min and above u_max
+            m = int(rng.integers(1, 60))
+            centre = anchors[block % 6] if block % 2 else random_locations(rng, 1, box)[0]
+            spread = (0.05, 0.5, 5.0)[block % 3]
+            P = centre + spread * rng.normal(size=(m, 2 * d))
+            P[:, d:] = np.clip(np.abs(centre[d:] + 0.2 * (P[:, d:] - centre[d:])), 0.2, 3.0)
+            for r in (near_radius(d), 0.5, 1e-4, 3.0):
+                got = self._check(P, anchors, r, ctx)
+                dropped += len(_reaching_anchors(P, anchors, r, ctx.tau)) < len(anchors)
+                near += int(np.count_nonzero(got >= 0))
+        # the skip is exercised, and so are the near points
+        assert dropped > 40 and near > 100
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_at_the_reach(self, d):
+        # t_k moved by exactly r sqrt(u_a^2 + U^2 + tau^2), with U = u_a: the
+        # semi-distance is r up to rounding, and the gap equals the reach
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        anchors = np.array([[-1.0] * d + [0.8] * d, [1.5] * d + [1.3] * d])
+        r = near_radius(d)
+        rows = []
+        for a in anchors:
+            reach = r * np.sqrt(2 * a[d:] ** 2 + ctx.tau**2)
+            for k in range(d):
+                for sign in (-1.0, 1.0):
+                    for f in (1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9):
+                        p = a.copy()
+                        p[k] += sign * f * reach[k]
+                        rows.append(p)
+        got = self._check(np.array(rows), anchors, r, ctx)
+        assert np.any(got >= 0) and np.any(got < 0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_radius_at_a_points_distance(self, d):
+        rng = np.random.default_rng(80 + d)
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        anchors = random_locations(rng, 4, box)
+        P = anchors[rng.integers(0, 4, 30)] + 0.1 * rng.normal(size=(30, 2 * d))
+        P[:, d:] = np.abs(P[:, d:])
+        for i in range(len(P)):
+            r = float(semi_distance_pairs(anchors[:, None, :], P[i], ctx).min())
+            for radius in (r * (1 - 1e-9), r, r * (1 + 1e-9)):
+                got = self._check(P, anchors, radius, ctx)
+                assert (got[i] >= 0) == (radius >= r)
+
+    def test_scales_above_u_max_keep_their_anchor(self, sep_ctx):
+        # with u = 1.1 > u_max = 1 the ball of anchor (0, 1) reaches past
+        # r sqrt(u_a^2 + u_max^2 + tau^2), so a reach taken from the box would
+        # drop the anchor of this point
+        anchors = np.array([[0.0, 1.0], [9.0, 1.0]])
+        r = near_radius(1)
+        P = np.array([[0.53, 1.1], [-0.53, 1.1]])
+        assert np.all(0.53 > r * math.sqrt(1 + sep_ctx.box.u_max**2 + sep_ctx.tau**2))
+        assert self._check(P, anchors, r, sep_ctx).tolist() == [0, 0]
+
+    def test_block_no_anchor_reaches(self, ctx2):
+        anchors = np.array([[-4.0, -4.0, 1.0, 1.0], [-3.0, -4.0, 0.6, 1.5]])
+        P = np.array([[3.0, 4.0, 1.0, 1.0], [4.5, 3.5, 2.0, 0.5]])
+        assert len(_reaching_anchors(P, anchors, near_radius(2), ctx2.tau)) == 0
+        assert self._check(P, anchors, near_radius(2), ctx2).tolist() == [-1, -1]
+
+    def test_ties_map_to_the_smallest_kept_index(self, ctx1):
+        # anchor 0 is out of reach; anchors 1 and 2 coincide, so every point
+        # near them ties and takes index 1
+        anchors = np.array([[-4.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.05, 1.0]])
+        P = np.array([[0.9, 1.0], [1.0, 1.0], [1.2, 1.1], [3.0, 1.0]])
+        r = near_radius(1)
+        assert _reaching_anchors(P, anchors, r, ctx1.tau).tolist() == [1, 2, 3]
+        assert self._check(P, anchors, r, ctx1).tolist() == [1, 1, 3, -1]

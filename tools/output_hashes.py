@@ -1,0 +1,90 @@
+"""Print fingerprints of this checkout's outputs, to check a change for byte
+identity.
+
+    python3 tools/output_hashes.py > hashes.txt
+
+Run from anywhere; it imports gmblasso from the `src/` of the checkout it
+lives in.  It prints
+
+* one sha256 per output file (meta sidecars included) and the exit code of
+  `gmblasso certify` on each of the 8 `certify_d2` pool configs and of
+  `gmblasso solve` on each of the 2 `solve_trace` pool configs, run exactly
+  as perfbench runs them: configs and arguments come from
+  `perfbench/worker.py`, which is only read;
+* every field of the clause reports of acceptance gate 5 (d = 1, s = 2 and
+  s = 3, the default GridSpec), worst margins and worst points as float hex,
+  and its points_evaluated.
+
+To compare two commits, run it in a checkout of each and `diff` the outputs,
+for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
+It takes about 15 s on a 2-core host.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_worker():
+    path = os.path.join(ROOT, "perfbench", "worker.py")
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+def cli_hashes(worker, gm, name: str, workdir: str):
+    workload = worker.WORKLOADS[name]
+    workload.prepare(gm, workdir)
+    for key in range(workload.pool_size):
+        with contextlib.redirect_stdout(io.StringIO()):
+            _, result = workload.run(key)
+        print(f"{name} {key} rc {result['rc']}")
+        for fname, data in result["files"].items():
+            print(f"{name} {key} {fname} {hashlib.sha256(data).hexdigest()}")
+
+
+def gate5_reports(gm):
+    """The clause reports of test_criterion_05_certificates."""
+    from gmblasso import (DiscreteMeasure, DomainBox, GridSpec, KernelContext,
+                          build_upsilon, lpc_constants, solve_certificates,
+                          verify_nondegeneracy)
+    import numpy as np
+
+    for s, anchors_t, half_width in ((2, (-13.0, 13.0), 20.0),
+                                     (3, (-27.0, 0.0, 27.0), 35.0)):
+        box = DomainBox((-half_width,), (half_width,), 1.0, 1.0)
+        ctx = KernelContext(1, 1.0, box)
+        locs = np.array([[t, 1.0] for t in anchors_t])
+        mu0 = DiscreteMeasure.from_arrays(np.full(s, 1.0 / s), locs)
+        certs = solve_certificates(build_upsilon(mu0.coords, ctx))
+        report = verify_nondegeneracy(certs, lpc_constants(1, s, 1.0, box), GridSpec())
+        for c in report.clauses:
+            point = ("None" if c.worst_point is None else
+                     f"{c.worst_point.dtype}{list(c.worst_point.shape)}:"
+                     + ",".join(float(v).hex() for v in c.worst_point))
+            print(f"gate5 s={s} {c.name} n_points={c.n_points} "
+                  f"worst_margin={c.worst_margin.hex()} worst_point={point} "
+                  f"violations={c.violations} passed={c.passed}")
+        print(f"gate5 s={s} all_clauses_pass={report.all_clauses_pass} "
+              f"points_evaluated={report.points_evaluated}")
+
+
+def main() -> int:
+    worker = load_worker()
+    gm = worker.load_gmblasso()
+    with tempfile.TemporaryDirectory() as workdir:
+        cli_hashes(worker, gm, "certify_d2", workdir)
+        cli_hashes(worker, gm, "solve_trace", workdir)
+    gate5_reports(gm)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
