@@ -557,7 +557,10 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
         better = block_worst > worst
         worst[better] = block_worst[better]
         worst_point[better] = P[i[better]]
-        violations += np.count_nonzero(table > _VIOLATION_TOL, axis=2)
+        # the table holds margins or -inf, so without a margin above the
+        # tolerance every count is 0
+        if (margins > _VIOLATION_TOL).any():
+            violations += np.count_nonzero(table > _VIOLATION_TOL, axis=2)
         n_points += np.count_nonzero(in_region, axis=1)
 
     # interpolation margins are the value errors and gradient norms at the

@@ -212,5 +212,4 @@ def region_index_batch(P: np.ndarray, anchors: np.ndarray, r: float,
     # anchors first, so the point axis is the long contiguous one; the
     # semi-distance is symmetric bit for bit
     dist = semi_distance_pairs(anchors[kept, None, :], P[None, :, :], ctx)
-    j = np.argmin(dist, axis=0)
-    return np.where(dist[j, np.arange(len(P))] <= r, kept[j], -1)
+    return np.where(dist.min(axis=0) <= r, kept[dist.argmin(axis=0)], -1)
