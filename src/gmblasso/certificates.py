@@ -131,19 +131,19 @@ def build_upsilon(anchors, ctx: KernelContext) -> CertificateSystem:
 
 
 def _solve_system(U: np.ndarray, rhs: np.ndarray):
-    """Solve U X = rhs for symmetric positive definite U by Cholesky.
+    """Solve U X = rhs for symmetric positive definite U.
 
     A system that is not positive definite, or whose condition number
     reaches _COND_LIMIT, has no certificate to solve for: its residual
-    would miss _RESIDUAL_TOL by orders of magnitude."""
-    import scipy.linalg   # here, so that only certify pays its ~0.35 s import
-    w = scipy.linalg.eigvalsh(U)
+    would miss _RESIDUAL_TOL by orders of magnitude.  Solved by LU, not by
+    eigh, whose eigenbasis mixes U's near-diagonal blocks (residuals ~1e-16)."""
+    w = np.linalg.eigvalsh(U)
     lo, hi = float(w[0]), float(w[-1])
     cond = math.inf if lo <= 0 else hi / lo
     if cond >= _COND_LIMIT:
         raise SingularSystemError(
             "certificate system is singular or ill-conditioned", cond)
-    X = scipy.linalg.cho_solve(scipy.linalg.cho_factor(U, lower=True), rhs)
+    X = np.linalg.solve(U, rhs)
     resid = np.abs(U @ X - rhs).max(axis=0)
     if np.any(~np.isfinite(X)) or np.max(resid) >= _RESIDUAL_TOL:
         raise SingularSystemError(

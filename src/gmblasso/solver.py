@@ -102,7 +102,7 @@ def objective_gradient(w: np.ndarray, pts: np.ndarray, octx: ObjectiveContext):
     analytic gradients (dJ/dw_j, dJ/dx_j), shapes (s,) and (s, 2d), from one
     pass of each kernel term."""
     if len(w) == 0:
-        return 0.0, np.zeros(0), np.zeros((0, 0))
+        return 0.0, np.zeros(0), np.zeros_like(pts, dtype=float)
     K = kernel_values(pts[:, None, :], pts[None, :, :], octx.ctx)
     G1 = grad1_batch(pts[:, None, :], pts[None, :, :], octx.ctx)   # (s, s, 2d)
     wit, wit_grad = data_witness(pts, octx.samples, octx.ctx, with_gradient=True,

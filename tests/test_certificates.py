@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import qmc
 
 from gmblasso import (
@@ -216,6 +217,26 @@ class TestSolve:
         certs = solve_certificates(sep_system)
         mid = np.array([[0.0, 1.0]])
         assert abs(certificate_values(certs, mid)[0, 0]) < 0.1
+
+    @pytest.mark.parametrize("d, half_width, anchors_t", [
+        (1, 20.0, [(-13.0,), (13.0,)]),                       # gate 5, s = 2
+        (1, 35.0, [(-27.0,), (0.0,), (27.0,)]),               # gate 5, s = 3
+        (2, 35.0, [(-27.0, 0.0), (0.0, 20.0), (27.0, 0.0)]),
+    ])
+    def test_matches_cholesky_solve(self, d, half_width, anchors_t):
+        box = DomainBox((-half_width,) * d, (half_width,) * d, 1.0, 1.0)
+        ctx = KernelContext(d, 1.0, box)
+        anchors = np.array([t + (1.0,) * d for t in anchors_t])
+        U = build_upsilon(anchors, ctx).upsilon
+        s, m = len(anchors), 1 + 2 * d
+        rhs = np.zeros((s * m, s + 1))
+        rhs[::m, 0] = 1.0
+        rhs[::m, 1:] = np.eye(s)
+        X, resid = certificates._solve_system(U, rhs)
+        X_chol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(U, lower=True), rhs)
+        assert np.max(np.abs(X - X_chol)) <= 1e-12 * np.max(np.abs(X_chol))
+        assert np.max(resid) < certificates._RESIDUAL_TOL
+        assert np.max(np.abs(U @ X_chol - rhs)) < certificates._RESIDUAL_TOL
 
 
 class TestBatchEvaluation:

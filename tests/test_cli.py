@@ -487,6 +487,19 @@ class TestSolve:
             assert meta["kappa"] == 0.02
             assert meta["config"]["experiment.kappa"] == 0.02
 
+    def test_every_atom_pruned(self, tmp_path):
+        # at this kappa the zero measure is the solution: the first merge
+        # step prunes every atom, and solve writes a header-only measure
+        cfg = write_cfg(tmp_path, SEPARATED + "solver.iterations = 50\n"
+                        "solver.merge_period = 1\nsolver.prune_threshold = 1e9\n"
+                        "experiment.kappa = 10\nexperiment.n = 1000\n"
+                        f"output.dir = {tmp_path}/out\n")
+        assert main(["solve", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "out" / "solve_measure.csv")
+        assert rows == [["atom", "weight", "t_0", "u_0"]]
+        meta = read_meta(tmp_path / "out" / "solve_measure.csv.meta.json")
+        assert meta["acceptance"] is True and meta["converged"] is True
+
     def test_max_particles_above_bound_exit_2(self, tmp_path, capsys):
         # (s, s, 2d) kernel arrays at s = 1e5 would need about 75 GiB; the
         # config is refused before any sample is drawn

@@ -1,6 +1,6 @@
 """Package surface: every name a module exports in __all__ resolves, every
-name the benchmark's span tracer wraps exists in the form it wraps, and scipy
-is loaded only by certify's certificate solve."""
+name the benchmark's span tracer wraps exists in the form it wraps, and no
+command loads scipy."""
 import importlib
 import importlib.util
 import inspect
@@ -75,11 +75,13 @@ scenario.box.u_min = 1.0
 scenario.box.u_max = 1.0
 solver.iterations = 50
 experiment.n = 200
+experiment.n_grid = 200
+experiment.replications = 1
 """
 
 # Runs in a fresh interpreter (this one has loaded scipy through the tests'
-# oracles): prints the loaded scipy modules after the imports, after a solve
-# and after a certify.
+# oracles): prints, after the imports and after each command, its exit code
+# and the loaded scipy modules.
 IMPORT_PROBE = """\
 import json, sys
 import gmblasso, gmblasso.cli
@@ -88,16 +90,17 @@ def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 cfg, out = sys.argv[1:]
-after = {"import": loaded()}
-gmblasso.cli.main(["solve", "--config", cfg, "--out", out + "/solve"])
-after["solve"] = loaded()
-gmblasso.cli.main(["certify", "--config", cfg, "--out", out + "/certify"])
-after["certify"] = loaded()
+steps = {name: [name, "--config", cfg, "--out", out + "/" + name]
+         for name in ("solve", "certify", "rates")}
+steps["kernel-check"] = ["kernel-check", "--samples", "30"]
+after = {"import": [0, loaded()]}
+for name, argv in steps.items():
+    after[name] = [gmblasso.cli.main(argv), loaded()]
 print(json.dumps(after))
 """
 
 
-def test_scipy_loaded_only_by_certify(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SCENARIO)
     src = str(Path(gmblasso.__file__).resolve().parents[1])
@@ -107,8 +110,5 @@ def test_scipy_loaded_only_by_certify(tmp_path):
                            str(tmp_path)], env=env, text=True,
                           stdout=subprocess.PIPE, check=True)
     after = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert after["import"] == []
-    assert after["solve"] == []
-    assert "scipy.linalg" in after["certify"]
-    assert not [m for m in after["certify"]
-                if m == "scipy.stats" or m.startswith("scipy.stats.")]
+    assert after == {step: [0, []] for step in
+                     ("import", "solve", "certify", "rates", "kernel-check")}

@@ -396,6 +396,17 @@ class TestDescent:
         assert res.iterations_run == 5
         assert len({row.objective for row in res.trace}) == 1
 
+    def test_prune_to_empty_measure(self, sep_mixture, sep_ctx):
+        # at this kappa the zero measure is the solution: the first merge
+        # step prunes every atom, and the descent goes on from no atoms
+        rng = np.random.default_rng(0)
+        octx = ObjectiveContext(sample(sep_mixture, 1000, rng), 10.0, sep_ctx)
+        cfg = SolverConfig(iterations=50, merge_period=1, prune_threshold=1e9)
+        res = cpgd_solve(initial_measure(octx, cfg, rng), octx, cfg)
+        assert res.converged and not res.aborted
+        assert res.measure.s == 0 and res.measure.coords.shape == (0, 2)
+        assert res.trace[-1].atoms == 0
+
 
 class TestInvariants:
     """Properties every returned result keeps.  Pruning is off: the final

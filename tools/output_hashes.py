@@ -11,6 +11,10 @@ lives in.  It prints
   `gmblasso solve` on each of the 2 `solve_trace` pool configs, run exactly
   as perfbench runs them: configs and arguments come from
   `perfbench/worker.py`, which is only read;
+* beside each certify's hashes, one verdict line per row of
+  `certify_clauses.csv` (clause, points, violations, passed), its worst
+  margin as float hex on a line of its own, and the run's points_evaluated,
+  so that a diff tells a changed verdict from a last-bit move of a margin;
 * every field of the clause reports of acceptance gate 5 (d = 1, s = 2 and
   s = 3, the default GridSpec), worst margins and worst points as float hex,
   and its points_evaluated.
@@ -22,9 +26,11 @@ It takes about 15 s on a 2-core host.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import tempfile
 
@@ -48,6 +54,21 @@ def cli_hashes(worker, gm, name: str, workdir: str):
         print(f"{name} {key} rc {result['rc']}")
         for fname, data in result["files"].items():
             print(f"{name} {key} {fname} {hashlib.sha256(data).hexdigest()}")
+        if "certify_clauses.csv" in result["files"]:
+            clause_verdicts(f"{name} {key}", result["files"])
+
+
+def clause_verdicts(prefix: str, files: dict):
+    """The verdict columns of certify_clauses.csv, one line per clause, and
+    each worst margin as float hex on a line of its own."""
+    text = files["certify_clauses.csv"].decode("utf-8")
+    for row in csv.DictReader(io.StringIO(text)):
+        print(f"{prefix} clause {row['clause']} points={row['points']} "
+              f"violations={row['violations']} passed={row['passed']}")
+        print(f"{prefix} clause {row['clause']} "
+              f"worst_margin={float(row['worst_margin']).hex()}")
+    meta = json.loads(files["certify_clauses.csv.meta.json"])
+    print(f"{prefix} points_evaluated={meta.get('points_evaluated')}")
 
 
 def gate5_reports(gm):
