@@ -80,8 +80,8 @@ experiment.replications = 1
 """
 
 # Runs in a fresh interpreter (this one has loaded scipy through the tests'
-# oracles): prints, after the imports and after each command, its exit code
-# and the loaded scipy modules.
+# oracles): prints each command's exit code, and the loaded scipy modules
+# after the imports and after each command.
 IMPORT_PROBE = """\
 import json, sys
 import gmblasso, gmblasso.cli
@@ -93,10 +93,11 @@ cfg, out = sys.argv[1:]
 steps = {name: [name, "--config", cfg, "--out", out + "/" + name]
          for name in ("solve", "certify", "rates")}
 steps["kernel-check"] = ["kernel-check", "--samples", "30"]
-after = {"import": [0, loaded()]}
+codes, after = {}, {"import": loaded()}
 for name, argv in steps.items():
-    after[name] = [gmblasso.cli.main(argv), loaded()]
-print(json.dumps(after))
+    codes[name] = gmblasso.cli.main(argv)
+    after[name] = loaded()
+print(json.dumps([codes, after]))
 """
 
 
@@ -109,6 +110,7 @@ def test_no_command_loads_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(cfg),
                            str(tmp_path)], env=env, text=True,
                           stdout=subprocess.PIPE, check=True)
-    after = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert after == {step: [0, []] for step in
-                     ("import", "solve", "certify", "rates", "kernel-check")}
+    codes, after = json.loads(proc.stdout.strip().splitlines()[-1])
+    commands = ("solve", "certify", "rates", "kernel-check")
+    assert codes == {name: 0 for name in commands}
+    assert after == {name: [] for name in ("import",) + commands}
