@@ -16,11 +16,9 @@ since the theory bounds expectations.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -88,16 +86,28 @@ class GroundTruthMixture:
                              "to_omega")
 
 
+# samples per chunk of the Gaussian draw in `sample`
+_SAMPLE_CHUNK = 2**16
+
+
 def sample(mixture: GroundTruthMixture, n: int, seed) -> np.ndarray:
     """Draw n iid observations: component index from the weights, then a
-    coordinatewise Gaussian draw. Returns an (n, d) array."""
+    coordinatewise Gaussian draw. Returns an (n, d) array.
+
+    The normals are drawn a chunk of _SAMPLE_CHUNK samples at a time, which
+    takes the same numbers from the stream as one draw of all n, so only the
+    output and the component indices grow with n."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     locs = mixture.measure.locations_array()
     d = mixture.d
     idx = rng.choice(mixture.s, size=n, p=mixture.measure.weights)
-    return rng.normal(locs[idx, :d], locs[idx, d:])
+    out = np.empty((n, d))
+    for i in range(0, n, _SAMPLE_CHUNK):
+        rows = locs[idx[i:i + _SAMPLE_CHUNK]]
+        out[i:i + _SAMPLE_CHUNK] = rng.normal(rows[:, :d], rows[:, d:])
+    return out
 
 
 def _classify(mu_hat: DiscreteMeasure, anchors: np.ndarray, r_e: float,
@@ -323,10 +333,23 @@ def _fork_context():
     """
     if threading.active_count() > 1:
         return None
+    import multiprocessing   # here, not at the top: see _process_pool
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:
         return None
+
+
+def _process_pool(max_workers: int, mp_context):
+    """A process pool of max_workers processes started from mp_context.
+
+    The pool's modules (logging, subprocess, socket, queue among them) are
+    imported only when a sweep runs in parallel, not by every import of the
+    package and every command."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers, mp_context=mp_context)
 
 
 def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
@@ -355,7 +378,7 @@ def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
     if ctx is None:
         rows = tuple(_one_replication(*a) for a in args)
     else:
-        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx) as pool:
+        with _process_pool(workers - 1, ctx) as pool:
             futures = {k: pool.submit(_one_replication, *a)
                        for k, a in enumerate(args) if k % workers}
             own = {k: _one_replication(*a)

@@ -165,6 +165,14 @@ def geodesic_spec(x, xp, ctx: KernelContext) -> GeodesicSpec:
                         sig0, sig1, center, radius)
 
 
+def _reach(PT: np.ndarray, anchors: np.ndarray, r: float, tau: float) -> np.ndarray:
+    """Each anchor's reach in each t_k over the block PT (2d, m), (s, d): the
+    widened r sqrt(u_{a,k}^2 + U_k^2 + tau^2) of _reaching_anchors."""
+    d = len(PT) // 2
+    U2 = (PT[d:] ** 2).max(axis=1)
+    return (r * (1 + 1e-9) + 1e-6) * np.sqrt(anchors[:, d:] ** 2 + U2 + tau**2)
+
+
 def _reaching_anchors(P: np.ndarray, anchors: np.ndarray, r: float,
                       tau: float) -> np.ndarray:
     """Indices, in order, of the anchors whose semi-distance ball of radius r
@@ -186,13 +194,36 @@ def _reaching_anchors(P: np.ndarray, anchors: np.ndarray, r: float,
     covers that loss for d below 2000, whatever r is.  A NaN in P keeps
     every anchor.
     """
-    d = P.shape[1] // 2
-    t_lo, t_hi = P[:, :d].min(axis=0), P[:, :d].max(axis=0)
-    U2 = (P[:, d:] ** 2).max(axis=0)
-    ta, ua = anchors[:, :d], anchors[:, d:]
-    gap = np.maximum(t_lo - ta, ta - t_hi)                            # (s, d)
-    reach = (r * (1 + 1e-9) + 1e-6) * np.sqrt(ua**2 + U2 + tau**2)
-    return np.flatnonzero(~np.any(gap > reach, axis=1))
+    # coordinate-first, so that reductions run along the points and not over
+    # d values at a time, which is some ten times slower
+    PT = np.ascontiguousarray(P.T)
+    d = len(PT) // 2
+    ta = anchors[:, :d]
+    gap = np.maximum(PT[:d].min(axis=1) - ta, ta - PT[:d].max(axis=1))   # (s, d)
+    return np.flatnonzero(~np.any(gap > _reach(PT, anchors, r, tau), axis=1))
+
+
+def _reached_points(P: np.ndarray, anchors: np.ndarray, r: float,
+                    tau: float) -> np.ndarray:
+    """Indices, in order, of the points of P that may lie in the semi-distance
+    ball of radius r of some anchor.
+
+    The bound of _reaching_anchors, with the same widened reach, point by
+    point: a point whose |dt_k| to an anchor exceeds that anchor's reach in
+    some coordinate k is farther than r from it, and a point farther than r
+    from every anchor is dropped.  When one anchor's reach holds the whole
+    t-range of P, no point is dropped and none is tested.  A NaN in P keeps
+    every point.
+    """
+    PT = np.ascontiguousarray(P.T)            # coordinate-first, as above
+    d = len(PT) // 2
+    t, ta = PT[:d], anchors[:, :d]
+    reach = _reach(PT, anchors, r, tau)                               # (s, d)
+    span = np.maximum(t.max(axis=1) - ta, ta - t.min(axis=1))
+    if np.any(np.all(span <= reach, axis=1)):
+        return np.arange(len(P))
+    far = np.any(np.abs(t - ta[:, :, None]) > reach[:, :, None], axis=1)   # (s, m)
+    return np.flatnonzero(~np.all(far, axis=0))
 
 
 def region_index_batch(P: np.ndarray, anchors: np.ndarray, r: float,
@@ -200,16 +231,22 @@ def region_index_batch(P: np.ndarray, anchors: np.ndarray, r: float,
     """Index of the nearest anchor within the closed semi-distance ball of
     radius r, or -1 for far; ties break to the smallest index.
 
-    Semi-distances are computed only to the anchors that can reach P (see
-    _reaching_anchors); a dropped anchor is farther than r from every point,
-    so it can neither hold a point nor win a tie inside the ball, and the
-    result equals that of the pass over all anchors."""
+    Semi-distances are computed only from the anchors that can reach P (see
+    _reaching_anchors) and only to the points that one of those can reach
+    (see _reached_points).  A dropped anchor is farther than r from every
+    point, so it can neither hold a point nor win a tie inside the ball, and
+    a dropped point is farther than r from every kept anchor, so it is far;
+    the result equals that of the pass over all anchors and points."""
+    region = np.full(len(P), -1)
     if len(anchors) == 0 or len(P) == 0:
-        return np.full(len(P), -1)
+        return region
     kept = _reaching_anchors(P, anchors, r, ctx.tau)
     if len(kept) == 0:
-        return np.full(len(P), -1)
+        return region
+    near = _reached_points(P, anchors[kept], r, ctx.tau)
+    Q = P if len(near) == len(P) else P[near]
     # anchors first, so the point axis is the long contiguous one; the
     # semi-distance is symmetric bit for bit
-    dist = semi_distance_pairs(anchors[kept, None, :], P[None, :, :], ctx)
-    return np.where(dist.min(axis=0) <= r, kept[dist.argmin(axis=0)], -1)
+    dist = semi_distance_pairs(anchors[kept, None, :], Q[None, :, :], ctx)
+    region[near] = np.where(dist.min(axis=0) <= r, kept[dist.argmin(axis=0)], -1)
+    return region

@@ -27,7 +27,9 @@ where phi(.; m, v) is the Gaussian density with mean m and variance v.
 These sums over the n samples are computed directly, in blocks of samples,
 or from a Hermite moment table of the samples (MomentTable, the moment form
 of the fast Gauss transform) at O(cells p^d) per target; choose_table picks
-the table when that work is the smaller.  The pair sum behind the data
+the table when that work is the smaller.  A table is built in two passes over
+fixed chunks of the samples, one to find the occupied cells and one to add
+up their moments, so building it needs no memory that grows with n.  The pair sum behind the data
 constant, sum_ii' lambda(X_i - X_i'), is either the exact blocked sum, O(n^2),
 or a contraction of the table's moments over pairs of cells,
 O(cells^2 p^(d+1)) and free of n; choose_pair_table picks between them the
@@ -356,6 +358,9 @@ _TABLE_COST = (8.0, 0.06)
 # values held at once by one chunk of a table evaluation: the Hermite factors
 # of a chunk of targets, or the moment products of a block of cell rows
 _TABLE_CHUNK = 2**18
+# values held at once by the powers of one chunk of samples in a table build:
+# 9709 samples in d = 1, 4854 in d = 2 and 359 in d = 3 at p = 27
+_BUILD_CHUNK = 2**18
 # the cell-pair form of the pair sum is chosen when
 # _PAIR_COST[d - 1] * cells^2 * p^(d+1) < n^2: its time per unit of that work
 # over the blocked pair sum's per ordered pair of samples.  On uniform data
@@ -584,19 +589,90 @@ def _sample_matrix(samples) -> np.ndarray:
     return X[:, None] if X.ndim == 1 else X
 
 
-def _cell_layout(X: np.ndarray, width: float):
-    """Samples sorted by occupied cell of side width.
-
-    Returns (order, starts, centers): X[order] lists the samples cell by
-    cell, cell c starting at row starts[c] and centred at centers[c].
-    """
-    lo = X.min(axis=0)
+def _cell_keys(X: np.ndarray, lo, width: float, extent: tuple) -> np.ndarray:
+    """Keys of the cells of side width that hold the samples X: sample i lies
+    in cell q_i = floor((X_i - lo) / width), and the key numbers the q in a
+    row-major grid of the given extent, so that key order is the
+    lexicographic order of cells."""
     q = np.floor((X - lo) / width).astype(np.int64)
-    order = np.lexsort(q.T[::-1])
-    key = q[order]
-    starts = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1)])
-    centers = lo + (key[starts] + 0.5) * width
-    return order, starts, centers
+    return np.ravel_multi_index(tuple(q.T), extent)
+
+
+def _chunk_rows(order: int, d: int) -> int:
+    """Samples per chunk of a table build, so that a chunk's powers, d *
+    order values per sample, and a cell's products of the first d - 1
+    coordinates' powers, order^(d-1) per sample, stay within _BUILD_CHUNK
+    values."""
+    return max(1, _BUILD_CHUNK // max(d * order, order ** (d - 1)))
+
+
+def _occupied_cells(X: np.ndarray, width: float, order: int):
+    """Pass 1 of a table build: the cells of side width that hold a sample,
+    as (lo, extent, keys) with keys sorted (see _cell_keys), or None when
+    the grid spanned by the samples has too many cells to number in int64.
+
+    The samples are binned a chunk at a time, and each chunk's keys are
+    merged into the occupied set only once they outnumber it, so the merges
+    cost O(n log n) in all and hold O(cells + chunk) keys at once."""
+    n, d = X.shape
+    lo = X.min(axis=0)
+    span = np.floor((X.max(axis=0) - lo) / width) + 1.0
+    if not np.prod(span) < 2.0**62:
+        return None
+    extent = tuple(int(s) for s in span)
+    rows = _chunk_rows(order, d)
+    found, pending, size = np.empty(0, dtype=np.intp), [], 0
+    for i in range(0, n, rows):
+        pending.append(_distinct(_cell_keys(X[i:i + rows], lo, width, extent)))
+        size += len(pending[-1])
+        if size > max(len(found), rows):
+            found, pending, size = _distinct(np.concatenate([found, *pending])), [], 0
+    return lo, extent, _distinct(np.concatenate([found, *pending]))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonempty array, sorted; as np.unique, which
+    is several times slower on chunks of a few thousand integers."""
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
+
+def _build_table(X: np.ndarray, width: float, cells, order: int) -> MomentTable:
+    """Pass 2 of a table build: each chunk of pass 1, in order, adds its
+    per-cell sums of prod_k y_k^a_k / a_k! into the moments, so a chunk's
+    temporaries stay within a few times _BUILD_CHUNK values whatever n is."""
+    lo, extent, keys = cells
+    n, d = X.shape
+    centers = lo + (np.stack(np.unravel_index(keys, extent), axis=1) + 0.5) * width
+    moments = np.zeros((len(keys),) + (order,) * d)
+    flat = moments.reshape(len(keys), -1)
+    rows = _chunk_rows(order, d)
+    for i in range(0, n, rows):
+        chunk = X[i:i + rows]
+        cell = np.searchsorted(keys, _cell_keys(chunk, lo, width, extent))
+        # the chunk's samples cell by cell, each cell's in sample order; the
+        # stable sort is a radix sort when the cell numbers fit 16 bits
+        by_cell = np.argsort(cell.astype(np.min_scalar_type(len(keys))),
+                             kind="stable")
+        cell = cell[by_cell]
+        y = ((chunk[by_cell] - centers[cell]) / width).T         # (d, rows)
+        powers = np.empty((d, order, len(cell)))
+        powers[:, 0] = 1.0
+        for a in range(1, order):
+            np.multiply(powers[:, a - 1], y, out=powers[:, a])
+            powers[:, a] /= a
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        if d == 1:
+            flat[cell[starts]] += np.add.reduceat(powers[0], starts, axis=1).T
+            continue
+        # per cell: the outer product over the first d - 1 coordinates,
+        # (order^(d-1), samples), against the last coordinate's powers
+        for s, e in zip(starts, np.r_[starts[1:], len(cell)]):
+            lead = powers[0, :, s:e]
+            for k in range(1, d - 1):
+                lead = (lead[:, None] * powers[k, None, :, s:e]).reshape(-1, e - s)
+            flat[cell[s]] += (lead @ powers[d - 1, :, s:e].T).ravel()
+    return MomentTable(centers, moments, width, n)
 
 
 def moment_table(samples, delta: float) -> MomentTable:
@@ -607,46 +683,27 @@ def moment_table(samples, delta: float) -> MomentTable:
     """
     X = _sample_matrix(samples)
     width = float(delta)
-    return _build_table(X, width, _cell_layout(X, width),
-                        _truncation_order(_TABLE_RATIO))
-
-
-def _build_table(X, width, layout, order) -> MomentTable:
-    rows, starts, centers = layout
-    n, d = X.shape
-    cell = np.zeros(n, dtype=np.int64)
-    cell[starts[1:]] = 1
-    y = ((X[rows] - centers[np.cumsum(cell)]) / width).T       # (d, n)
-    powers = np.empty((d, order, n))
-    powers[:, 0] = 1.0
-    for a in range(1, order):
-        np.multiply(powers[:, a - 1], y, out=powers[:, a])
-        powers[:, a] /= a
-    if d == 1:
-        moments = np.add.reduceat(powers[0], starts, axis=1).T
-    else:
-        # sum over the cell's samples of the outer product over coordinates
-        letters = "abcdefgh"[:d]
-        spec = ",".join(f"{a}n" for a in letters) + "->" + letters
-        ends = np.r_[starts[1:], n]
-        moments = np.stack([np.einsum(spec, *powers[:, :, s:e])
-                            for s, e in zip(starts, ends)])
-    return MomentTable(centers, np.ascontiguousarray(moments), width, n)
+    order = _truncation_order(_TABLE_RATIO)
+    cells = _occupied_cells(X, width, order)
+    if cells is None:
+        raise ValueError("samples span too many cells for a moment table")
+    return _build_table(X, width, cells, order)
 
 
 def _table_if_cheaper(samples, delta: float, cheaper) -> Optional[MomentTable]:
     """The moment table for widths >= delta if cheaper(n, cells, p, d) holds
-    of its layout, otherwise None; d >= 3 always gets None."""
+    of its occupied cells, otherwise None; d >= 3 always gets None, and so
+    do samples whose grid of cells is too large to number."""
     X = _sample_matrix(samples)
     n, d = X.shape
     if d > 2:
         return None
     width = float(delta)
     order = _truncation_order(_TABLE_RATIO)
-    layout = _cell_layout(X, width)
-    if not cheaper(n, len(layout[1]), order, d):
+    cells = _occupied_cells(X, width, order)
+    if cells is None or not cheaper(n, len(cells[2]), order, d):
         return None
-    return _build_table(X, width, layout, order)
+    return _build_table(X, width, cells, order)
 
 
 def choose_table(samples: np.ndarray, delta: float) -> Optional[MomentTable]:

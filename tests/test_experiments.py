@@ -88,6 +88,24 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(sep_mixture, 0, 0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 1000, experiments._SAMPLE_CHUNK])
+    def test_chunked_draw_equals_one_draw(self, d, chunk, monkeypatch):
+        # the draw of all n normals at once, which the chunked draw replaced
+        box = DomainBox((-20.0,) * d, (20.0,) * d, 0.5, 2.0)
+        locs = np.array([[-13.0] * d + [1.0] * d, [13.0] * d + [1.5] * d,
+                         [0.0] * d + [0.7] * d])
+        mixture = GroundTruthMixture(
+            DiscreteMeasure.from_arrays(np.array([0.3, 0.3, 0.4]), locs),
+            KernelContext(d, 0.5, box))
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", chunk)
+        n = 4321 if chunk > 1 else 37
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            idx = rng.choice(3, size=n, p=mixture.measure.weights)
+            one = rng.normal(locs[idx, :d], locs[idx, d:])
+            assert np.array_equal(sample(mixture, n, seed), one)
+
 
 class TestRegionMass:
     def test_zero_at_truth(self, sep_mixture, sep_ctx):
@@ -287,7 +305,7 @@ class TestRateSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(experiments, "_process_pool", StubPool)
         monkeypatch.setattr(experiments, "_one_replication", recording)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         # an unknown kappa rule fails each replication at once
@@ -308,7 +326,7 @@ class TestRateSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("forked beside a running thread")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "_process_pool", no_pool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait)

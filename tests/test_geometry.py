@@ -14,6 +14,7 @@ from gmblasso.geometry import (
     _from_halfplane,
     _halfplane,
     _reaching_anchors,
+    _reached_points,
     fr_distance_pairs,
     metric_diag_batch,
     near_radius,
@@ -282,8 +283,9 @@ def _all_anchor_regions(P, anchors, r, ctx):
 
 
 class TestAnchorSkip:
-    """region_index_batch drops the anchors out of a block's reach; its
-    result must equal the pass over every anchor, point for point."""
+    """region_index_batch drops the anchors out of a block's reach and the
+    points out of every kept anchor's reach; its result must equal the pass
+    over every anchor and point, point for point."""
 
     def _check(self, P, anchors, r, ctx):
         want = _all_anchor_regions(P, anchors, r, ctx)
@@ -299,7 +301,7 @@ class TestAnchorSkip:
         box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
         ctx = KernelContext(d, 0.4, box)
         anchors = random_locations(rng, 6, box)
-        dropped = near = 0
+        dropped = skipped = near = 0
         for block in range(40):
             # blocks around an anchor or a random centre, narrow or wide, with
             # scales below u_min and above u_max
@@ -310,10 +312,12 @@ class TestAnchorSkip:
             P[:, d:] = np.clip(np.abs(centre[d:] + 0.2 * (P[:, d:] - centre[d:])), 0.2, 3.0)
             for r in (near_radius(d), 0.5, 1e-4, 3.0):
                 got = self._check(P, anchors, r, ctx)
-                dropped += len(_reaching_anchors(P, anchors, r, ctx.tau)) < len(anchors)
+                kept = _reaching_anchors(P, anchors, r, ctx.tau)
+                dropped += len(kept) < len(anchors)
+                skipped += len(P) - len(_reached_points(P, anchors[kept], r, ctx.tau))
                 near += int(np.count_nonzero(got >= 0))
-        # the skip is exercised, and so are the near points
-        assert dropped > 40 and near > 100
+        # both skips are exercised, and so are the near points
+        assert dropped > 40 and skipped > 200 and near > 100
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_points_at_the_reach(self, d):
@@ -334,6 +338,40 @@ class TestAnchorSkip:
                         rows.append(p)
         got = self._check(np.array(rows), anchors, r, ctx)
         assert np.any(got >= 0) and np.any(got < 0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_at_the_block_reach(self, d):
+        # points moved in t_k by f r sqrt(u_a^2 + U^2 + tau^2), with U = 2 the
+        # largest u of the block (its last point, far from both anchors): the
+        # point skip keeps f <= 1 + 1e-9, inside the widened reach, and drops
+        # f = 1.01; every one of them is far at its own u
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        anchors = np.array([[-1.0] * d + [0.8] * d, [1.5] * d + [1.3] * d])
+        r = near_radius(d)
+        rows, dropped = [], []
+        for a in anchors:
+            reach = r * np.sqrt(a[d:] ** 2 + 2.0**2 + ctx.tau**2)
+            for k in range(d):
+                for sign in (-1.0, 1.0):
+                    for f in (1 - 1e-9, 1.0, 1 + 1e-9, 1.01):
+                        p = a.copy()
+                        p[k] += sign * f * reach[k]
+                        rows.append(p)
+                        dropped.append(f > 1.001)
+        rows.append([0.2] * d + [2.0] * d)
+        dropped.append(True)
+        P = np.array(rows)
+        assert self._check(P, anchors, r, ctx).tolist() == [-1] * len(P)
+        assert _reached_points(P, anchors, r, ctx.tau).tolist() == \
+            [i for i, out in enumerate(dropped) if not out]
+
+    def test_nan_point_is_far_and_keeps_the_others(self, ctx2):
+        anchors = np.array([[-1.0, 0.0, 1.0, 1.0], [2.0, 1.0, 0.8, 1.2]])
+        P = np.array([[-1.1, 0.1, 1.0, 1.0], [np.nan, 0.0, 1.0, 1.0],
+                      [2.0, 1.0, 0.8, np.nan], [2.05, 0.95, 0.8, 1.2],
+                      [4.5, -4.5, 1.0, 1.0]])
+        assert self._check(P, anchors, near_radius(2), ctx2).tolist() == [0, -1, -1, 1, -1]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_radius_at_a_points_distance(self, d):

@@ -7,6 +7,7 @@ Both identities are used below as independent oracles: one algebraic, one by
 direct numerical quadrature of the integrals.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -571,6 +572,176 @@ class TestMomentTable:
                                  delta) is None
         # d >= 3 always takes the pair sum
         assert choose_pair_table(rng.normal(size=(2000, 3)), delta) is None
+
+
+def _lexsort_centers(X, width):
+    """Cell centres as the layout the streaming build replaced found them: by
+    a lexsort of every sample by its cell floor((X - min X) / width)."""
+    lo = X.min(axis=0)
+    q = np.floor((X - lo) / width).astype(np.int64)
+    key = q[np.lexsort(q.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1)])
+    return lo + (key[starts] + 0.5) * width
+
+
+def _fsum_moments(X, width, centers, order):
+    """moments[c, a_1..a_d] = sum over the samples of cell c of
+    prod_k y_k^a_k / a_k!, each entry summed by math.fsum, with the powers
+    from the same recurrence y^a / a! = (y^(a-1) / (a-1)!) y / a."""
+    n, d = X.shape
+    lo = X.min(axis=0)
+    own = lo + (np.floor((X - lo) / width) + 0.5) * width
+    index = {tuple(c): i for i, c in enumerate(centers)}
+    cell = np.array([index[tuple(c)] for c in own])
+    y = (X - own) / width
+    powers = np.ones((n, d, order))
+    for a in range(1, order):
+        powers[:, :, a] = powers[:, :, a - 1] * y / a
+    products = powers[:, 0]
+    for k in range(1, d):
+        products = (products[:, :, None] * powers[:, k, None, :]).reshape(n, -1)
+    moments = np.array([[math.fsum(col) for col in products[cell == c].T]
+                        for c in range(len(centers))])
+    return moments.reshape((len(centers),) + (order,) * d)
+
+
+def _assert_streamed_table(X, width):
+    """The streamed table's centres equal the lexsort layout's bit for bit,
+    and its moments the fsum moments to 1e-15 of the largest."""
+    table = moment_table(X, width)
+    np.testing.assert_array_equal(table.centers, _lexsort_centers(X, width))
+    want = _fsum_moments(X, width, table.centers, table.order)
+    assert table.moments.shape == want.shape
+    assert np.max(np.abs(table.moments - want)) <= 1e-15 * np.max(np.abs(want))
+    return table
+
+
+def _d2_scenario_samples(rng, n):
+    """The d = 2 scenario: weights 0.3, 0.3 and 0.4 at (t; u) = (-20, 0; 0.8,
+    1.2), (0, 18; 1.3, 0.9) and (20, 0; 1.0, 1.0)."""
+    means = np.array([[-20.0, 0.0], [0.0, 18.0], [20.0, 0.0]])
+    scales = np.array([[0.8, 1.2], [1.3, 0.9], [1.0, 1.0]])
+    idx = rng.choice(3, size=n, p=[0.3, 0.3, 0.4])
+    return rng.normal(means[idx], scales[idx])
+
+
+class TestStreamedBuild:
+    """The two-pass chunked build of the moment table against the lexsort
+    layout and exact per-cell sums it replaced."""
+
+    @pytest.mark.parametrize("d, n, scale", [(1, 3000, 3.0), (2, 800, 2.0),
+                                             (3, 30, 0.3)])
+    def test_moments_match_fsum(self, d, n, scale):
+        # d = 3 serves kernel-check; its cells hold order^3 moments each
+        rng = np.random.default_rng(90 + d)
+        X = rng.normal(0.5, scale, size=(n, d))
+        table = _assert_streamed_table(X, 1.0)
+        assert table.n == n and table.cells > 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_chunk_edges(self, d, rows, monkeypatch):
+        p = _truncation_order(kernel_module._TABLE_RATIO)
+        monkeypatch.setattr(kernel_module, "_BUILD_CHUNK",
+                            rows * max(d * p, p ** (d - 1)))
+        assert kernel_module._chunk_rows(p, d) == rows
+        rng = np.random.default_rng(95 + d)
+        X = rng.normal(0.0, 1.5, size=(52, d))      # 7 does not divide 52
+        X[6] = X[7] = 8.0                            # one cell across a boundary
+        X[-1] = -9.0                                 # a cell seen only at the end
+        _assert_streamed_table(X, 1.0)
+        # against the default chunks, which hold every sample
+        table = moment_table(X, 1.0)
+        monkeypatch.undo()
+        whole = moment_table(X, 1.0)
+        np.testing.assert_array_equal(table.centers, whole.centers)
+        assert np.max(np.abs(table.moments - whole.moments)) \
+            <= 1e-15 * np.max(np.abs(whole.moments))
+
+    @pytest.mark.parametrize("d, tau_fraction", [(1, 1.0), (1, 0.3), (2, 1.0),
+                                                 (2, 0.3)])
+    def test_centers_match_lexsort_layout(self, d, tau_fraction):
+        # the table fixtures above: normal data, a single sample, one cell,
+        # far clusters, and data spread over as many cells as samples
+        ctx = _table_ctx(d, tau_fraction)
+        rng = np.random.default_rng(97)
+        near = rng.normal(0.0, 0.5, size=(40, d))
+        fixtures = [rng.normal(-0.5, 1.0, size=(400, d)), np.full((1, d), 0.3),
+                    0.2 + 0.02 * rng.random((50, d)),
+                    np.concatenate([near, near[:25] + 40.0 * math.sqrt(2.0) * ctx.tau]),
+                    rng.uniform(-1e3, 1e3, size=(2000, d))]
+        widths = (math.sqrt(2 * (ctx.box.u_min**2 + ctx.tau**2)),
+                  math.sqrt(2.0) * ctx.tau)
+        for X in fixtures:
+            for width in widths:
+                want = _lexsort_centers(X, width)
+                table = moment_table(X, width)
+                np.testing.assert_array_equal(table.centers, want)
+                assert table.cells == len(want)
+
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+    def test_same_choices_as_the_lexsort_layout(self, n):
+        # the d = 2 scenario of test_d2_scenario_choice and the d = 1 data of
+        # test_choice_follows_the_work: the rules read the same cell counts
+        rng = np.random.default_rng(33)
+        p = _truncation_order(kernel_module._TABLE_RATIO)
+        for X, delta in ((_d2_scenario_samples(rng, n), math.sqrt(2 * 0.98)),
+                         (rng.normal(size=(n, 1)), 1.0),
+                         (np.linspace(-1e4, 1e4, n)[:, None], 1.0)):
+            d = X.shape[1]
+            for width, table, work in (
+                    (delta, choose_table(X, delta),
+                     lambda c: kernel_module._TABLE_COST[d - 1] * c * p**d < n),
+                    (0.7 * delta, choose_pair_table(X, 0.7 * delta),
+                     lambda c: kernel_module._PAIR_COST[d - 1] * c**2 * p**(d + 1)
+                     < n**2)):
+                cells = len(_lexsort_centers(X, width))
+                assert (table is not None) == work(cells)
+                if table is not None:
+                    np.testing.assert_array_equal(table.centers,
+                                                  _lexsort_centers(X, width))
+
+    def test_declined_table_is_not_built(self, monkeypatch):
+        built = []
+        real = kernel_module._build_table
+        monkeypatch.setattr(kernel_module, "_build_table",
+                            lambda *args: built.append(1) or real(*args))
+        rng = np.random.default_rng(31)
+        assert choose_table(rng.normal(size=50), 1.0) is None
+        assert choose_pair_table(rng.uniform(-100.0, 100.0, size=3), 1.0) is None
+        assert built == []
+        assert choose_table(rng.normal(size=20000), 1.0) is not None
+        assert built == [1]
+
+    def test_grid_too_large_to_number(self):
+        # two samples 1e150 cell widths apart in each coordinate: the grid
+        # they span has 1e300 cells, more than an int64 can number,
+        # so the choices take the direct sums and moment_table refuses
+        X = np.array([[0.0, 0.0], [1e150, 1e150]])
+        assert choose_table(X, 1.0) is None and choose_pair_table(X, 1.0) is None
+        with pytest.raises(ValueError, match="too many cells"):
+            moment_table(X, 1.0)
+
+    def test_build_memory_is_bounded(self):
+        # both tables of the separated scenario at n = 1e6 in d = 1.  The
+        # build holds the moments, cells p^d values, and a chunk's powers
+        # and their reduction, about twice _BUILD_CHUNK values; the bound,
+        # three times both, is below one float per sample (8 MB)
+        rng = np.random.default_rng(99)
+        n = 10**6
+        X = rng.normal(np.array([-13.0, 13.0])[rng.integers(0, 2, n)], 1.0)[:, None]
+        tracemalloc.start()
+        try:
+            witness = choose_table(X, 2.0)
+            pairs = choose_pair_table(X, math.sqrt(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        p = witness.order
+        cells = witness.cells + pairs.cells
+        bound = 3 * 8 * (kernel_module._BUILD_CHUNK + cells * p)
+        assert bound < 8 * n
+        assert peak <= bound
 
 
 class TestHermiteRecurrence:

@@ -1,6 +1,6 @@
 """Package surface: every name a module exports in __all__ resolves, every
 name the benchmark's span tracer wraps exists in the form it wraps, and no
-command loads scipy."""
+command loads scipy or, without a parallel sweep, the process pool."""
 import importlib
 import importlib.util
 import inspect
@@ -80,14 +80,17 @@ experiment.replications = 1
 """
 
 # Runs in a fresh interpreter (this one has loaded scipy through the tests'
-# oracles): prints each command's exit code, and the loaded scipy modules
-# after the imports and after each command.
+# oracles): prints each command's exit code, and the loaded modules of scipy
+# and of the process pool after the imports and after each command.  `rates`
+# runs one replication, so it starts no pool.
 IMPORT_PROBE = """\
 import json, sys
 import gmblasso, gmblasso.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "multiprocessing")
+                  or m == "concurrent.futures" or m.startswith("concurrent.futures."))
 
 cfg, out = sys.argv[1:]
 steps = {name: [name, "--config", cfg, "--out", out + "/" + name]

@@ -17,16 +17,20 @@ lives in.  It prints
   so that a diff tells a changed verdict from a last-bit move of a margin;
 * every field of the clause reports of acceptance gate 5 (d = 1, s = 2 and
   s = 3, the default GridSpec), worst margins and worst points as float hex,
-  and its points_evaluated.
+  and its points_evaluated;
+* every `RateRow` but its runtime of `rate_sweep` on each pool entry of
+  `sweep_large_n` and `sweep_small_n`, run as perfbench runs them (on 2
+  worker processes), one line per row with every float as float hex.
 
 To compare two commits, run it in a checkout of each and `diff` the outputs,
 for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
-It takes about 15 s on a 2-core host.
+It takes about 30 s on a 2-core host.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -71,6 +75,27 @@ def clause_verdicts(prefix: str, files: dict):
     print(f"{prefix} points_evaluated={meta.get('points_evaluated')}")
 
 
+def hex_value(value) -> str:
+    """A float as float hex, a tuple element by element, anything else by repr."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return "(" + ",".join(hex_value(v) for v in value) + ")"
+    return repr(value)
+
+
+def sweep_rows(worker, gm, name: str, workdir: str):
+    """Every field but runtime of every row of each pool entry's sweep."""
+    workload = worker.WORKLOADS[name]
+    workload.prepare(gm, workdir)
+    for key in range(workload.pool_size):
+        _, report = workload.run(key)
+        for row in report.rows:
+            fields = " ".join(f"{f.name}={hex_value(getattr(row, f.name))}"
+                              for f in dataclasses.fields(row) if f.name != "runtime")
+            print(f"{name} {key} {fields}")
+
+
 def gate5_reports(gm):
     """The clause reports of test_criterion_05_certificates."""
     from gmblasso import (DiscreteMeasure, DomainBox, GridSpec, KernelContext,
@@ -103,6 +128,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         cli_hashes(worker, gm, "certify_d2", workdir)
         cli_hashes(worker, gm, "solve_trace", workdir)
+        sweep_rows(worker, gm, "sweep_large_n", workdir)
+        sweep_rows(worker, gm, "sweep_small_n", workdir)
     gate5_reports(gm)
     return 0
 
