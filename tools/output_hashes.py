@@ -24,7 +24,7 @@ lives in.  It prints
 
 To compare two commits, run it in a checkout of each and `diff` the outputs,
 for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
-It takes about 30 s on a 2-core host.
+It takes about 10 s on a 2-core host.
 """
 from __future__ import annotations
 
