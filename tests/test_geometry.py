@@ -366,6 +366,14 @@ class TestAnchorSkip:
         assert _reached_points(P, anchors, r, ctx.tau).tolist() == \
             [i for i, out in enumerate(dropped) if not out]
 
+    def test_block_in_reach_in_one_coordinate_only(self, ctx2):
+        # the block's t_2-range lies within the anchor's reach, its t_1-range
+        # does not: the point skip still tests every point
+        anchors = np.array([[0.0, 0.0, 1.0, 1.0]])
+        P = np.array([[0.0, 0.0, 1.0, 1.0], [4.0, 0.0, 1.0, 1.0]])
+        assert _reached_points(P, anchors, near_radius(2), ctx2.tau).tolist() == [0]
+        assert self._check(P, anchors, near_radius(2), ctx2).tolist() == [0, -1]
+
     def test_nan_point_is_far_and_keeps_the_others(self, ctx2):
         anchors = np.array([[-1.0, 0.0, 1.0, 1.0], [2.0, 1.0, 0.8, 1.2]])
         P = np.array([[-1.1, 0.1, 1.0, 1.0], [np.nan, 0.0, 1.0, 1.0],
