@@ -86,7 +86,7 @@ class GroundTruthMixture:
                              "to_omega")
 
 
-# samples per chunk of the Gaussian draw in `sample`
+# samples per chunk of the index and Gaussian draws in `sample`
 _SAMPLE_CHUNK = 2**16
 
 
@@ -94,15 +94,19 @@ def sample(mixture: GroundTruthMixture, n: int, seed) -> np.ndarray:
     """Draw n iid observations: component index from the weights, then a
     coordinatewise Gaussian draw. Returns an (n, d) array.
 
-    The normals are drawn a chunk of _SAMPLE_CHUNK samples at a time, which
-    takes the same numbers from the stream as one draw of all n, so only the
-    output and the component indices grow with n."""
+    The indices, then the normals, are drawn a chunk of _SAMPLE_CHUNK
+    samples at a time, which takes the same numbers from the stream as one
+    draw of all n; the indices are kept in the narrowest unsigned type, so
+    little but the output grows with n."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     locs = mixture.measure.locations_array()
     d = mixture.d
-    idx = rng.choice(mixture.s, size=n, p=mixture.measure.weights)
+    idx = np.empty(n, dtype=np.min_scalar_type(mixture.s - 1))
+    for i in range(0, n, _SAMPLE_CHUNK):
+        size = min(_SAMPLE_CHUNK, n - i)
+        idx[i:i + size] = rng.choice(mixture.s, size=size, p=mixture.measure.weights)
     out = np.empty((n, d))
     for i in range(0, n, _SAMPLE_CHUNK):
         rows = locs[idx[i:i + _SAMPLE_CHUNK]]

@@ -16,11 +16,13 @@ does not grow with n, when that undercuts the n^2 pair sum
 
 The solver performs multiplicative (conic) weight updates w <- w e^{-eta_w g}
 and metric-preconditioned position updates x <- clip(x - eta_x g_x^{-1} grad),
-with joint backtracking so accepted iterations never increase the objective.
+with joint backtracking, so accepted moves never increase the objective; the
+final prune is the one move not judged (cpgd_solve).
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -248,8 +250,8 @@ def _halfplane_merge(pts: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
     return _from_halfplane(share @ t, share @ h, tau)
 
 
-def _prune(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig):
-    """Atoms at or above the prune threshold."""
+def _prune(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig, ctx=None):
+    """Atoms at or above the prune threshold (ctx unused: a move's signature)."""
     thr = cfg.prune_threshold if cfg.prune_threshold is not None \
         else 1e-6 * float(np.sum(w))
     keep = w >= thr
@@ -281,57 +283,69 @@ def prune_merge(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig,
     return _merge(*_prune(w, pts, cfg), cfg, ctx)
 
 
-def _merge_alone(w, pts, terms, cfg: SolverConfig, octx: ObjectiveContext):
-    """(w, pts, terms) after merging close pairs, if that does not raise J."""
-    w_m, pts_m = _merge(w, pts, cfg, octx.ctx)
-    if len(w_m) < len(w):
-        terms_m = objective_gradient(w_m, pts_m, octx)
-        if terms_m[0] <= terms[0]:
-            return w_m, pts_m, terms_m
-    return w, pts, terms
+_Point = namedtuple("_Point", "w pts J gw gx")   # w (s,), pts (s, 2d), J - C/2, dJ/dw, dJ/dx
+
+
+def _move(cur: _Point, w, pts, octx: ObjectiveContext, judged: bool = True):
+    """The acceptance rule of cpgd_solve: (the point kept, the candidate's J)."""
+    J, gw, gx = objective_gradient(w, pts, octx)
+    if not judged or (math.isfinite(J) and J <= cur.J):
+        return _Point(w, pts, J, gw, gx), J
+    return cur, J
+
+
+def _fewer_atoms(cur: _Point, moves, cfg, octx: ObjectiveContext, judged=True):
+    """cur after the first candidate move(w, pts, cfg, ctx) of `moves` that is
+    kept; one with as many atoms as cur is cur itself and ends the list."""
+    for move in moves:
+        w, pts = move(cur.w, cur.pts, cfg, octx.ctx)
+        if len(w) == len(cur.w):
+            break
+        new, _ = _move(cur, w, pts, octx, judged)
+        if new is not cur:
+            return new
+    return cur
 
 
 def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
                cfg: SolverConfig) -> SolverResult:
-    """Conic particle gradient descent from an explicit initial measure."""
+    """Conic particle gradient descent from an explicit initial measure.
+
+    Every move is judged by `_move`, which keeps it if its J is finite and not
+    above the current J, but the final prune: that is unconditional, and may
+    raise J, until the weights are re-solved on the support it keeps."""
     box = octx.ctx.box
-    w = init.weights
     pts = init.locations_array()
     if not box.contains(pts, atol=1e-9):
         raise ValueError("initial atom outside the domain box")
 
-    J, gw, gx = objective_gradient(w, pts, octx)
-    trace: list[TraceRow] = []
-    eta_w, eta_x = cfg.step_w, cfg.step_x
-    lo, hi = box.lower(), box.upper()
-    still = 0
-    last_failed = -cfg.patience
-    converged = stalled = aborted = False
-    reason = None
-
-    if not math.isfinite(J):
+    cur = _Point(init.weights, pts, *objective_gradient(init.weights, pts, octx))
+    if not math.isfinite(cur.J):
         return SolverResult(init, (), False, False, True,
                             "non-finite objective at initialization", 0)
 
+    trace: list[TraceRow] = []
+    eta_w, eta_x = cfg.step_w, cfg.step_x
+    lo, hi = box.lower(), box.upper()
+    still, last_failed = 0, -cfg.patience
+    converged = stalled = aborted = False
+    reason = None
+
     for it in range(1, cfg.iterations + 1):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gx))):
+        if not (np.all(np.isfinite(cur.gw)) and np.all(np.isfinite(cur.gx))):
             aborted, reason = True, f"non-finite gradient at iteration {it}"
             break
-        ginv = 1.0 / metric_diag_batch(pts, octx.ctx.tau)
-
+        ginv = 1.0 / metric_diag_batch(cur.pts, octx.ctx.tau)
         drop = 0.0
         for _ in range(cfg.max_backtracks + 1):
-            w_try = w * np.exp(np.clip(-eta_w * gw, -60.0, 60.0))
-            pts_try = np.clip(pts - eta_x * ginv * gx, lo, hi)
-            J_try, gw_try, gx_try = objective_gradient(w_try, pts_try, octx)
+            new, J_try = _move(cur, cur.w * np.exp(np.clip(-eta_w * cur.gw, -60.0, 60.0)),
+                               np.clip(cur.pts - eta_x * ginv * cur.gx, lo, hi), octx)
             if not math.isfinite(J_try):
                 aborted, reason = True, f"non-finite objective at iteration {it}"
                 break
-            if J_try <= J:
-                drop = J - J_try
-                w, pts, J, gw, gx = w_try, pts_try, J_try, gw_try, gx_try
-                eta_w = min(2 * eta_w, cfg.step_w)
-                eta_x = min(2 * eta_x, cfg.step_x)
+            if new is not cur:
+                drop, cur = cur.J - J_try, new
+                eta_w, eta_x = min(2 * eta_w, cfg.step_w), min(2 * eta_x, cfg.step_x)
                 break
             eta_w, eta_x = eta_w / 2, eta_x / 2
         else:
@@ -340,33 +354,18 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
             break
 
         if cfg.merge_period > 0 and it % cfg.merge_period == 0:
-            # prune and merge as one candidate; if that raises J (a dust atom
-            # whose removal costs more than the merge gains), the merge alone.
-            # A candidate with as many atoms is the current point.
-            w_c, pts_c = prune_merge(w, pts, cfg, octx.ctx)
-            if len(w_c) < len(w):
-                terms = objective_gradient(w_c, pts_c, octx)
-                if terms[0] <= J:
-                    w, pts = w_c, pts_c
-                else:
-                    w, pts, terms = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
-                J, gw, gx = terms
+            cur = _fewer_atoms(cur, (prune_merge, _merge), cfg, octx)
+        trace.append(TraceRow(it, cur.J, float(cur.w.sum()), eta_w, eta_x, len(cur.w)))
 
-        trace.append(TraceRow(it, J, float(w.sum()), eta_w, eta_x, len(w)))
-
-        still = still + 1 if drop <= cfg.tolerance * max(1.0, abs(J)) else 0
+        still = still + 1 if drop <= cfg.tolerance * max(1.0, abs(cur.J)) else 0
         if still >= cfg.patience:
             stalled = last_failed > it - cfg.patience
             converged = not stalled
             break
 
-    # the final cleanup always drops atoms below the prune threshold; a merge
-    # is kept only if it does not raise the objective
-    w_kept, pts_kept = _prune(w, pts, cfg)
-    if len(w_kept) < len(w):
-        w, pts, J, gw, gx = w_kept, pts_kept, *objective_gradient(w_kept, pts_kept, octx)
-    w, pts, _ = _merge_alone(w, pts, (J, gw, gx), cfg, octx)
-    return SolverResult(DiscreteMeasure.from_arrays(w, pts), tuple(trace),
+    cur = _fewer_atoms(cur, (_prune,), cfg, octx, judged=False)   # the one move not judged
+    cur = _fewer_atoms(cur, (_merge,), cfg, octx)
+    return SolverResult(DiscreteMeasure.from_arrays(cur.w, cur.pts), tuple(trace),
                         converged, stalled, aborted, reason, it)
 
 

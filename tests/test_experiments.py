@@ -106,6 +106,26 @@ class TestSampling:
             one = rng.normal(locs[idx, :d], locs[idx, d:])
             assert np.array_equal(sample(mixture, n, seed), one)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("s", [1, 7, 300])
+    def test_chunked_indices_equal_one_draw(self, d, s, monkeypatch):
+        # the component indices, drawn a chunk at a time into the narrowest
+        # unsigned type (uint16 at s = 300), take the one draw's stream
+        box = DomainBox((-20.0,) * d, (20.0,) * d, 0.5, 2.0)
+        t = np.linspace(-15.0, 15.0, s)[:, None].repeat(d, axis=1)
+        u = np.linspace(0.6, 1.9, s)[:, None].repeat(d, axis=1)
+        locs = np.concatenate([t, u], axis=1)
+        weights = np.arange(1.0, s + 1.0)
+        mixture = GroundTruthMixture(
+            DiscreteMeasure.from_arrays(weights / weights.sum(), locs),
+            KernelContext(d, 0.5, box))
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", 1000)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            idx = rng.choice(s, size=4321, p=mixture.measure.weights)
+            one = rng.normal(locs[idx, :d], locs[idx, d:])
+            assert np.array_equal(sample(mixture, 4321, seed), one)
+
 
 class TestRegionMass:
     def test_zero_at_truth(self, sep_mixture, sep_ctx):

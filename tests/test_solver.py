@@ -27,7 +27,7 @@ from gmblasso import (
     weight_function,
 )
 from gmblasso.kernel import data_witness, semi_distance_pairs
-from gmblasso.solver import resolve_tau
+from gmblasso.solver import _fewer_atoms, _merge, _move, _Point, resolve_tau
 
 from conftest import random_locations, rel_error
 
@@ -408,11 +408,104 @@ class TestDescent:
         assert res.trace[-1].atoms == 0
 
 
+class TestAcceptanceRule:
+    """Every move of cpgd_solve but the final prune is judged by one rule: a
+    candidate is kept iff its J is finite and not above the current J."""
+
+    @staticmethod
+    def _counted_witness(monkeypatch, bad_call=None, bad_value=math.nan):
+        """Count data_witness calls; call number bad_call gets bad_value."""
+        from gmblasso import solver
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            val, grad = data_witness(*args, **kwargs)
+            if len(calls) == bad_call:
+                val = np.full_like(val, bad_value)
+            return val, grad
+
+        monkeypatch.setattr(solver, "data_witness", counted)
+        return calls
+
+    def _candidate(self, octx):
+        mu = _measure(np.random.default_rng(70), 3, octx.ctx.box)
+        J = objective_gradient(mu.weights, mu.coords, octx)[0]
+        cur = _Point(mu.weights[:1], mu.coords[:1], J, None, None)
+        return cur, mu.weights, mu.coords
+
+    def test_tie_is_kept(self, small_octx):
+        cur, w, pts = self._candidate(small_octx)
+        new, J = _move(cur, w, pts, small_octx)
+        assert J == cur.J
+        assert new is not cur and new.w is w and new.pts is pts and new.J == J
+
+    def test_rise_is_rejected(self, small_octx):
+        cur, w, pts = self._candidate(small_octx)
+        below = cur._replace(J=np.nextafter(cur.J, -math.inf))
+        new, J = _move(below, w, pts, small_octx)
+        assert J == cur.J and new is below
+
+    @pytest.mark.parametrize("bad_value", [math.nan, math.inf])   # J NaN, -inf
+    def test_non_finite_candidate_is_rejected(self, small_octx, monkeypatch,
+                                              bad_value):
+        cur, w, pts = self._candidate(small_octx)
+        self._counted_witness(monkeypatch, bad_call=1, bad_value=bad_value)
+        new, J = _move(cur._replace(J=math.inf), w, pts, small_octx)
+        assert not math.isfinite(J) and new.J == math.inf
+
+    @pytest.mark.parametrize("bad_value", [math.nan, -math.inf])   # J NaN, +inf
+    def test_non_finite_trial_aborts(self, small_octx, monkeypatch, bad_value):
+        calls = self._counted_witness(monkeypatch, bad_call=2, bad_value=bad_value)
+        cfg = SolverConfig(iterations=10)
+        res = cpgd_solve(_start(small_octx, cfg), small_octx, cfg)
+        assert len(calls) >= 2
+        assert res.aborted and res.iterations_run == 1 and res.trace == ()
+        assert res.abort_reason == "non-finite objective at iteration 1"
+
+    def test_candidate_with_as_many_atoms_is_not_evaluated(self, small_octx,
+                                                          monkeypatch):
+        # a merge step on every iteration that prunes and merges nothing:
+        # one witness call at the start and one per trial, none else
+        calls = self._counted_witness(monkeypatch)
+        cfg = SolverConfig(iterations=30, max_backtracks=0, merge_period=1,
+                           merge_radius=0.0, prune_threshold=0.0)
+        res = cpgd_solve(_start(small_octx, cfg), small_octx, cfg)
+        assert res.iterations_run > 1
+        assert {row.atoms for row in res.trace} == {cfg.max_particles}
+        assert len(calls) == res.iterations_run + 1
+
+    def test_rejected_prune_and_merge_falls_back_to_merge_alone(self, ctx1,
+                                                               monkeypatch):
+        # a useful dust atom at the right mode and a pair split about the
+        # left one: pruning the dust raises J, merging the pair lowers it
+        rng = np.random.default_rng(71)
+        X = np.concatenate([rng.normal(-1.5, 0.5, 40), rng.normal(1.5, 0.5, 40)])
+        octx = ObjectiveContext(X, 0.05, ctx1)
+        w = np.array([0.1, 0.1, 0.02])
+        pts = np.array([[-1.6, 0.5], [-1.4, 0.5], [1.5, 0.5]])
+        cur = _Point(w, pts, *objective_gradient(w, pts, octx))
+        cfg = SolverConfig(prune_threshold=0.03, merge_radius=0.5)
+        w_pm, pts_pm = prune_merge(w, pts, cfg, ctx1)
+        assert len(w_pm) == 1
+        assert objective_gradient(w_pm, pts_pm, octx)[0] > cur.J
+        calls = self._counted_witness(monkeypatch)
+        new = _fewer_atoms(cur, (prune_merge, _merge), cfg, octx)
+        assert len(calls) == 2
+        assert len(new.w) == 2 and new.J < cur.J
+        np.testing.assert_array_equal(np.sort(new.w), [0.02, 0.2])
+
+
 class TestInvariants:
     """Properties every returned result keeps.  Pruning is off: the final
-    prune of atoms below prune_threshold is unconditional by contract (see
-    test_converges_flag_and_final_prune) and may raise the objective by about
-    w^2/2 per pruned atom, while the final merge must never raise it."""
+    prune of atoms below prune_threshold is the one move of cpgd_solve whose
+    candidate is not judged; it is unconditional by contract (see
+    test_converges_flag_and_final_prune) until the weights are re-solved on
+    the kept support, and may raise the objective, while the final merge
+    must never raise it.  Over the tier-1 suite the final prune removed atoms
+    9 times, all in d = 1, and 6 of those removals raised J: 4 at n = 1e5
+    after 1000 iterations, by 3.5e-8 to 2.0e-7, and 2 in the n = 60 setup of
+    test_converges_flag_and_final_prune, by 6.9e-5 (7.1e-4 of |J|)."""
 
     @given(half_gap=st.floats(0.2, 4.0), seed=st.integers(0, 2**16),
            merge_radius=st.floats(0.01, 3.0), merge_period=st.integers(0, 4),

@@ -15,7 +15,12 @@ quartiles of each gated end-to-end metric, failed and attempted summed over
 the runs, the seeds, and the `env` line of the first run.
 
 With --parent DIR, DIR is a git checkout of the commit to compare against,
-for example `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.  Each
+for example `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.  Give the
+two checkouts absolute paths of equal length, such as `/src/gm-this` beside
+`/src/gm-base` (clones of each commit): a run may depend on the length of the
+path it runs in, and a paired comparison should not measure that.  The
+record names both roots, and a warning goes to stderr when their lengths
+differ.  Each
 (seed, workload) run is then made in both checkouts back to back, the parent
 first on odd seeds and this checkout first on even ones, and so is the tier-1
 run.  Both records share the host's state at every step, so the comparison
@@ -124,6 +129,9 @@ def main(argv=None) -> int:
                         "against, run interleaved with this one")
     args = parser.parse_args(argv)
     parent = os.path.abspath(args.parent) if args.parent else None
+    if parent is not None and len(parent) != len(ROOT):
+        print(f"warning: checkout paths differ in length: {ROOT} ({len(ROOT)}) "
+              f"against {parent} ({len(parent)})", file=sys.stderr)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
@@ -150,6 +158,7 @@ def main(argv=None) -> int:
 
     record = {
         "commit": git(ROOT, "rev-parse", "HEAD"),
+        "root": ROOT,
         "dirty": bool(git(ROOT, "status", "--porcelain", "--", "src", "perfbench",
                           "tests")),
         "command": f"python3 perfbench/run.py --workload W --seed S "
@@ -162,6 +171,7 @@ def main(argv=None) -> int:
     if parent is not None:
         record["parent"] = {
             "commit": git(parent, "rev-parse", "HEAD"),
+            "root": parent,
             "dirty": bool(git(parent, "status", "--porcelain", "--", "src",
                               "perfbench", "tests")),
             "workloads": summarize(runs[parent], better),

@@ -20,11 +20,15 @@ lives in.  It prints
   and its points_evaluated;
 * every `RateRow` but its runtime of `rate_sweep` on each pool entry of
   `sweep_large_n` and `sweep_small_n`, run as perfbench runs them (on 2
-  worker processes), one line per row with every float as float hex.
+  worker processes), one line per row with every float as float hex;
+* the weights, the coordinates and every trace row's objective, as float
+  hex, of four `cpgd_solve` runs that together reach every branch of the
+  solver's moves (see `solver_runs`), which the perfbench pools do not: the
+  pools never reach the final prune or the final merge.
 
 To compare two commits, run it in a checkout of each and `diff` the outputs,
 for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
-It takes about 10 s on a 2-core host.
+It takes about 15 s on a 2-core host.
 """
 from __future__ import annotations
 
@@ -122,6 +126,75 @@ def gate5_reports(gm):
               f"points_evaluated={report.points_evaluated}")
 
 
+def solver_runs(gm):
+    """Four cpgd_solve runs, each named by the branches it reaches:
+
+    * `converge`: the setup of test_converges_flag_and_final_prune (60
+      samples, kappa 0.05).  The periodic prune and merge is kept and
+      rejected, the merge alone is kept, and the final prune removes an atom
+      and raises J.
+    * `small_gap`: 80 samples at +-1, 25 iterations, no pruning, merge radius
+      1.5 every 3 iterations.  The periodic prune and merge is kept and
+      rejected, the merge alone is rejected, and the final merge is kept.
+    * `final_merge`: the setup of test_final_merge_never_raises_objective
+      (merge radius 3 between components at -2 and +2).  The final merge is
+      rejected.
+    * `gate6`: acceptance gate 6's replication 6 at n = 1e5 (master seed 7,
+      tuned solver, kappa rule agnostic, prune at kappa/2).  The periodic
+      prune and merge is kept and rejected, and after 1000 iterations the
+      final prune removes an atom and raises J.
+    """
+    import numpy as np
+    from dataclasses import replace
+
+    def ctx_of(lo, hi, u_min, u_max, tau):
+        return gm.KernelContext(1, tau, gm.DomainBox((lo,), (hi,), u_min, u_max))
+
+    def mixture(ctx, ts):
+        return gm.GroundTruthMixture(gm.DiscreteMeasure.from_arrays(
+            np.full(len(ts), 1.0 / len(ts)), np.array([[t, 1.0] for t in ts])), ctx)
+
+    def runs():
+        ctx = ctx_of(-5.0, 5.0, 0.5, 2.0, 0.4)
+        X = np.random.default_rng(50).normal(0.0, 1.2, size=60)
+        yield "converge", gm.ObjectiveContext(X, 0.05, ctx), gm.SolverConfig(
+            iterations=2000, step_w=2.0, step_x=4.0, prune_threshold=0.025,
+            merge_period=10, tolerance=1e-9), np.random.default_rng(0)
+
+        rng = np.random.default_rng(31)
+        X = rng.normal(rng.choice([-1.0, 1.0], size=80), 1.0)
+        yield "small_gap", gm.ObjectiveContext(X, 0.05, ctx), gm.SolverConfig(
+            max_particles=4, iterations=25, merge_radius=1.5, merge_period=3,
+            prune_threshold=0.0), np.random.default_rng(31)
+
+        ctx = ctx_of(-10.0, 10.0, 1.0, 1.0, 1.0)
+        X = gm.sample(mixture(ctx, (-2.0, 2.0)), 5000, 0)
+        kappa = gm.recommended_parameters(5000, 1, ctx.tau, ctx.box).kappa_agnostic
+        yield "final_merge", gm.ObjectiveContext(X, kappa, ctx), gm.SolverConfig(
+            merge_radius=3.0, merge_period=0), np.random.default_rng(0)
+
+        ctx = ctx_of(-20.0, 20.0, 1.0, 1.0, 1.0)
+        rng = np.random.default_rng(np.random.SeedSequence((7, 4, 6)))
+        X = gm.sample(mixture(ctx, (-13.0, 13.0)), 100_000, rng)
+        kappa = gm.recommended_parameters(100_000, 1, ctx.tau, ctx.box,
+                                          s_hint=2).kappa_agnostic
+        cfg = gm.SolverConfig(iterations=1000, step_w=4.0, step_x=8.0,
+                              merge_radius=0.605, merge_period=10)
+        yield "gate6", gm.ObjectiveContext(X, kappa, ctx), \
+            replace(cfg, prune_threshold=kappa / 2), rng
+
+    for name, octx, cfg, rng in runs():
+        res = gm.cpgd_solve(gm.initial_measure(octx, cfg, rng), octx, cfg)
+        print(f"solver {name} iterations_run={res.iterations_run} "
+              f"converged={res.converged} stalled={res.stalled} "
+              f"aborted={res.aborted} atoms={res.measure.s}")
+        print(f"solver {name} weights=" + hex_value(tuple(res.measure.weights.tolist())))
+        for j, row in enumerate(res.measure.coords.tolist()):
+            print(f"solver {name} coords {j}=" + hex_value(tuple(row)))
+        for row in res.trace:
+            print(f"solver {name} trace {row.iteration} objective={row.objective.hex()}")
+
+
 def main() -> int:
     worker = load_worker()
     gm = worker.load_gmblasso()
@@ -131,6 +204,7 @@ def main() -> int:
         sweep_rows(worker, gm, "sweep_large_n", workdir)
         sweep_rows(worker, gm, "sweep_small_n", workdir)
     gate5_reports(gm)
+    solver_runs(gm)
     return 0
 
 
