@@ -502,7 +502,7 @@ class TestInvariants:
     candidate is not judged; it is unconditional by contract (see
     test_converges_flag_and_final_prune) until the weights are re-solved on
     the kept support, and may raise the objective, while the final merge
-    must never raise it.  Over the tier-1 suite the final prune removed atoms
+    must never raise it.  In a tier-1 run the final prune removed atoms
     9 times, all in d = 1, and 6 of those removals raised J: 4 at n = 1e5
     after 1000 iterations, by 3.5e-8 to 2.0e-7, and 2 in the n = 60 setup of
     test_converges_flag_and_final_prune, by 6.9e-5 (7.1e-4 of |J|)."""
