@@ -25,6 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
+    _fr_total,
+    fr_distance_coord,
     fr_distance_pairs,
     geodesic_spec,
     metric_diag_batch,
@@ -33,6 +35,10 @@ from .geometry import (
 )
 from .kernel import (
     KernelContext,
+    _abc,
+    _log_terms,
+    _partial,
+    _semi_terms,
     grad1_batch,
     grad1_rhess2_batch,
     grad2_batch,
@@ -172,7 +178,12 @@ def certificate_values(certs: CertificateSet, P: np.ndarray) -> np.ndarray:
     the beta terms of all k certificates are one GEMM."""
     pts, ctx = certs.system.anchors, certs.system.ctx
     P = np.asarray(P, dtype=float)
-    K, G1 = kernel_grad1_batch(pts[:, None, :], P[None, :, :], ctx)     # (s, m), (2d, s, m)
+    return _values(certs, *kernel_grad1_batch(pts[:, None, :], P[None, :, :], ctx))
+
+
+def _values(certs: CertificateSet, K: np.ndarray, G1: np.ndarray) -> np.ndarray:
+    """eta of each certificate from the kernel values K (s, m) and first-
+    argument gradients G1 (2d, s, m) of the anchors at m points, (k, m)."""
     beta = certs.beta.transpose(0, 2, 1).reshape(len(certs.beta), -1)  # (k, 2d s)
     return certs.alpha @ K + beta @ G1.reshape(beta.shape[1], -1)
 
@@ -367,19 +378,116 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, max(int(n), 2))
 
 
-def _grid_blocks(t_axes, u_axes):
-    """The tensor grid of the axes in blocks of at most _EVAL_BLOCK rows.
+@dataclass(frozen=True)
+class _Grid:
+    """The tensor grid of the axes t_1..t_d, u_1..u_d, its points in the
+    order of meshgrid(indexing="ij")."""
 
-    Rows come by flat-index range in the order of meshgrid(indexing="ij").
-    Each block is the transpose of a C-contiguous (2d, rows) array, the
-    coordinate-first layout the kernel passes compute in.
-    """
-    axes = list(t_axes) + list(u_axes)
-    shape = tuple(len(ax) for ax in axes)
-    total = math.prod(shape)
-    for lo in range(0, total, _EVAL_BLOCK):
-        flat = np.arange(lo, min(lo + _EVAL_BLOCK, total))
-        yield np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))]).T
+    axes: tuple
+
+
+def _grid_ranges(shape):
+    """A grid of this shape in sub-tensors of at most _EVAL_BLOCK points, in
+    flat order: per axis an index range (lo, hi), one index on the leading
+    axes, a range on one axis and all of the trailing ones."""
+    if math.prod(shape) == 0:
+        return
+    a = 0
+    while math.prod(shape[a + 1:]) > _EVAL_BLOCK:
+        a += 1
+    step = _EVAL_BLOCK // math.prod(shape[a + 1:])
+    trailing = tuple((0, n) for n in shape[a + 1:])
+    for lead in np.ndindex(*shape[:a]):
+        lead = tuple((int(i), int(i) + 1) for i in lead)
+        for lo in range(0, shape[a], step):
+            yield lead + ((lo, min(lo + step, shape[a])),) + trailing
+
+
+def _coord_terms(anchors: np.ndarray, k: int, t: np.ndarray, u: np.ndarray,
+                 tau: float):
+    """Coordinate k's terms between every anchor and the values t (n_t,) by
+    u (n_u,) of its axes, each (s, n_t, n_u): the log-kernel term L_k, the
+    partials of sum L in the anchor's t_k and u_k, the squared semi-distance
+    term and the Fisher-Rao distance.  The kernel core runs on that one
+    coordinate, so these are the floats the row functions compute for
+    coordinate k of any row with these values."""
+    d = anchors.shape[1] // 2
+    a = np.ascontiguousarray(anchors[:, [k, d + k]].T)[:, :, None, None]   # (2, s, 1, 1)
+    y = np.stack(np.broadcast_arrays(t[:, None], u[None, :]))[:, None]   # (2, 1, n_t, n_u)
+    ua, _, A, B, C, dt = _abc(a, y, tau)
+    g_t, g_u = _partial(ua, B, A, -dt)
+    return (_log_terms(A, B, C, dt)[0], g_t, g_u, _semi_terms(A, B, C, dt)[0],
+            fr_distance_coord(y, a, tau)[0])
+
+
+def _grid_block(certs: CertificateSet, r: float, axes, ranges, terms):
+    """One sub-tensor of a grid evaluated as _row_block evaluates its rows,
+    from each coordinate's terms over the block's ranges of its two axes.
+
+    The terms combine by broadcasting: K = exp(L_1 + ... + L_d), added in
+    the order of the kernel's sum over coordinates; the gradient is K times
+    the partials; the certificate values take the GEMMs of
+    certificate_values; the region is the nearest anchor within r of the
+    summed semi-distance terms, over all anchors (first index on ties), as
+    region_index_batch finds it; each near point's Fisher-Rao distance to
+    its own anchor is gathered from the tables.  Each float is the one the
+    row functions compute, bit for bit."""
+    anchors = certs.system.anchors
+    s, d = len(anchors), len(axes) // 2
+    shape = tuple(hi - lo for lo, hi in ranges)
+    m = math.prod(shape)
+
+    def spread(table, k):
+        """(s, n_t, n_u) onto the block's axes k and d + k."""
+        return table.reshape((s,) + tuple(n if a % d == k else 1
+                                          for a, n in enumerate(shape)))
+
+    def total(i):
+        out = spread(terms[0][i], 0)
+        for k in range(1, d):
+            out = out + spread(terms[k][i], k)
+        return out
+
+    K = np.exp(total(0))
+    G1 = np.empty((2 * d, s) + shape)
+    for k in range(d):
+        np.multiply(K, spread(terms[k][1], k), out=G1[k])
+        np.multiply(K, spread(terms[k][2], k), out=G1[d + k])
+    vals = _values(certs, K.reshape(s, m), G1.reshape(2 * d, s, m))
+    dist = np.sqrt(np.maximum(total(3), 0.0)).reshape(s, m)
+    near = np.flatnonzero(dist.min(axis=0) <= r)
+    region = np.full(m, -1)
+    region[near] = j = dist[:, near].argmin(axis=0)
+    idx = np.unravel_index(near, shape)
+    frsq = _fr_total(np.stack([terms[k][4][j, idx[k], idx[d + k]]
+                               for k in range(d)])) ** 2
+
+    def points(i):
+        """The rows of block indices i."""
+        return np.stack([ax[lo + ix] for ax, (lo, _), ix
+                         in zip(axes, ranges, np.unravel_index(i, shape))], axis=-1)
+
+    return region, vals, near, frsq, points
+
+
+def _grid_pass(certs: CertificateSet, r: float, axes):
+    """A grid's blocks (see _grid_ranges), each evaluated by _grid_block.
+
+    Each coordinate's terms are computed over the block's ranges of its two
+    axes, and kept while the next block has the same ranges: on a grid whose
+    trailing axes are one coordinate's, once per grid.  A block's ranges of
+    two axes span at most its points, so the terms held never exceed
+    5 d s _EVAL_BLOCK values, whatever the size of the grid."""
+    anchors, tau = certs.system.anchors, certs.system.ctx.tau
+    d = len(axes) // 2
+    held = [(None, None)] * d
+    for ranges in _grid_ranges(tuple(len(ax) for ax in axes)):
+        for k in range(d):
+            key = (ranges[k], ranges[d + k])
+            if held[k][0] != key:
+                held[k] = (key, _coord_terms(anchors, k, axes[k][slice(*key[0])],
+                                             axes[d + k][slice(*key[1])], tau))
+        yield _grid_block(certs, r, axes, ranges, [terms for _, terms in held])
 
 
 def _near_bounding_axes(anchor: np.ndarray, r: float, ctx: KernelContext, spec: GridSpec):
@@ -469,24 +577,26 @@ def _ray_targets(t_axes, u_axes, n: int) -> np.ndarray:
 def _raw_blocks(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
                 ctx: KernelContext):
     """The sample sets in order: the global grid, then per anchor its near
-    grid and rays, then the Halton points; fresh arrays, none longer than
-    _EVAL_BLOCK rows."""
+    grid and its rays, then the Halton points.  The grids come as _Grid, the
+    rest as fresh arrays of at most _EVAL_BLOCK rows, an anchor's rays
+    together."""
     box = ctx.box
     d = ctx.d
     t_axes = [_axis(box.t_lo[k], box.t_hi[k], spec.global_t_points) for k in range(d)]
     u_axes = [_axis(box.u_min, box.u_max, spec.global_u_points) for k in range(d)]
-    yield from _grid_blocks(t_axes, u_axes)
+    yield _Grid(tuple(t_axes + u_axes))
 
     ys = np.linspace(0.0, 1.0, spec.points_per_ray + 1)[1:]
     for a in anchors:
         nt, nu = _near_bounding_axes(a, consts.r, ctx, spec)
-        yield from _grid_blocks(nt, nu)
-        for tgt in _ray_targets(nt, nu, spec.rays_per_region):
-            if np.array_equal(tgt, a):
-                continue
-            ray = geodesic_spec(a, tgt, ctx).point(ys)
-            for lo in range(0, len(ray), _EVAL_BLOCK):
-                yield ray[lo:lo + _EVAL_BLOCK]
+        yield _Grid(tuple(nt + nu))
+        rays = [geodesic_spec(a, tgt, ctx).point(ys)
+                for tgt in _ray_targets(nt, nu, spec.rays_per_region)
+                if not np.array_equal(tgt, a)]
+        if rays:
+            rays = np.concatenate(rays)
+            for lo in range(0, len(rays), _EVAL_BLOCK):
+                yield rays[lo:lo + _EVAL_BLOCK]
 
     if spec.lowdisc_points > 0:
         lo, hi = box.lower(), box.upper()
@@ -498,14 +608,44 @@ def _raw_blocks(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
 def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
                    ctx: KernelContext):
     """Blocks of sample points inside the box, clipped onto it: points
-    leaving it by more than 1e-12 are dropped."""
+    leaving it by more than 1e-12 are dropped.  A grid point is inside iff
+    each of its coordinates is, so a grid's axes are filtered and clipped,
+    which leaves the grid of the points kept, in their order."""
     lo, hi = ctx.box.lower(), ctx.box.upper()
     for P in _raw_blocks(anchors, consts, spec, ctx):
+        if isinstance(P, _Grid):
+            axes = tuple(np.clip(ax[(ax >= l - 1e-12) & (ax <= h + 1e-12)], l, h)
+                         for ax, l, h in zip(P.axes, lo, hi))
+            if all(len(ax) for ax in axes):
+                yield _Grid(axes)
+            continue
         inside = np.all((P >= lo - 1e-12) & (P <= hi + 1e-12), axis=1)
         if not inside.all():
             P = P[inside]
         if len(P):
             yield np.clip(P, lo, hi, out=P)
+
+
+def _row_block(certs: CertificateSet, r: float, P: np.ndarray):
+    """Rows P (m, 2d) evaluated: their regions, certificate values, the
+    indices of the near points, their squared Fisher-Rao distances to their
+    own anchors, and a map from indices to rows."""
+    anchors, ctx = certs.system.anchors, certs.system.ctx
+    region = region_index_batch(P, anchors, r, ctx)
+    near = np.flatnonzero(region >= 0)
+    frsq = fr_distance_pairs(P[near], anchors[region[near]], ctx) ** 2
+    return region, certificate_values(certs, P), near, frsq, P.__getitem__
+
+
+def _evaluated_blocks(certs: CertificateSet, consts: LpcConstants, spec: GridSpec):
+    """Every block of samples, in sampling order, evaluated by _grid_block
+    (grids) or _row_block (rays and Halton points)."""
+    anchors, ctx = certs.system.anchors, certs.system.ctx
+    for block in _sample_points(anchors, consts, spec, ctx):
+        if isinstance(block, _Grid):
+            yield from _grid_pass(certs, consts.r, block.axes)
+        else:
+            yield _row_block(certs, consts.r, block)
 
 
 def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
@@ -537,13 +677,9 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
     n_points = np.zeros(s + 1, dtype=np.intp)
     far_rhs = np.r_[1 - consts.eps_0, np.full(s, 1 - consts.eps_tilde_0)][:, None]
     regions = np.arange(-1, s)[:, None]
-    for P in _sample_points(anchors, consts, grid_spec, ctx):
-        region = region_index_batch(P, anchors, consts.r, ctx)
-        vals = certificate_values(certs, P)
+    for region, vals, near, frsq, points in _evaluated_blocks(certs, consts, grid_spec):
         margins = np.abs(vals) - far_rhs
-        near = np.flatnonzero(region >= 0)
         j = region[near]
-        frsq = fr_distance_pairs(P[near], anchors[j], ctx) ** 2
         margins[0, near] = vals[0, near] - (1 - consts.eps_2 * frsq)
         # |[c - 1 == j] - eta_c| near anchor j
         margins[1:, near] = (np.abs((j == regions[1:]) - vals[1:, near])
@@ -556,7 +692,8 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
         # strict: on ties the earlier sample keeps its place
         better = block_worst > worst
         worst[better] = block_worst[better]
-        worst_point[better] = P[i[better]]
+        if better.any():
+            worst_point[better] = points(i[better])
         # the table holds margins or -inf, so without a margin above the
         # tolerance every count is 0
         if (margins > _VIOLATION_TOL).any():

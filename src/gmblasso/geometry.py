@@ -77,9 +77,13 @@ def fr_distance_coord(x, y, tau: float) -> np.ndarray:
     return math.sqrt(2.0) * np.log(np.maximum(ratio, 1.0))
 
 
-def fr_distance_pairs(x, y, ctx: KernelContext) -> np.ndarray:
-    per = fr_distance_coord(*_firsts(x, y), ctx.tau)
+def _fr_total(per) -> np.ndarray:
+    """The Fisher-Rao distance from its per-coordinate distances (d, ...)."""
     return np.sqrt((per**2).sum(axis=0))
+
+
+def fr_distance_pairs(x, y, ctx: KernelContext) -> np.ndarray:
+    return _fr_total(fr_distance_coord(*_firsts(x, y), ctx.tau))
 
 
 @dataclass(frozen=True)

@@ -134,20 +134,28 @@ def _logcosh(z):
     return az + np.log1p(np.exp(-2 * az)) - math.log(2.0)
 
 
+def _semi_terms(A, B, C, dt):
+    """Per-coordinate terms (d, ...) of the squared semi-distance."""
+    return dt**2 / A + _logcosh(0.5 * (np.log(B) - np.log(C)))
+
+
 def semi_distance_sq_pairs(x, y, ctx: KernelContext):
     """Per-pair squared semi-distance; clamped at 0 against rounding."""
     _, _, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
-    per = dt**2 / A + _logcosh(0.5 * (np.log(B) - np.log(C)))
-    return np.maximum(per.sum(axis=0), 0.0)
+    return np.maximum(_semi_terms(A, B, C, dt).sum(axis=0), 0.0)
 
 
 def semi_distance_pairs(x, y, ctx: KernelContext):
     return np.sqrt(semi_distance_sq_pairs(x, y, ctx))
 
 
+def _log_terms(A, B, C, dt):
+    """The log-kernel terms L_k (d, ...)."""
+    return 0.25 * np.log(B) + 0.25 * np.log(C) - 0.5 * np.log(A) - dt**2 / (2 * A)
+
+
 def _kernel(A, B, C, dt):
-    L = 0.25 * np.log(B) + 0.25 * np.log(C) - 0.5 * np.log(A) - dt**2 / (2 * A)
-    return np.exp(L.sum(axis=0))
+    return np.exp(_log_terms(A, B, C, dt).sum(axis=0))
 
 
 def kernel_values(x, y, ctx: KernelContext):

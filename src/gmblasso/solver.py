@@ -354,7 +354,10 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
             break
 
         if cfg.merge_period > 0 and it % cfg.merge_period == 0:
-            cur = _fewer_atoms(cur, (prune_merge, _merge), cfg, octx)
+            # a prune that drops nothing makes prune_merge the merge alone
+            pruned = len(_prune(cur.w, cur.pts, cfg)[0]) < len(cur.w)
+            cur = _fewer_atoms(cur, (prune_merge, _merge) if pruned else (_merge,),
+                               cfg, octx)
         trace.append(TraceRow(it, cur.J, float(cur.w.sum()), eta_w, eta_x, len(cur.w)))
 
         still = still + 1 if drop <= cfg.tolerance * max(1.0, abs(cur.J)) else 0

@@ -26,11 +26,16 @@ from gmblasso import certificates
 from gmblasso.certificates import (
     ClauseReport,
     NondegeneracyReport,
+    _Grid,
     _axis,
+    _grid_pass,
+    _grid_ranges,
     _halton,
     _halton_points,
     _near_bounding_axes,
     _ray_targets,
+    _row_block,
+    _sample_points,
     operator_norms_batch,
 )
 from gmblasso.geometry import (
@@ -522,13 +527,16 @@ def _oracle_verify(certs, consts, spec):
 
 def _certify_case(case):
     """Certificates, constants and a small grid: with u_min < u_max, two
-    anchors in d = 1 (case 1) and three in d = 2 (case 2); with u_min = u_max
-    in d = 1, two anchors 3 apart ("close"), whose far clauses fail (1
-    violation of global.far and 169 of each local far clause)."""
-    if case == 1:
+    anchors in d = 1 (case 1), two at opposite corners of the box in d = 1,
+    whose near grids the box cuts ("edge"), and three in d = 2 (case 2);
+    with u_min = u_max in d = 1, two anchors 3 apart ("close"), whose far
+    clauses fail (1 violation of global.far and 169 of each local far
+    clause)."""
+    if case in (1, "edge"):
         box = DomainBox((-20.0,), (20.0,), 0.5, 2.0)
         ctx = KernelContext(1, 0.5, box)
-        anchors = np.array([[-11.0, 0.8], [12.5, 1.4]])
+        anchors = np.array([[-11.0, 0.8], [12.5, 1.4]] if case == 1 else
+                           [[-20.0, 0.5], [20.0, 2.0]])
     elif case == "close":
         box = DomainBox((-20.0,), (20.0,), 1.0, 1.0)
         ctx = KernelContext(1, 1.0, box)
@@ -582,3 +590,89 @@ class TestStreamingVerification:
         points_10, ten = peak(10 * spec.global_t_points)
         assert points_10 - points == 9 * spec.global_t_points * spec.global_u_points
         assert ten <= 1.5 * one, (one, ten)
+
+
+class TestGridPass:
+    """The tensor grids are evaluated coordinate by coordinate (_grid_pass):
+    each block's regions, certificate values and near Fisher-Rao distances
+    equal those of the row functions on the same rows, bit for bit."""
+
+    @pytest.mark.parametrize("case, block", [
+        (1, None), (1, 29), (1, 1), (2, None), (2, 20), (2, 36), (2, 1),
+        ("edge", None), ("edge", 7)])
+    def test_blocks_match_row_functions(self, case, block, monkeypatch):
+        # block 29 in d = 1 and 20 in d = 2 split an inner axis, block 36 in
+        # d = 2 gives blocks of one row, and block 1 of one point
+        certs, consts, spec = _certify_case(case)
+        if block is not None:
+            monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
+        if block == 1:
+            spec = GridSpec(near_t_points=5, near_u_points=3, global_t_points=4,
+                            global_u_points=3, lowdisc_points=0)
+        anchors, ctx = certs.system.anchors, certs.system.ctx
+        grids = [b for b in _sample_points(anchors, consts, spec, ctx)
+                 if isinstance(b, _Grid)]
+        assert len(grids) == 1 + len(anchors)
+        n_near = 0
+        for grid in grids:
+            rows = []
+            for region, vals, near, frsq, points in _grid_pass(certs, consts.r,
+                                                               grid.axes):
+                P = points(np.arange(len(region)))
+                assert 0 < len(P) <= certificates._EVAL_BLOCK
+                want = _row_block(certs, consts.r, P)
+                np.testing.assert_array_equal(region, want[0])
+                assert vals.tobytes() == want[1].tobytes()
+                np.testing.assert_array_equal(near, want[2])
+                assert frsq.tobytes() == want[3].tobytes()
+                rows.append(P)
+                n_near += len(near)
+            # the blocks cover the grid once, in the order of the grid's rows
+            mesh = np.meshgrid(*grid.axes, indexing="ij")
+            assert np.concatenate(rows).tobytes() == \
+                np.stack([m.ravel() for m in mesh], axis=-1).tobytes()
+        assert n_near > 0
+
+    @pytest.mark.parametrize("case, block", [
+        (1, 29), (2, 20), (2, 36), ("edge", None), ("edge", 7)])
+    def test_reports_match_full_array_oracle(self, case, block, monkeypatch):
+        certs, consts, spec = _certify_case(case)
+        if block is not None:
+            monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
+        _assert_same_report(verify_nondegeneracy(certs, consts, spec),
+                            _oracle_verify(certs, consts, spec))
+
+    def test_ranges_split_the_first_axis_whose_tail_fits(self, monkeypatch):
+        monkeypatch.setattr(certificates, "_EVAL_BLOCK", 20)
+        # the tail (6,) fits in a block and (6, 6) does not: one index on
+        # axes 0 and 1, ranges of 3 on axis 2, all of axis 3
+        got = list(_grid_ranges((2, 3, 6, 6)))
+        assert len(got) == 2 * 3 * 2
+        assert got[:3] == [((0, 1), (0, 1), (0, 3), (0, 6)),
+                           ((0, 1), (0, 1), (3, 6), (0, 6)),
+                           ((0, 1), (1, 2), (0, 3), (0, 6))]
+        assert got[-1] == ((1, 2), (2, 3), (3, 6), (0, 6))
+        assert list(_grid_ranges((7, 2))) == [((0, 7), (0, 2))]
+        assert list(_grid_ranges((50,))) == [((0, 20),), ((20, 40),), ((40, 50),)]
+        assert list(_grid_ranges((3, 0, 2))) == []
+        monkeypatch.setattr(certificates, "_EVAL_BLOCK", 4096)
+        # certify_d2's global grid: ten blocks of 20 rows of t_1
+        got = list(_grid_ranges((200, 200, 1, 1)))
+        assert got == [((lo, lo + 20), (0, 200), (0, 1), (0, 1))
+                       for lo in range(0, 200, 20)]
+
+    def test_grid_axes_are_filtered_as_its_rows(self, monkeypatch):
+        # the box is t in [-20, 20], u in [0.5, 2]: values beyond it by more
+        # than 1e-12 are dropped and the rest clipped, as rows are
+        certs, consts, spec = _certify_case(1)
+        anchors, ctx = certs.system.anchors, certs.system.ctx
+        t = np.array([-20 - 2e-12, -20 - 5e-13, 0.0, 20 + 5e-13, 20 + 2e-12])
+        u = np.array([0.5 - 5e-13, 1.0, 2.0 + 3e-12])
+        rows = np.stack([m.ravel() for m in np.meshgrid(t, u, indexing="ij")], axis=-1)
+        raw = [_Grid((t, u)), rows, _Grid((t, np.array([2.5])))]
+        monkeypatch.setattr(certificates, "_raw_blocks", lambda *args: iter(raw))
+        grid, kept = list(_sample_points(anchors, consts, spec, ctx))
+        assert isinstance(grid, _Grid)
+        assert [len(ax) for ax in grid.axes] == [3, 2]
+        mesh = np.meshgrid(*grid.axes, indexing="ij")
+        assert np.stack([m.ravel() for m in mesh], axis=-1).tobytes() == kept.tobytes()

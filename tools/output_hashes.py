@@ -18,6 +18,9 @@ lives in.  It prints
 * every field of the clause reports of acceptance gate 5 (d = 1, s = 2 and
   s = 3, the default GridSpec), worst margins and worst points as float hex,
   and its points_evaluated;
+* the same fields of `verify_nondegeneracy` in d = 1 and d = 2 with
+  u_min < u_max at reduced GridSpecs (see `u_range_reports`), where the
+  grids have u axes longer than 1, which no pool config has;
 * every `RateRow` but its runtime of `rate_sweep` on each pool entry of
   `sweep_large_n` and `sweep_small_n`, run as perfbench runs them (on 2
   worker processes), one line per row with every float as float hex;
@@ -28,7 +31,7 @@ lives in.  It prints
 
 To compare two commits, run it in a checkout of each and `diff` the outputs,
 for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
-It takes about 15 s on a 2-core host.
+It takes about 20 s on a 2-core host.
 """
 from __future__ import annotations
 
@@ -115,15 +118,45 @@ def gate5_reports(gm):
         mu0 = DiscreteMeasure.from_arrays(np.full(s, 1.0 / s), locs)
         certs = solve_certificates(build_upsilon(mu0.coords, ctx))
         report = verify_nondegeneracy(certs, lpc_constants(1, s, 1.0, box), GridSpec())
-        for c in report.clauses:
-            point = ("None" if c.worst_point is None else
-                     f"{c.worst_point.dtype}{list(c.worst_point.shape)}:"
-                     + ",".join(float(v).hex() for v in c.worst_point))
-            print(f"gate5 s={s} {c.name} n_points={c.n_points} "
-                  f"worst_margin={c.worst_margin.hex()} worst_point={point} "
-                  f"violations={c.violations} passed={c.passed}")
-        print(f"gate5 s={s} all_clauses_pass={report.all_clauses_pass} "
-              f"points_evaluated={report.points_evaluated}")
+        print_report(f"gate5 s={s}", report)
+
+
+def print_report(prefix: str, report):
+    """Every field of a NondegeneracyReport, floats as float hex."""
+    for c in report.clauses:
+        point = ("None" if c.worst_point is None else
+                 f"{c.worst_point.dtype}{list(c.worst_point.shape)}:"
+                 + ",".join(float(v).hex() for v in c.worst_point))
+        print(f"{prefix} {c.name} n_points={c.n_points} "
+              f"worst_margin={c.worst_margin.hex()} worst_point={point} "
+              f"violations={c.violations} passed={c.passed}")
+    print(f"{prefix} all_clauses_pass={report.all_clauses_pass} "
+          f"points_evaluated={report.points_evaluated}")
+
+
+def u_range_reports(gm):
+    """The clause reports of verify_nondegeneracy with u_min < u_max, where
+    the grids have u axes longer than 1: two anchors in d = 1 and three in
+    d = 2, at reduced GridSpecs (d = 2 at the default one is a 4e8-point
+    global grid)."""
+    import numpy as np
+
+    cases = (
+        (gm.DomainBox((-20.0,), (20.0,), 0.5, 2.0), 0.5,
+         [[-11.0, 0.8], [12.5, 1.4]],
+         gm.GridSpec(near_t_points=200, near_u_points=100, global_t_points=200,
+                     global_u_points=50, lowdisc_points=20_000)),
+        (gm.DomainBox((-30.0, -30.0), (30.0, 30.0), 0.7, 1.5), 0.7,
+         [[-20.0, 0.0, 0.8, 1.2], [0.0, 18.0, 1.3, 0.9], [20.0, 0.0, 1.0, 1.0]],
+         gm.GridSpec(near_t_points=40, near_u_points=10, global_t_points=20,
+                     global_u_points=10, lowdisc_points=20_000)),
+    )
+    for box, tau, anchors, spec in cases:
+        ctx = gm.KernelContext(box.d, tau, box)
+        anchors = np.array(anchors)
+        certs = gm.solve_certificates(gm.build_upsilon(anchors, ctx))
+        consts = gm.lpc_constants(box.d, len(anchors), tau, box)
+        print_report(f"u_range d={box.d}", gm.verify_nondegeneracy(certs, consts, spec))
 
 
 def solver_runs(gm):
@@ -204,6 +237,7 @@ def main() -> int:
         sweep_rows(worker, gm, "sweep_large_n", workdir)
         sweep_rows(worker, gm, "sweep_small_n", workdir)
     gate5_reports(gm)
+    u_range_reports(gm)
     solver_runs(gm)
     return 0
 
