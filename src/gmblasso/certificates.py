@@ -413,7 +413,8 @@ def _coord_terms(anchors: np.ndarray, k: int, t: np.ndarray, u: np.ndarray,
     coordinate k of any row with these values."""
     d = anchors.shape[1] // 2
     a = np.ascontiguousarray(anchors[:, [k, d + k]].T)[:, :, None, None]   # (2, s, 1, 1)
-    y = np.stack(np.broadcast_arrays(t[:, None], u[None, :]))[:, None]   # (2, 1, n_t, n_u)
+    y = np.empty((2, 1, len(t), len(u)))
+    y[0], y[1] = t[:, None], u
     ua, _, A, B, C, dt = _abc(a, y, tau)
     g_t, g_u = _partial(ua, B, A, -dt)
     return (_log_terms(A, B, C, dt)[0], g_t, g_u, _semi_terms(A, B, C, dt)[0],
@@ -659,7 +660,9 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
 
     The samples stream in blocks of at most _EVAL_BLOCK points: each block
     gets its regions, one kernel pass for all s + 1 certificates, and its
-    near points' Fisher-Rao distances to their own anchors.  Its margins,
+    near points' Fisher-Rao distances to their own anchors, a grid block
+    from per-coordinate terms (_grid_pass), any other from its rows
+    (_row_block), with the same floats either way.  Its margins,
     one row per certificate, fold into a running clause table indexed by
     (region, certificate), whose cells are the clauses.  Memory is bounded
     by the block, whatever the number of points; the largest per-block
@@ -699,6 +702,9 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
         if (margins > _VIOLATION_TOL).any():
             violations += np.count_nonzero(table > _VIOLATION_TOL, axis=2)
         n_points += np.count_nonzero(in_region, axis=1)
+        # the block's largest arrays go before the next block is evaluated,
+        # which reuses their memory
+        del margins, table
 
     # interpolation margins are the value errors and gradient norms at the
     # anchors, which must vanish to 1e-8; they have no sample points
