@@ -474,21 +474,29 @@ def _grid_block(certs: CertificateSet, r: float, axes, ranges, terms):
 def _grid_pass(certs: CertificateSet, r: float, axes):
     """A grid's blocks (see _grid_ranges), each evaluated by _grid_block.
 
-    Each coordinate's terms are computed over the block's ranges of its two
-    axes, and kept while the next block has the same ranges: on a grid whose
-    trailing axes are one coordinate's, once per grid.  A block's ranges of
-    two axes span at most its points, so the terms held never exceed
+    A coordinate whose two axes hold at most _EVAL_BLOCK value pairs gets
+    its terms once per grid, and each block takes views of them; any other
+    coordinate gets them over the block's ranges of its two axes, kept
+    while the next block has the same ranges.  A block's ranges of two axes
+    span at most its points, so the terms held never exceed
     5 d s _EVAL_BLOCK values, whatever the size of the grid."""
     anchors, tau = certs.system.anchors, certs.system.ctx.tau
     d = len(axes) // 2
     held = [(None, None)] * d
     for ranges in _grid_ranges(tuple(len(ax) for ax in axes)):
+        terms = []
         for k in range(d):
-            key = (ranges[k], ranges[d + k])
-            if held[k][0] != key:
-                held[k] = (key, _coord_terms(anchors, k, axes[k][slice(*key[0])],
-                                             axes[d + k][slice(*key[1])], tau))
-        yield _grid_block(certs, r, axes, ranges, [terms for _, terms in held])
+            rt, ru = ranges[k], ranges[d + k]
+            span = (rt, ru)
+            if len(axes[k]) * len(axes[d + k]) <= _EVAL_BLOCK:
+                span = ((0, len(axes[k])), (0, len(axes[d + k])))
+            if held[k][0] != span:
+                held[k] = (span, _coord_terms(anchors, k, axes[k][slice(*span[0])],
+                                              axes[d + k][slice(*span[1])], tau))
+            t0, u0 = span[0][0], span[1][0]
+            terms.append([table[:, rt[0] - t0:rt[1] - t0, ru[0] - u0:ru[1] - u0]
+                          for table in held[k][1]])
+        yield _grid_block(certs, r, axes, ranges, terms)
 
 
 def _near_bounding_axes(anchor: np.ndarray, r: float, ctx: KernelContext, spec: GridSpec):
