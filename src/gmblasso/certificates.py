@@ -474,29 +474,20 @@ def _grid_block(certs: CertificateSet, r: float, axes, ranges, terms):
 def _grid_pass(certs: CertificateSet, r: float, axes):
     """A grid's blocks (see _grid_ranges), each evaluated by _grid_block.
 
-    A coordinate whose two axes hold at most _EVAL_BLOCK value pairs gets
-    its terms once per grid, and each block takes views of them; any other
-    coordinate gets them over the block's ranges of its two axes, kept
-    while the next block has the same ranges.  A block's ranges of two axes
-    span at most its points, so the terms held never exceed
-    5 d s _EVAL_BLOCK values, whatever the size of the grid."""
+    Each coordinate's terms are computed over the block's ranges of its two
+    axes and kept while the next block has the same ranges.  A block's
+    ranges of two axes span at most its points, so the terms held never
+    exceed 5 d s _EVAL_BLOCK values, whatever the size of the grid."""
     anchors, tau = certs.system.anchors, certs.system.ctx.tau
     d = len(axes) // 2
     held = [(None, None)] * d
     for ranges in _grid_ranges(tuple(len(ax) for ax in axes)):
-        terms = []
         for k in range(d):
-            rt, ru = ranges[k], ranges[d + k]
-            span = (rt, ru)
-            if len(axes[k]) * len(axes[d + k]) <= _EVAL_BLOCK:
-                span = ((0, len(axes[k])), (0, len(axes[d + k])))
+            span = (ranges[k], ranges[d + k])
             if held[k][0] != span:
                 held[k] = (span, _coord_terms(anchors, k, axes[k][slice(*span[0])],
                                               axes[d + k][slice(*span[1])], tau))
-            t0, u0 = span[0][0], span[1][0]
-            terms.append([table[:, rt[0] - t0:rt[1] - t0, ru[0] - u0:ru[1] - u0]
-                          for table in held[k][1]])
-        yield _grid_block(certs, r, axes, ranges, terms)
+        yield _grid_block(certs, r, axes, ranges, [terms for _, terms in held])
 
 
 def _near_bounding_axes(anchor: np.ndarray, r: float, ctx: KernelContext, spec: GridSpec):
@@ -583,12 +574,35 @@ def _ray_targets(t_axes, u_axes, n: int) -> np.ndarray:
     return targets
 
 
+def _ray_blocks(anchor: np.ndarray, targets: np.ndarray, ys: np.ndarray,
+                ctx: KernelContext):
+    """The geodesics from the anchor to each target other than itself, at
+    the parameters ys, their points in order in fresh blocks of _EVAL_BLOCK
+    rows (the last one shorter).  Each ray is computed in pieces that fill
+    the current block, so no more than one block's rows are held at a time,
+    whatever the number of points per ray."""
+    pending, n = [], 0
+    for tgt in targets:
+        if np.array_equal(tgt, anchor):
+            continue
+        ray, lo = geodesic_spec(anchor, tgt, ctx), 0
+        while lo < len(ys):
+            piece = ray.point(ys[lo:lo + _EVAL_BLOCK - n])
+            pending.append(piece)
+            n, lo = n + len(piece), lo + len(piece)
+            if n == _EVAL_BLOCK:
+                yield np.concatenate(pending)
+                pending, n = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
 def _raw_blocks(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
                 ctx: KernelContext):
     """The sample sets in order: the global grid, then per anchor its near
     grid and its rays, then the Halton points.  The grids come as _Grid, the
     rest as fresh arrays of at most _EVAL_BLOCK rows, an anchor's rays
-    together."""
+    sharing blocks (_ray_blocks)."""
     box = ctx.box
     d = ctx.d
     t_axes = [_axis(box.t_lo[k], box.t_hi[k], spec.global_t_points) for k in range(d)]
@@ -599,13 +613,7 @@ def _raw_blocks(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
     for a in anchors:
         nt, nu = _near_bounding_axes(a, consts.r, ctx, spec)
         yield _Grid(tuple(nt + nu))
-        rays = [geodesic_spec(a, tgt, ctx).point(ys)
-                for tgt in _ray_targets(nt, nu, spec.rays_per_region)
-                if not np.array_equal(tgt, a)]
-        if rays:
-            rays = np.concatenate(rays)
-            for lo in range(0, len(rays), _EVAL_BLOCK):
-                yield rays[lo:lo + _EVAL_BLOCK]
+        yield from _ray_blocks(a, _ray_targets(nt, nu, spec.rays_per_region), ys, ctx)
 
     if spec.lowdisc_points > 0:
         lo, hi = box.lower(), box.upper()

@@ -356,7 +356,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
         if cfg.merge_period > 0 and it % cfg.merge_period == 0:
             # a prune that drops nothing makes prune_merge the merge alone
             pruned = len(_prune(cur.w, cur.pts, cfg)[0]) < len(cur.w)
-            cur = _fewer_atoms(cur, (prune_merge, _merge) if pruned else (_merge,),
+            cur = _fewer_atoms(cur, (prune_merge, _merge) if pruned else (prune_merge,),
                                cfg, octx)
         trace.append(TraceRow(it, cur.J, float(cur.w.sum()), eta_w, eta_x, len(cur.w)))
 

@@ -33,6 +33,7 @@ from gmblasso.certificates import (
     _halton,
     _halton_points,
     _near_bounding_axes,
+    _ray_blocks,
     _ray_targets,
     _row_block,
     _sample_points,
@@ -641,6 +642,24 @@ class TestGridPass:
             monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
         _assert_same_report(verify_nondegeneracy(certs, consts, spec),
                             _oracle_verify(certs, consts, spec))
+
+    def test_ray_blocks_are_filled_and_bounded(self, monkeypatch):
+        # rays of 16 points in blocks of 7 (a ray spans blocks) and of 40
+        # (blocks hold several rays); a target at the anchor adds no ray
+        certs, consts, spec = _certify_case(2)
+        anchor, ctx = certs.system.anchors[0], certs.system.ctx
+        targets = np.vstack([certs.system.anchors[1:], anchor[None], anchor + 0.1])
+        ys = np.linspace(0.0, 1.0, 17)[1:]
+        rays = np.concatenate([geodesic_spec(anchor, tgt, ctx).point(ys)
+                               for tgt in targets if not np.array_equal(tgt, anchor)])
+        for block in (7, 40):
+            monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
+            got = list(_ray_blocks(anchor, targets, ys, ctx))
+            assert [len(b) for b in got[:-1]] == [block] * (len(got) - 1)
+            assert 0 < len(got[-1]) <= block
+            assert all(b.flags.writeable and b.flags.owndata for b in got)
+            assert np.concatenate(got).tobytes() == rays.tobytes()
+        assert list(_ray_blocks(anchor, anchor[None], ys, ctx)) == []
 
     def test_ranges_split_the_first_axis_whose_tail_fits(self, monkeypatch):
         monkeypatch.setattr(certificates, "_EVAL_BLOCK", 20)
