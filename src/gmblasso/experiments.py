@@ -114,13 +114,6 @@ def sample(mixture: GroundTruthMixture, n: int, seed) -> np.ndarray:
     return out
 
 
-def _classify(mu_hat: DiscreteMeasure, anchors: np.ndarray, r_e: float,
-              ctx: KernelContext) -> np.ndarray:
-    if mu_hat.s == 0:
-        return np.zeros(0, dtype=int)
-    return region_index_batch(mu_hat.locations_array(), anchors, r_e, ctx)
-
-
 @dataclass(frozen=True)
 class RegionMassReport:
     per_region: np.ndarray
@@ -138,7 +131,7 @@ def region_mass_errors(mu_hat_omega: DiscreteMeasure, mu0_omega: DiscreteMeasure
     if not (0.0 < r_e <= r_max):
         raise ValueError(f"effective radius must lie in (0, {r_max}], got {r_e}")
     anchors = mu0_omega.locations_array()
-    region = _classify(mu_hat_omega, anchors, r_e, ctx)
+    region = region_index_batch(mu_hat_omega.locations_array(), anchors, r_e, ctx)
     w = mu_hat_omega.weights
     per = np.array([
         abs(mu0_omega.weights[j] - float(np.sum(w[region == j])))
@@ -191,7 +184,7 @@ def sparsity_check(mu_hat_omega: DiscreteMeasure, mu0: DiscreteMeasure,
                    r: float, ctx: KernelContext) -> SparsityReport:
     """Counts recovered atoms per near region; exact recovery means one atom in
     every region and none in the far region."""
-    region = _classify(mu_hat_omega, mu0.locations_array(), r, ctx)
+    region = region_index_batch(mu_hat_omega.coords, mu0.coords, r, ctx)
     counts = tuple(int(np.sum(region == j)) for j in range(mu0.s))
     far = int(np.sum(region == -1))
     return SparsityReport(counts, far, all(c == 1 for c in counts) and far == 0)

@@ -169,63 +169,32 @@ def geodesic_spec(x, xp, ctx: KernelContext) -> GeodesicSpec:
                         sig0, sig1, center, radius)
 
 
-def _reach(PT: np.ndarray, anchors: np.ndarray, r: float, tau: float) -> np.ndarray:
-    """Each anchor's reach in each t_k over the block PT (2d, m), (s, d): the
-    widened r sqrt(u_{a,k}^2 + U_k^2 + tau^2) of _reaching_anchors."""
-    d = len(PT) // 2
-    U2 = (PT[d:] ** 2).max(axis=1)
-    return (r * (1 + 1e-9) + 1e-6) * np.sqrt(anchors[:, d:] ** 2 + U2 + tau**2)
-
-
-def _reaching_anchors(P: np.ndarray, anchors: np.ndarray, r: float,
-                      tau: float) -> np.ndarray:
-    """Indices, in order, of the anchors whose semi-distance ball of radius r
-    may hold a point of P.
-
-    Every term of the squared semi-distance is nonnegative, so for any
-    coordinate k, d^2 >= dt_k^2 / A_k with A_k = u_{a,k}^2 + u_k^2 + tau^2
-    <= u_{a,k}^2 + U_k^2 + tau^2, where U_k is the largest |u_k| in P (not
-    the box's u_max: P may leave the box).  An anchor whose gap in t_k to
-    P's range [min t_k, max t_k] exceeds its reach r sqrt(u_{a,k}^2 + U_k^2
-    + tau^2) is farther than r from every point of P, and it is dropped.
-
-    The reach is widened to r (1 + 1e-9) + 1e-6 to cover the rounding of
-    both sides.  The gap and dt are differences of the same floats, each
-    rounded once, and the reach, A_k and dt_k^2 / A_k carry a few relative
-    roundings, all far below the relative 1e-9.  The log-cosh terms are
-    computed as |z| + log1p(e^{-2|z|}) - ln 2 and can fall below 0 by a few
-    ulps of ln 2; the absolute 1e-6 adds 1e-12 to the squared reach, which
-    covers that loss for d below 2000, whatever r is.  A NaN in P keeps
-    every anchor.
-    """
-    # coordinate-first, so that reductions run along the points and not over
-    # d values at a time, which is some ten times slower
-    PT = np.ascontiguousarray(P.T)
-    d = len(PT) // 2
-    ta = anchors[:, :d]
-    gap = np.maximum(PT[:d].min(axis=1) - ta, ta - PT[:d].max(axis=1))   # (s, d)
-    return np.flatnonzero(~np.any(gap > _reach(PT, anchors, r, tau), axis=1))
-
-
 def _reached_points(P: np.ndarray, anchors: np.ndarray, r: float,
                     tau: float) -> np.ndarray:
     """Indices, in order, of the points of P that may lie in the semi-distance
     ball of radius r of some anchor.
 
-    The bound of _reaching_anchors, with the same widened reach, point by
-    point: a point whose |dt_k| to an anchor exceeds that anchor's reach in
-    some coordinate k is farther than r from it, and a point farther than r
-    from every anchor is dropped.  When one anchor's reach holds the whole
-    t-range of P, no point is dropped and none is tested.  A NaN in P keeps
-    every point.
-    """
-    PT = np.ascontiguousarray(P.T)            # coordinate-first, as above
+    Every term of the squared semi-distance is nonnegative, so for any
+    coordinate k, d^2 >= dt_k^2 / A_k with A_k = u_{a,k}^2 + u_k^2 + tau^2
+    <= u_{a,k}^2 + U_k^2 + tau^2, where U_k is the largest |u_k| in P (not
+    the box's u_max: P may leave the box).  A point whose |dt_k| to an
+    anchor exceeds that anchor's reach r sqrt(u_{a,k}^2 + U_k^2 + tau^2) in
+    some k is farther than r from it; one farther than r from every anchor
+    is dropped.  The reach is widened to r (1 + 1e-9) + 1e-6 to cover the
+    rounding of both sides: dt is rounded once, and the reach, A_k and
+    dt_k^2 / A_k carry a few relative roundings, far below 1e-9.  The
+    log-cosh terms, computed as |z| + log1p(e^{-2|z|}) - ln 2, can fall
+    below 0 by a few ulps of ln 2; the absolute 1e-6 adds 1e-12 to the
+    squared reach, which covers that loss for d below 2000, whatever r is.
+    A comparison with a NaN is false, so a NaN in P drops no point, and a
+    point holding one is far either way."""
+    # coordinate-first, so that reductions run along the points and not over
+    # d values at a time, which is some ten times slower
+    PT = np.ascontiguousarray(P.T)
     d = len(PT) // 2
     t, ta = PT[:d], anchors[:, :d]
-    reach = _reach(PT, anchors, r, tau)                               # (s, d)
-    span = np.maximum(t.max(axis=1) - ta, ta - t.min(axis=1))
-    if np.any(np.all(span <= reach, axis=1)):
-        return np.arange(len(P))
+    U2 = (PT[d:] ** 2).max(axis=1)
+    reach = (r * (1 + 1e-9) + 1e-6) * np.sqrt(anchors[:, d:] ** 2 + U2 + tau**2)  # (s, d)
     far = np.any(np.abs(t - ta[:, :, None]) > reach[:, :, None], axis=1)   # (s, m)
     return np.flatnonzero(~np.all(far, axis=0))
 
@@ -235,22 +204,17 @@ def region_index_batch(P: np.ndarray, anchors: np.ndarray, r: float,
     """Index of the nearest anchor within the closed semi-distance ball of
     radius r, or -1 for far; ties break to the smallest index.
 
-    Semi-distances are computed only from the anchors that can reach P (see
-    _reaching_anchors) and only to the points that one of those can reach
-    (see _reached_points).  A dropped anchor is farther than r from every
-    point, so it can neither hold a point nor win a tie inside the ball, and
-    a dropped point is farther than r from every kept anchor, so it is far;
-    the result equals that of the pass over all anchors and points."""
+    Semi-distances are computed only to the points that some anchor can
+    reach (see _reached_points).  A dropped point is farther than r from
+    every anchor, so it is far; the result equals that of the pass over all
+    points."""
     region = np.full(len(P), -1)
     if len(anchors) == 0 or len(P) == 0:
         return region
-    kept = _reaching_anchors(P, anchors, r, ctx.tau)
-    if len(kept) == 0:
-        return region
-    near = _reached_points(P, anchors[kept], r, ctx.tau)
+    near = _reached_points(P, anchors, r, ctx.tau)
     Q = P if len(near) == len(P) else P[near]
     # anchors first, so the point axis is the long contiguous one; the
     # semi-distance is symmetric bit for bit
-    dist = semi_distance_pairs(anchors[kept, None, :], Q[None, :, :], ctx)
-    region[near] = np.where(dist.min(axis=0) <= r, kept[dist.argmin(axis=0)], -1)
+    dist = semi_distance_pairs(anchors[:, None, :], Q[None, :, :], ctx)
+    region[near] = np.where(dist.min(axis=0) <= r, dist.argmin(axis=0), -1)
     return region

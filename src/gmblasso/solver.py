@@ -328,7 +328,7 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     eta_w, eta_x = cfg.step_w, cfg.step_x
     lo, hi = box.lower(), box.upper()
     still, last_failed = 0, -cfg.patience
-    converged = stalled = aborted = False
+    converged = stalled = aborted = merge_step = False
     reason = None
 
     for it in range(1, cfg.iterations + 1):
@@ -353,7 +353,8 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
         if aborted:
             break
 
-        if cfg.merge_period > 0 and it % cfg.merge_period == 0:
+        merge_step = cfg.merge_period > 0 and it % cfg.merge_period == 0
+        if merge_step:
             # a prune that drops nothing makes prune_merge the merge alone
             pruned = len(_prune(cur.w, cur.pts, cfg)[0]) < len(cur.w)
             cur = _fewer_atoms(cur, (prune_merge, _merge) if pruned else (prune_merge,),
@@ -366,8 +367,11 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
             converged = not stalled
             break
 
-    cur = _fewer_atoms(cur, (_prune,), cfg, octx, judged=False)   # the one move not judged
-    cur = _fewer_atoms(cur, (_merge,), cfg, octx)
+    final = _fewer_atoms(cur, (_prune,), cfg, octx, judged=False)   # the one move not judged
+    # if the prune dropped nothing, the last merge step judged this merge (an
+    # abort after it does not move the point)
+    if final is not cur or not merge_step:
+        cur = _fewer_atoms(final, (_merge,), cfg, octx)
     return SolverResult(DiscreteMeasure.from_arrays(cur.w, cur.pts), tuple(trace),
                         converged, stalled, aborted, reason, it)
 

@@ -9,11 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from gmblasso import DiscreteMeasure, DomainBox, KernelContext, geodesic_spec
+from gmblasso import (
+    DiscreteMeasure,
+    DomainBox,
+    GridSpec,
+    KernelContext,
+    geodesic_spec,
+    lpc_constants,
+)
+from gmblasso.certificates import _Grid, _sample_points
 from gmblasso.geometry import (
     _from_halfplane,
     _halfplane,
-    _reaching_anchors,
     _reached_points,
     fr_distance_pairs,
     metric_diag_batch,
@@ -275,7 +282,7 @@ class TestRegions:
 
 
 def _all_anchor_regions(P, anchors, r, ctx):
-    """region_index_batch without the anchor skip: semi-distances from every
+    """region_index_batch without the point skip: semi-distances from every
     point to every anchor."""
     dist = semi_distance_pairs(anchors[:, None, :], P[None, :, :], ctx)
     j = np.argmin(dist, axis=0)
@@ -283,9 +290,9 @@ def _all_anchor_regions(P, anchors, r, ctx):
 
 
 class TestAnchorSkip:
-    """region_index_batch drops the anchors out of a block's reach and the
-    points out of every kept anchor's reach; its result must equal the pass
-    over every anchor and point, point for point."""
+    """region_index_batch drops the points out of every anchor's reach; its
+    result must equal the pass over every anchor and point, point for
+    point."""
 
     def _check(self, P, anchors, r, ctx):
         want = _all_anchor_regions(P, anchors, r, ctx)
@@ -301,7 +308,7 @@ class TestAnchorSkip:
         box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
         ctx = KernelContext(d, 0.4, box)
         anchors = random_locations(rng, 6, box)
-        dropped = skipped = near = 0
+        skipped = near = 0
         for block in range(40):
             # blocks around an anchor or a random centre, narrow or wide, with
             # scales below u_min and above u_max
@@ -312,12 +319,10 @@ class TestAnchorSkip:
             P[:, d:] = np.clip(np.abs(centre[d:] + 0.2 * (P[:, d:] - centre[d:])), 0.2, 3.0)
             for r in (near_radius(d), 0.5, 1e-4, 3.0):
                 got = self._check(P, anchors, r, ctx)
-                kept = _reaching_anchors(P, anchors, r, ctx.tau)
-                dropped += len(kept) < len(anchors)
-                skipped += len(P) - len(_reached_points(P, anchors[kept], r, ctx.tau))
+                skipped += len(P) - len(_reached_points(P, anchors, r, ctx.tau))
                 near += int(np.count_nonzero(got >= 0))
-        # both skips are exercised, and so are the near points
-        assert dropped > 40 and skipped > 200 and near > 100
+        # the skip is exercised, and so are the near points
+        assert skipped > 200 and near > 100
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_points_at_the_reach(self, d):
@@ -367,8 +372,8 @@ class TestAnchorSkip:
             [i for i, out in enumerate(dropped) if not out]
 
     def test_block_in_reach_in_one_coordinate_only(self, ctx2):
-        # the block's t_2-range lies within the anchor's reach, its t_1-range
-        # does not: the point skip still tests every point
+        # both points lie within the anchor's reach in t_2, the second one
+        # not in t_1: that coordinate alone drops it
         anchors = np.array([[0.0, 0.0, 1.0, 1.0]])
         P = np.array([[0.0, 0.0, 1.0, 1.0], [4.0, 0.0, 1.0, 1.0]])
         assert _reached_points(P, anchors, near_radius(2), ctx2.tau).tolist() == [0]
@@ -408,14 +413,46 @@ class TestAnchorSkip:
     def test_block_no_anchor_reaches(self, ctx2):
         anchors = np.array([[-4.0, -4.0, 1.0, 1.0], [-3.0, -4.0, 0.6, 1.5]])
         P = np.array([[3.0, 4.0, 1.0, 1.0], [4.5, 3.5, 2.0, 0.5]])
-        assert len(_reaching_anchors(P, anchors, near_radius(2), ctx2.tau)) == 0
+        assert len(_reached_points(P, anchors, near_radius(2), ctx2.tau)) == 0
         assert self._check(P, anchors, near_radius(2), ctx2).tolist() == [-1, -1]
 
     def test_ties_map_to_the_smallest_kept_index(self, ctx1):
-        # anchor 0 is out of reach; anchors 1 and 2 coincide, so every point
-        # near them ties and takes index 1
+        # anchor 0 is out of every point's reach and the last point out of
+        # every anchor's; anchors 1 and 2 coincide, so every point near them
+        # ties and takes index 1
         anchors = np.array([[-4.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.05, 1.0]])
         P = np.array([[0.9, 1.0], [1.0, 1.0], [1.2, 1.1], [3.0, 1.0]])
         r = near_radius(1)
-        assert _reaching_anchors(P, anchors, r, ctx1.tau).tolist() == [1, 2, 3]
+        assert _reached_points(P, anchors, r, ctx1.tau).tolist() == [0, 1, 2]
         assert self._check(P, anchors, r, ctx1).tolist() == [1, 1, 3, -1]
+
+    @pytest.mark.parametrize("case", ["certify_d2", "u_range"])
+    def test_certify_row_blocks_match_the_full_pass(self, case):
+        # the pass's traffic: the ray and Halton blocks that
+        # verify_nondegeneracy evaluates row by row (its grids take their
+        # regions from per-coordinate terms), on a certify_d2 pool config of
+        # the benchmark (u_min = u_max) and on the d = 2 scenario with
+        # u_min < u_max at a reduced GridSpec, whose rays keep their interiors
+        if case == "certify_d2":
+            box, tau, spec = DomainBox((-35.0,) * 2, (35.0,) * 2, 1.0, 1.0), 1.0, GridSpec()
+            anchors = np.array([[-26.3, 0.8, 1.0, 1.0], [0.5, 19.4, 1.0, 1.0],
+                                [27.6, -0.2, 1.0, 1.0]])
+        else:
+            box, tau = DomainBox((-30.0,) * 2, (30.0,) * 2, 0.7, 1.5), 0.7
+            spec = GridSpec(near_t_points=40, near_u_points=10, global_t_points=20,
+                            global_u_points=10, lowdisc_points=20_000)
+            anchors = np.array([[-20.0, 0.0, 0.8, 1.2], [0.0, 18.0, 1.3, 0.9],
+                                [20.0, 0.0, 1.0, 1.0]])
+        ctx = KernelContext(2, tau, box)
+        consts = lpc_constants(2, 3, tau, box)
+        r = consts.r
+        blocks = [P for P in _sample_points(anchors, consts, spec, ctx)
+                  if not isinstance(P, _Grid)]
+        skipped = near = 0
+        for P in blocks:
+            got = region_index_batch(P, anchors, r, ctx)
+            np.testing.assert_array_equal(got, _all_anchor_regions(P, anchors, r, ctx))
+            skipped += len(P) - len(_reached_points(P, anchors, r, ctx.tau))
+            near += int(np.count_nonzero(got >= 0))
+        rows = sum(len(P) for P in blocks)
+        assert rows >= spec.lowdisc_points and skipped > rows // 2 and near > 0

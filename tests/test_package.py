@@ -20,16 +20,17 @@ MODULES = ["gmblasso"] + [f"gmblasso.{info.name}"
                           if info.name != "__main__"]
 
 
-def _load_tracer():
-    """perfbench/tracer.py, loaded by path and only read."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _load_perfbench(name):
+    """perfbench/<name>.py, loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _load_tracer()
+TRACER = _load_perfbench("tracer")
+WORKER = _load_perfbench("worker")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -61,6 +62,21 @@ def test_traced_class_members_resolve(layer, module, cls_name, attr):
         member = member.fget
     assert inspect.isfunction(member), \
         f"{layer}: {cls_name}.{attr} is not a staticmethod, property or function"
+
+
+@pytest.mark.parametrize("name", sorted(WORKER.WORKLOADS))
+def test_workload_reaches_its_traced_layers(name, tmp_path):
+    # the benchmark's traced run fails a workload whose expected layer records
+    # no call; one operation of pool entry 0 must already reach every one
+    import gmblasso.cli  # noqa: F401  (prepare parses configs through it)
+
+    workload = WORKER.WORKLOADS[name]
+    workload.prepare(gmblasso, str(tmp_path))
+    kwargs = {"threads": 1, "replications": 1} if workload.kind == "sweep" else {}
+    with TRACER.Tracer() as tracer:
+        workload.run(0, **kwargs)
+    totals = TRACER.summarize(tracer.spans)
+    assert [layer for layer in workload.expected if totals[layer]["calls"] == 0] == []
 
 
 SCENARIO = """\

@@ -514,8 +514,28 @@ class TestAcceptanceRule:
         calls = self._counted_witness(monkeypatch)
         res = cpgd_solve(DiscreteMeasure.from_arrays(w, pts), octx, cfg)
         assert res.measure.s == 2 and res.trace[-1].atoms == 2
-        # the start, the one trial, the merge step and the final merge
-        assert len(calls) == 4
+        # the start, the one trial and the merge step; the final prune drops
+        # nothing, so the final merge would judge the merge step's candidate
+        # again, and it is skipped
+        assert len(calls) == 3
+
+    def test_final_merge_after_a_final_prune_is_evaluated(self, ctx1, monkeypatch):
+        # the setting above with a dust atom between the modes: the merge
+        # step rejects both its candidates, then the final prune drops the
+        # dust, and the merge of the two atoms it leaves is a new candidate
+        rng = np.random.default_rng(72)
+        X = np.concatenate([rng.normal(-1.5, 0.5, 40), rng.normal(1.5, 0.5, 40)])
+        octx = ObjectiveContext(X, 0.05, ctx1)
+        w = np.array([0.4, 1e-9, 0.4])
+        pts = np.array([[-1.5, 0.5], [0.0, 0.5], [1.5, 0.5]])
+        cfg = SolverConfig(iterations=1, max_backtracks=0, merge_period=1,
+                           merge_radius=10.0, prune_threshold=1e-6)
+        calls = self._counted_witness(monkeypatch)
+        res = cpgd_solve(DiscreteMeasure.from_arrays(w, pts), octx, cfg)
+        assert res.trace[-1].atoms == 3 and res.measure.s == 2
+        # the start, the one trial, the merge step's two candidates, the
+        # final prune and the final merge
+        assert len(calls) == 6
 
 
 class TestInvariants:
