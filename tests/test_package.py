@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gmblasso
+import gmblasso.cli  # noqa: F401  (perfbench's workloads parse configs through it)
 
 MODULES = ["gmblasso"] + [f"gmblasso.{info.name}"
                           for info in pkgutil.iter_modules(gmblasso.__path__)
@@ -68,8 +69,6 @@ def test_traced_class_members_resolve(layer, module, cls_name, attr):
 def test_workload_reaches_its_traced_layers(name, tmp_path):
     # the benchmark's traced run fails a workload whose expected layer records
     # no call; one operation of pool entry 0 must already reach every one
-    import gmblasso.cli  # noqa: F401  (prepare parses configs through it)
-
     workload = WORKER.WORKLOADS[name]
     workload.prepare(gmblasso, str(tmp_path))
     kwargs = {"threads": 1, "replications": 1} if workload.kind == "sweep" else {}
