@@ -13,7 +13,7 @@ geodesic rays inside each near region) and reports the worst margin of every
 non-degeneracy clause: |eta| <= 1 - eps_0 on the far region, and quadratic
 pinning eta <= 1 - eps_2 * dist_g(x, x_j0)^2 inside near regions (with the
 analogous four-clause set for local certificates).  Violations are report
-content, never exceptions.
+content, never exceptions; anchors outside the box are an error.
 """
 from __future__ import annotations
 
@@ -340,10 +340,11 @@ def operator_norms_batch(X: np.ndarray, Y: np.ndarray, ctx: KernelContext) -> di
 class GridSpec:
     """Sampling resolutions for non-degeneracy verification.
 
-    Axis counts apply per coordinate axis; the low-discrepancy set is an
-    unscrambled Halton sequence over the full box, and each near region is
-    additionally sampled along geodesic rays from its anchor (points leaving
-    the domain box are dropped: the clauses quantify over the box only).
+    Axis counts apply per coordinate axis, and the tensor grids lie in the
+    box; the low-discrepancy set is an unscrambled Halton sequence over the
+    full box, and each near region is additionally sampled along geodesic
+    rays from its anchor.  Ray and Halton points leaving the domain box are
+    dropped (the clauses quantify over the box only).
     """
 
     near_t_points: int = 400
@@ -376,14 +377,6 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     if hi <= lo:
         return np.array([lo])
     return np.linspace(lo, hi, max(int(n), 2))
-
-
-@dataclass(frozen=True)
-class _Grid:
-    """The tensor grid of the axes t_1..t_d, u_1..u_d, its points in the
-    order of meshgrid(indexing="ij")."""
-
-    axes: tuple
 
 
 def _grid_ranges(shape):
@@ -545,9 +538,10 @@ def _halton(start: int, n: int, dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _halton_points(n: int, dim: int) -> np.ndarray:
     """_halton(0, n, dim), read-only and cached per process: the low-
-    discrepancy set depends only on its size and dimension (certify_d2's
-    100 000 points in d = 2 hold 3.2 MB and take ~40 ms to compute).  It is
-    filled in _EVAL_BLOCK-row pieces, so no temporary spans all n points."""
+    discrepancy set and the ray ends' face points depend only on their size
+    and dimension (certify_d2's 100 000 points in d = 2 hold 3.2 MB and take
+    ~40 ms to compute).  It is filled in _EVAL_BLOCK-row pieces, so no
+    temporary spans all n points."""
     out = np.empty((dim, n)).T
     for start in range(0, n, _EVAL_BLOCK):
         stop = min(start + _EVAL_BLOCK, n)
@@ -561,7 +555,7 @@ def _ray_targets(t_axes, u_axes, n: int) -> np.ndarray:
     lo = np.array([ax[0] for ax in t_axes] + [ax[0] for ax in u_axes])
     hi = np.array([ax[-1] for ax in t_axes] + [ax[-1] for ax in u_axes])
     dim = len(lo)
-    face_pts = _halton(0, n, max(dim - 1, 1))
+    face_pts = _halton_points(n, max(dim - 1, 1))
     # target i lies on face i % dim, on the hi side for odd i // dim; the
     # other axes take the Halton coordinates of point i in order (the face
     # axis reads a clamped column and is then overwritten)
@@ -597,52 +591,6 @@ def _ray_blocks(anchor: np.ndarray, targets: np.ndarray, ys: np.ndarray,
         yield np.concatenate(pending)
 
 
-def _raw_blocks(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
-                ctx: KernelContext):
-    """The sample sets in order: the global grid, then per anchor its near
-    grid and its rays, then the Halton points.  The grids come as _Grid, the
-    rest as fresh arrays of at most _EVAL_BLOCK rows, an anchor's rays
-    sharing blocks (_ray_blocks)."""
-    box = ctx.box
-    d = ctx.d
-    t_axes = [_axis(box.t_lo[k], box.t_hi[k], spec.global_t_points) for k in range(d)]
-    u_axes = [_axis(box.u_min, box.u_max, spec.global_u_points) for k in range(d)]
-    yield _Grid(tuple(t_axes + u_axes))
-
-    ys = np.linspace(0.0, 1.0, spec.points_per_ray + 1)[1:]
-    for a in anchors:
-        nt, nu = _near_bounding_axes(a, consts.r, ctx, spec)
-        yield _Grid(tuple(nt + nu))
-        yield from _ray_blocks(a, _ray_targets(nt, nu, spec.rays_per_region), ys, ctx)
-
-    if spec.lowdisc_points > 0:
-        lo, hi = box.lower(), box.upper()
-        unit = _halton_points(spec.lowdisc_points, 2 * d)
-        for start in range(0, len(unit), _EVAL_BLOCK):
-            yield lo + unit[start:start + _EVAL_BLOCK] * (hi - lo)
-
-
-def _sample_points(anchors: np.ndarray, consts: LpcConstants, spec: GridSpec,
-                   ctx: KernelContext):
-    """Blocks of sample points inside the box, clipped onto it: points
-    leaving it by more than 1e-12 are dropped.  A grid point is inside iff
-    each of its coordinates is, so a grid's axes are filtered and clipped,
-    which leaves the grid of the points kept, in their order."""
-    lo, hi = ctx.box.lower(), ctx.box.upper()
-    for P in _raw_blocks(anchors, consts, spec, ctx):
-        if isinstance(P, _Grid):
-            axes = tuple(np.clip(ax[(ax >= l - 1e-12) & (ax <= h + 1e-12)], l, h)
-                         for ax, l, h in zip(P.axes, lo, hi))
-            if all(len(ax) for ax in axes):
-                yield _Grid(axes)
-            continue
-        inside = np.all((P >= lo - 1e-12) & (P <= hi + 1e-12), axis=1)
-        if not inside.all():
-            P = P[inside]
-        if len(P):
-            yield np.clip(P, lo, hi, out=P)
-
-
 def _row_block(certs: CertificateSet, r: float, P: np.ndarray):
     """Rows P (m, 2d) evaluated: their regions, certificate values, the
     indices of the near points, their squared Fisher-Rao distances to their
@@ -655,19 +603,42 @@ def _row_block(certs: CertificateSet, r: float, P: np.ndarray):
 
 
 def _evaluated_blocks(certs: CertificateSet, consts: LpcConstants, spec: GridSpec):
-    """Every block of samples, in sampling order, evaluated by _grid_block
-    (grids) or _row_block (rays and Halton points)."""
-    anchors, ctx = certs.system.anchors, certs.system.ctx
-    for block in _sample_points(anchors, consts, spec, ctx):
-        if isinstance(block, _Grid):
-            yield from _grid_pass(certs, consts.r, block.axes)
-        else:
-            yield _row_block(certs, consts.r, block)
+    """Every sample set in order, evaluated: the global grid, then per anchor
+    its near grid and its rays, then the Halton points.  A grid, inside the
+    box when the anchors are, goes to _grid_pass as its axes t_1..t_d,
+    u_1..u_d.  Rows come in fresh blocks of at most _EVAL_BLOCK points
+    (_ray_blocks); those leaving the box by more than 1e-12 are dropped and
+    the rest clipped onto it, in place, before _row_block."""
+    anchors, ctx, r = certs.system.anchors, certs.system.ctx, consts.r
+    box, d, lo, hi = ctx.box, ctx.d, ctx.box.lower(), ctx.box.upper()
+
+    def rows(blocks):
+        for P in blocks:
+            inside = np.all((P >= lo - 1e-12) & (P <= hi + 1e-12), axis=1)
+            if not inside.all():
+                P = P[inside]
+            if len(P):
+                yield _row_block(certs, r, np.clip(P, lo, hi, out=P))
+
+    t_axes = [_axis(box.t_lo[k], box.t_hi[k], spec.global_t_points) for k in range(d)]
+    yield from _grid_pass(certs, r, t_axes + [_axis(box.u_min, box.u_max,
+                                                    spec.global_u_points)] * d)
+    ys = np.linspace(0.0, 1.0, spec.points_per_ray + 1)[1:]
+    for a in anchors:
+        nt, nu = _near_bounding_axes(a, r, ctx, spec)
+        yield from _grid_pass(certs, r, nt + nu)
+        yield from rows(_ray_blocks(a, _ray_targets(nt, nu, spec.rays_per_region), ys, ctx))
+    if spec.lowdisc_points > 0:
+        unit = _halton_points(spec.lowdisc_points, 2 * d)
+        yield from rows(lo + unit[start:start + _EVAL_BLOCK] * (hi - lo)
+                        for start in range(0, len(unit), _EVAL_BLOCK))
 
 
 def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
                          grid_spec: GridSpec) -> NondegeneracyReport:
-    """Sample the box and evaluate every non-degeneracy clause.
+    """Sample the box and evaluate every non-degeneracy clause.  Anchors
+    outside the box by more than 1e-9 (cpgd_solve's tolerance for its start)
+    raise ValueError: the grids lie in the box only when the anchors do.
 
     Margins are lhs - rhs of each clause inequality (nonpositive = holds);
     a sample counts as a violation only beyond _VIOLATION_TOL, which
@@ -676,16 +647,17 @@ def verify_nondegeneracy(certs: CertificateSet, consts: LpcConstants,
 
     The samples stream in blocks of at most _EVAL_BLOCK points: each block
     gets its regions, one kernel pass for all s + 1 certificates, and its
-    near points' Fisher-Rao distances to their own anchors, a grid block
-    from per-coordinate terms (_grid_pass), any other from its rows
-    (_row_block), with the same floats either way.  Its margins,
-    one row per certificate, fold into a running clause table indexed by
-    (region, certificate), whose cells are the clauses.  Memory is bounded
-    by the block, whatever the number of points; the largest per-block
-    array holds (s + 1)^2 margins per point.  A clause's worst point is
+    near points' Fisher-Rao distances to their own anchors, with the same
+    floats from a grid's per-coordinate terms as from rows (see
+    _evaluated_blocks).  Its margins, one row per certificate, fold into a
+    running clause table indexed by (region, certificate), whose cells are
+    the clauses.  Memory is bounded by the block, whatever the number of
+    points; the largest per-block array holds (s + 1)^2 margins per point.  A clause's worst point is
     its first sample with the worst margin, in sampling order.
     """
     anchors, ctx = certs.system.anchors, certs.system.ctx
+    if not ctx.box.contains(anchors, atol=1e-9):
+        raise ValueError("anchor outside the domain box")
     s = len(anchors)
 
     # the clause table: region g is the far region (g = 0) or the near region

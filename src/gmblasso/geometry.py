@@ -110,23 +110,14 @@ class GeodesicSpec:
     def point(self, y) -> np.ndarray:
         """Coordinates at normalized parameter(s) y in [0, 1], shape (..., 2d)."""
         y = np.asarray(y, dtype=float)
-        a = self.x
-        d = len(a) // 2
-        _, h0 = _halfplane(a, self.tau)
-        t = np.empty(y.shape + (d,))
-        h = np.empty(y.shape + (d,))
+        t0, h0 = _halfplane(self.x, self.tau)
+        kinds = np.array(self.kinds)
+        arc, line = kinds == "semicircle", kinds == "vertical-line"
         sig = (1 - y[..., None]) * self._sig0 + y[..., None] * self._sig1
-        for k, kind in enumerate(self.kinds):
-            if kind == "constant":
-                t[..., k] = a[k]
-                h[..., k] = h0[k]
-            elif kind == "vertical-line":
-                t[..., k] = a[k]
-                h[..., k] = np.exp(sig[..., k])
-            else:
-                theta = 2 * np.arctan(np.exp(sig[..., k]))
-                t[..., k] = self._center[k] + self._radius[k] * np.cos(theta)
-                h[..., k] = self._radius[k] * np.sin(theta)
+        e = np.exp(sig)
+        theta = 2 * np.arctan(e)
+        t = np.where(arc, self._center + self._radius * np.cos(theta), t0)
+        h = np.where(arc, self._radius * np.sin(theta), np.where(line, e, h0))
         return _from_halfplane(t, h, self.tau)
 
 

@@ -314,6 +314,8 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
     Every move is judged by `_move`, which keeps it if its J is finite and not
     above the current J, but the final prune: that is unconditional, and may
     raise J, until the weights are re-solved on the support it keeps."""
+    if init.s == 0:
+        raise ValueError("empty initial measure: conic descent cannot create mass")
     box = octx.ctx.box
     pts = init.locations_array()
     if not box.contains(pts, atol=1e-9):

@@ -122,3 +122,18 @@ def tuned_solver():
 def sorted_atoms(mu: DiscreteMeasure):
     order = np.argsort(mu.locations_array()[:, 0])
     return mu.weights[order], mu.locations_array()[order]
+
+
+def evaluated_samples(certs, consts, spec, monkeypatch):
+    """What certificates._evaluated_blocks hands _grid_pass (each grid's
+    axes) and _row_block (each block of rows), in order, recorded by
+    wrappers that evaluate nothing."""
+    from gmblasso import certificates
+
+    grids, rows = [], []
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "_grid_pass", lambda certs, r, axes: grids.append(axes) or ())
+        m.setattr(certificates, "_row_block", lambda certs, r, P: rows.append(P))
+        for _ in certificates._evaluated_blocks(certs, consts, spec):
+            pass
+    return grids, rows

@@ -1,4 +1,5 @@
 """Interpolation certificates, curvature constants, operator-norm bounds."""
+import itertools
 import math
 import tracemalloc
 
@@ -26,7 +27,6 @@ from gmblasso import certificates
 from gmblasso.certificates import (
     ClauseReport,
     NondegeneracyReport,
-    _Grid,
     _axis,
     _grid_pass,
     _grid_ranges,
@@ -36,7 +36,6 @@ from gmblasso.certificates import (
     _ray_blocks,
     _ray_targets,
     _row_block,
-    _sample_points,
     operator_norms_batch,
 )
 from gmblasso.geometry import (
@@ -47,7 +46,7 @@ from gmblasso.geometry import (
 )
 from gmblasso.kernel import grad1_batch, grad12_batch, kernel_values
 
-from conftest import fd_gradient, random_locations, rel_error
+from conftest import evaluated_samples, fd_gradient, random_locations, rel_error
 
 
 @pytest.fixture(scope="module")
@@ -394,7 +393,7 @@ class TestNondegeneracy:
         assert whole.points_evaluated > 97
         _assert_same_report(blocked, whole)
 
-    def test_halton_points_cached_read_only(self):
+    def test_halton_points_cached_read_only(self, monkeypatch):
         pts = _halton_points(1500, 4)
         assert _halton_points(1500, 4) is pts
         assert not pts.flags.writeable
@@ -404,8 +403,7 @@ class TestNondegeneracy:
         assert np.array_equal(pts, _halton(0, 1500, 4))
         # the blocks verification clips in place are fresh, writable arrays
         certs, consts, spec = _certify_case(2)
-        last = list(certificates._raw_blocks(certs.system.anchors, consts, spec,
-                                             certs.system.ctx))[-1]
+        last = evaluated_samples(certs, consts, spec, monkeypatch)[1][-1]
         assert last.flags.writeable and not np.shares_memory(last, _halton_points(1500, 4))
 
     def test_consecutive_reports_are_equal(self):
@@ -610,15 +608,12 @@ class TestGridPass:
         if block == 1:
             spec = GridSpec(near_t_points=5, near_u_points=3, global_t_points=4,
                             global_u_points=3, lowdisc_points=0)
-        anchors, ctx = certs.system.anchors, certs.system.ctx
-        grids = [b for b in _sample_points(anchors, consts, spec, ctx)
-                 if isinstance(b, _Grid)]
-        assert len(grids) == 1 + len(anchors)
+        grids = evaluated_samples(certs, consts, spec, monkeypatch)[0]
+        assert len(grids) == 1 + len(certs.system.anchors)
         n_near = 0
-        for grid in grids:
+        for axes in grids:
             rows = []
-            for region, vals, near, frsq, points in _grid_pass(certs, consts.r,
-                                                               grid.axes):
+            for region, vals, near, frsq, points in _grid_pass(certs, consts.r, axes):
                 P = points(np.arange(len(region)))
                 assert 0 < len(P) <= certificates._EVAL_BLOCK
                 want = _row_block(certs, consts.r, P)
@@ -629,7 +624,7 @@ class TestGridPass:
                 rows.append(P)
                 n_near += len(near)
             # the blocks cover the grid once, in the order of the grid's rows
-            mesh = np.meshgrid(*grid.axes, indexing="ij")
+            mesh = np.meshgrid(*axes, indexing="ij")
             assert np.concatenate(rows).tobytes() == \
                 np.stack([m.ravel() for m in mesh], axis=-1).tobytes()
         assert n_near > 0
@@ -680,18 +675,57 @@ class TestGridPass:
         assert got == [((lo, lo + 20), (0, 200), (0, 1), (0, 1))
                        for lo in range(0, 200, 20)]
 
-    def test_grid_axes_are_filtered_as_its_rows(self, monkeypatch):
-        # the box is t in [-20, 20], u in [0.5, 2]: values beyond it by more
-        # than 1e-12 are dropped and the rest clipped, as rows are
+    def test_rows_are_filtered_and_clipped(self, monkeypatch):
+        # the box is t in [-20, 20], u in [0.5, 2]: rows beyond it by more
+        # than 1e-12 are dropped and the rest clipped onto it; a block left
+        # empty is not evaluated
         certs, consts, spec = _certify_case(1)
-        anchors, ctx = certs.system.anchors, certs.system.ctx
-        t = np.array([-20 - 2e-12, -20 - 5e-13, 0.0, 20 + 5e-13, 20 + 2e-12])
-        u = np.array([0.5 - 5e-13, 1.0, 2.0 + 3e-12])
-        rows = np.stack([m.ravel() for m in np.meshgrid(t, u, indexing="ij")], axis=-1)
-        raw = [_Grid((t, u)), rows, _Grid((t, np.array([2.5])))]
-        monkeypatch.setattr(certificates, "_raw_blocks", lambda *args: iter(raw))
-        grid, kept = list(_sample_points(anchors, consts, spec, ctx))
-        assert isinstance(grid, _Grid)
-        assert [len(ax) for ax in grid.axes] == [3, 2]
-        mesh = np.meshgrid(*grid.axes, indexing="ij")
-        assert np.stack([m.ravel() for m in mesh], axis=-1).tobytes() == kept.tobytes()
+        spec = GridSpec(**{**spec.__dict__, "lowdisc_points": 0})
+        rays = np.array([[-20 - 2e-12, 1.0], [-20 - 5e-13, 1.0], [0.0, 0.5 - 5e-13],
+                         [0.0, 2 + 2e-12], [20 + 5e-13, 2.0], [20 + 2e-12, 1.0],
+                         [3.0, 1.5]])
+        outside = np.array([[0.0, 0.5 - 2e-12], [20 + 2e-12, 2.0]])
+        monkeypatch.setattr(certificates, "_ray_blocks",
+                            lambda *args: iter([rays.copy(), outside.copy()]))
+        rows = evaluated_samples(certs, consts, spec, monkeypatch)[1]
+        kept = np.array([[-20.0, 1.0], [0.0, 0.5], [20.0, 2.0], [3.0, 1.5]])
+        assert len(rows) == len(certs.system.anchors)
+        assert all(P.tobytes() == kept.tobytes() for P in rows)
+
+    @pytest.mark.parametrize("case", [1, 2, "edge", "close", "faces"])
+    def test_grid_axes_lie_in_the_box(self, case, monkeypatch):
+        # "faces": in d = 2, one anchor on each face of the box, exactly on
+        # it or 5e-10 outside, which verify_nondegeneracy accepts
+        certs, consts, spec = _certify_case(2 if case == "faces" else case)
+        runs = [(certs, consts, spec)]
+        if case == "faces":
+            ctx = certs.system.ctx
+            lo, hi = ctx.box.lower(), ctx.box.upper()
+            consts = lpc_constants(2, 1, ctx.tau, ctx.box)
+            runs = []
+            for k, bound, gap in itertools.product(range(4), (lo, hi), (0.0, 5e-10)):
+                anchor = np.array([5.0, -3.0, 1.0, 1.1])
+                anchor[k] = bound[k] + math.copysign(gap, bound[k] - anchor[k])
+                runs.append((solve_certificates(build_upsilon(anchor[None], ctx)),
+                             consts, spec))
+        for certs, consts, spec in runs:
+            box = certs.system.ctx.box
+            grids = evaluated_samples(certs, consts, spec, monkeypatch)[0]
+            assert len(grids) == 1 + len(certs.system.anchors)
+            for axes in grids:
+                assert all(len(ax) and l <= ax.min() and ax.max() <= h
+                           for ax, l, h in zip(axes, box.lower(), box.upper()))
+        # the last anchor is 5e-10 above u_max
+        assert verify_nondegeneracy(certs, consts, spec).points_evaluated > 0
+
+    @pytest.mark.parametrize("j, k, shift", [
+        (1, 0, 2e-9), (0, 0, -2e-9), (0, 1, -2e-9), (1, 1, 2e-9), (1, 0, 50.0)])
+    def test_anchor_outside_the_box_raises(self, j, k, shift):
+        # the "edge" anchors sit on opposite corners of the box: moved out
+        # by more than 1e-9, their near grids would leave it
+        certs, consts, spec = _certify_case("edge")
+        anchors = certs.system.anchors.copy()
+        anchors[j, k] += shift
+        certs = solve_certificates(build_upsilon(anchors, certs.system.ctx))
+        with pytest.raises(ValueError, match="outside the domain box"):
+            verify_nondegeneracy(certs, consts, spec)

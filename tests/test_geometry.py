@@ -14,10 +14,11 @@ from gmblasso import (
     DomainBox,
     GridSpec,
     KernelContext,
+    build_upsilon,
     geodesic_spec,
     lpc_constants,
+    solve_certificates,
 )
-from gmblasso.certificates import _Grid, _sample_points
 from gmblasso.geometry import (
     _from_halfplane,
     _halfplane,
@@ -35,7 +36,7 @@ from gmblasso.kernel import (
     semi_distance_pairs,
 )
 
-from conftest import random_locations
+from conftest import evaluated_samples, random_locations
 
 NEAR_RADIUS_1D = 0.3025
 
@@ -194,6 +195,43 @@ class TestGeodesics:
         still = geodesic_spec(np.array([0.5, 0.6]), np.array([0.5, 0.6]), ctx1)
         assert still.kinds == ("constant",)
         assert still.length == 0.0
+
+    def test_point_matches_the_per_coordinate_loop(self):
+        # the loop over coordinates that GeodesicSpec.point replaces, as its
+        # oracle, on d = 3 geodesics mixing the three kinds
+        box = DomainBox((-5.0,) * 3, (5.0,) * 3, 0.5, 2.0)
+        ctx = KernelContext(3, 0.4, box)
+
+        def loop_point(spec, y):
+            y = np.asarray(y, dtype=float)
+            a, d = spec.x, 3
+            _, h0 = _halfplane(a, spec.tau)
+            t, h = np.empty(y.shape + (d,)), np.empty(y.shape + (d,))
+            sig = (1 - y[..., None]) * spec._sig0 + y[..., None] * spec._sig1
+            for k, kind in enumerate(spec.kinds):
+                if kind == "constant":
+                    t[..., k], h[..., k] = a[k], h0[k]
+                elif kind == "vertical-line":
+                    t[..., k], h[..., k] = a[k], np.exp(sig[..., k])
+                else:
+                    theta = 2 * np.arctan(np.exp(sig[..., k]))
+                    t[..., k] = spec._center[k] + spec._radius[k] * np.cos(theta)
+                    h[..., k] = spec._radius[k] * np.sin(theta)
+            return _from_halfplane(t, h, spec.tau)
+
+        rng = np.random.default_rng(91)
+        names = ("constant", "vertical-line", "semicircle")
+        for kinds in [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 2, 1), (0, 0, 2), (1, 1, 1)]:
+            x, y = random_locations(rng, 2, box)
+            for k, kind in enumerate(kinds):
+                if kind == 0:
+                    y[[k, 3 + k]] = x[[k, 3 + k]]
+                elif kind == 1:
+                    y[k] = x[k]
+            spec = geodesic_spec(x, y, ctx)
+            assert spec.kinds == tuple(names[k] for k in kinds)
+            for ys in (rng.random(), rng.random(17)):
+                assert spec.point(ys).tobytes() == loop_point(spec, ys).tobytes()
 
     def test_constant_coordinate_plane(self, ctx2):
         # the endpoints agree in plane 0 (t_0, u_0): it stays fixed along the
@@ -427,7 +465,7 @@ class TestAnchorSkip:
         assert self._check(P, anchors, r, ctx1).tolist() == [1, 1, 3, -1]
 
     @pytest.mark.parametrize("case", ["certify_d2", "u_range"])
-    def test_certify_row_blocks_match_the_full_pass(self, case):
+    def test_certify_row_blocks_match_the_full_pass(self, case, monkeypatch):
         # the pass's traffic: the ray and Halton blocks that
         # verify_nondegeneracy evaluates row by row (its grids take their
         # regions from per-coordinate terms), on a certify_d2 pool config of
@@ -446,8 +484,8 @@ class TestAnchorSkip:
         ctx = KernelContext(2, tau, box)
         consts = lpc_constants(2, 3, tau, box)
         r = consts.r
-        blocks = [P for P in _sample_points(anchors, consts, spec, ctx)
-                  if not isinstance(P, _Grid)]
+        certs = solve_certificates(build_upsilon(anchors, ctx))
+        blocks = evaluated_samples(certs, consts, spec, monkeypatch)[1]
         skipped = near = 0
         for P in blocks:
             got = region_index_batch(P, anchors, r, ctx)

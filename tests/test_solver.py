@@ -285,6 +285,11 @@ class TestDescent:
         with pytest.raises(ValueError):
             cpgd_solve(mu, small_octx, SolverConfig())
 
+    def test_rejects_empty_init(self, small_octx):
+        # conic descent moves and reweights atoms but cannot create one
+        with pytest.raises(ValueError, match="empty initial measure"):
+            cpgd_solve(DiscreteMeasure.empty(), small_octx, SolverConfig())
+
     def test_aborts_on_non_finite(self, small_octx, monkeypatch):
         def bad_witness(x, samples, ctx, with_gradient=False, table=None):
             P = np.atleast_2d(np.asarray(x, float))

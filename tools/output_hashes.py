@@ -20,7 +20,8 @@ lives in.  It prints
   and its points_evaluated;
 * the same fields of `verify_nondegeneracy` in d = 1 and d = 2 with
   u_min < u_max at reduced GridSpecs (see `u_range_reports`), where the
-  grids have u axes longer than 1, which no pool config has;
+  grids have u axes longer than 1, which no pool config has, and with
+  anchors at opposite corners of the box, whose near grids the box cuts;
 * every `RateRow` but its runtime of `rate_sweep` on each pool entry of
   `sweep_large_n` and `sweep_small_n`, run as perfbench runs them (on 2
   worker processes), one line per row with every float as float hex;
@@ -31,6 +32,9 @@ lives in.  It prints
 
 To compare two commits, run it in a checkout of each and `diff` the outputs,
 for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
+When the older commit's copy of this tool prints fewer cases, copy this one
+over it first (`cp tools/output_hashes.py DIR/tools/`): it calls only the
+public API and perfbench's worker, so it runs in older checkouts too.
 It takes about 20 s on a 2-core host.
 """
 from __future__ import annotations
@@ -137,26 +141,31 @@ def print_report(prefix: str, report):
 def u_range_reports(gm):
     """The clause reports of verify_nondegeneracy with u_min < u_max, where
     the grids have u axes longer than 1: two anchors in d = 1 and three in
-    d = 2, at reduced GridSpecs (d = 2 at the default one is a 4e8-point
-    global grid)."""
+    d = 2, then two at opposite corners of the box in d = 1 and in d = 2,
+    whose near grids the box cuts in t and in u, all at reduced GridSpecs
+    (d = 2 at the default one is a 4e8-point global grid)."""
     import numpy as np
 
+    box1 = gm.DomainBox((-20.0,), (20.0,), 0.5, 2.0)
+    box2 = gm.DomainBox((-30.0, -30.0), (30.0, 30.0), 0.7, 1.5)
+    spec1 = gm.GridSpec(near_t_points=200, near_u_points=100, global_t_points=200,
+                        global_u_points=50, lowdisc_points=20_000)
+    spec2 = gm.GridSpec(near_t_points=40, near_u_points=10, global_t_points=20,
+                        global_u_points=10, lowdisc_points=20_000)
     cases = (
-        (gm.DomainBox((-20.0,), (20.0,), 0.5, 2.0), 0.5,
-         [[-11.0, 0.8], [12.5, 1.4]],
-         gm.GridSpec(near_t_points=200, near_u_points=100, global_t_points=200,
-                     global_u_points=50, lowdisc_points=20_000)),
-        (gm.DomainBox((-30.0, -30.0), (30.0, 30.0), 0.7, 1.5), 0.7,
-         [[-20.0, 0.0, 0.8, 1.2], [0.0, 18.0, 1.3, 0.9], [20.0, 0.0, 1.0, 1.0]],
-         gm.GridSpec(near_t_points=40, near_u_points=10, global_t_points=20,
-                     global_u_points=10, lowdisc_points=20_000)),
+        ("u_range d=1", box1, 0.5, [[-11.0, 0.8], [12.5, 1.4]], spec1),
+        ("u_range d=2", box2, 0.7,
+         [[-20.0, 0.0, 0.8, 1.2], [0.0, 18.0, 1.3, 0.9], [20.0, 0.0, 1.0, 1.0]], spec2),
+        ("corners d=1", box1, 0.5, [[-20.0, 0.5], [20.0, 2.0]], spec1),
+        ("corners d=2", box2, 0.7,
+         [[-30.0, -30.0, 0.7, 0.7], [30.0, 30.0, 1.5, 1.5]], spec2),
     )
-    for box, tau, anchors, spec in cases:
+    for name, box, tau, anchors, spec in cases:
         ctx = gm.KernelContext(box.d, tau, box)
         anchors = np.array(anchors)
         certs = gm.solve_certificates(gm.build_upsilon(anchors, ctx))
         consts = gm.lpc_constants(box.d, len(anchors), tau, box)
-        print_report(f"u_range d={box.d}", gm.verify_nondegeneracy(certs, consts, spec))
+        print_report(name, gm.verify_nondegeneracy(certs, consts, spec))
 
 
 def solver_runs(gm):
