@@ -16,6 +16,7 @@ from gmblasso import (
     GroundTruthMixture,
     KernelContext,
     SolverConfig,
+    certificates,
 )
 
 FD_STEP = 1e-5
@@ -128,8 +129,6 @@ def evaluated_samples(certs, consts, spec, monkeypatch):
     """What certificates._evaluated_blocks hands _grid_pass (each grid's
     axes) and _row_block (each block of rows), in order, recorded by
     wrappers that evaluate nothing."""
-    from gmblasso import certificates
-
     grids, rows = [], []
     with monkeypatch.context() as m:
         m.setattr(certificates, "_grid_pass", lambda certs, r, axes: grids.append(axes) or ())
