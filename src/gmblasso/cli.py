@@ -135,8 +135,34 @@ def _to_dimension(s: str) -> int:
     return d
 
 
+def _to_positive(s: str) -> float:
+    x = float(s)
+    if not 0 < x < math.inf:
+        raise ValueError(f"must be positive and finite, got {x}")
+    return x
+
+
 def _to_float_list(s: str):
     return [float(tok) for tok in _tokens(s)]
+
+
+def _to_sizes(s: str):
+    """Distinct sample sizes of at least 2: the sweep groups its rows by n."""
+    sizes = [_to_int(tok) for tok in _tokens(s)]
+    if any(n < 2 for n in sizes):
+        raise ValueError("entries must be at least 2")
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:
+            raise ValueError(f"repeats the sample size {n}")
+    return sizes
+
+
+def _to_radii(s: str, d: int):
+    """Effective radii in (0, near_radius(d)]."""
+    radii = _to_float_list(s)
+    if not all(0 < r <= near_radius(d) for r in radii):
+        raise ValueError(f"entries must lie in (0, {near_radius(d)}]")
+    return radii
 
 
 def _to_matrix(s: str, d: int):
@@ -171,11 +197,11 @@ _SOLVER_PARSERS = {"int": _to_int, "float": float, "Optional[float]": float}
 
 # Every config key, in the order it is read: key -> (parser, default).  The
 # parsed values are the resolved configuration recorded in each sidecar.
-# _to_matrix rows are parsed with the kernel.d read before them; the solver
-# defaults are SolverConfig's own.
+# _to_matrix rows and _to_radii are parsed with the kernel.d read before them;
+# the solver defaults are SolverConfig's own.
 _KEYS = {
     "kernel.d": (_to_dimension, 1),
-    "kernel.tau": (float, None),
+    "kernel.tau": (_to_positive, None),
     "kernel.tau_rule": (_choice("fixed", "prediction"), "fixed"),
     "scenario.weights": (_to_float_list, _REQUIRED),
     "scenario.t": (_to_matrix, _REQUIRED),
@@ -187,12 +213,12 @@ _KEYS = {
     **{f"solver.{f.name}": (_SOLVER_PARSERS[f.type], f.default)
        for f in dataclasses.fields(SolverConfig)},
     "experiment.n": (_to_int, None),
-    "experiment.n_grid": (lambda s: [_to_int(tok) for tok in _tokens(s)], []),
+    "experiment.n_grid": (_to_sizes, []),
     "experiment.replications": (_to_nonnegative, 1),
     "experiment.kappa_rule": (_choice("agnostic", "s_dependent", "small_reg"),
                               "agnostic"),
-    "experiment.kappa": (float, None),
-    "experiment.r_e": (_to_float_list, None),
+    "experiment.kappa": (_to_positive, None),
+    "experiment.r_e": (_to_radii, None),
     "data.file": (str, None),
     "output.dir": (str, "."),
     "seed.master": (_to_nonnegative, 0),
@@ -246,8 +272,8 @@ def _broadcast(vals, d, what):
 def build_run_config(entries: dict) -> RunConfig:
     v = {}
     for key, (parse, default) in _KEYS.items():
-        if parse is _to_matrix:
-            parse = functools.partial(_to_matrix, d=v["kernel.d"])
+        if parse in (_to_matrix, _to_radii):
+            parse = functools.partial(parse, d=v["kernel.d"])
         v[key] = _value(entries, key, parse, default)
     d, tau, radii = v["kernel.d"], v["kernel.tau"], v["experiment.r_e"]
     if tau is None and v["kernel.tau_rule"] == "fixed":
@@ -272,14 +298,6 @@ def build_run_config(entries: dict) -> RunConfig:
             DiscreteMeasure.from_arrays(np.asarray(weights, float), locs), ctx)
         solver_cfg = SolverConfig(**{key[len("solver."):]: val for key, val in v.items()
                                      if key.startswith("solver.")})
-        kappa = v["experiment.kappa"]
-        if kappa is not None and not 0 < kappa < math.inf:
-            raise ValueError("experiment.kappa must be positive and finite")
-        if any(size < 2 for size in v["experiment.n_grid"]):
-            raise ValueError("experiment.n_grid entries must be at least 2")
-        if radii is not None and not all(0 < r <= near_radius(d) for r in radii):
-            raise ValueError("experiment.r_e entries must lie in "
-                             f"(0, {near_radius(d)}]")
     except SolverConfigError as exc:
         # defaults are in range, so the offending value came from the config
         key = f"solver.{exc.field}"
@@ -291,7 +309,8 @@ def build_run_config(entries: dict) -> RunConfig:
                      mixture=mixture, solver=solver_cfg, n=v["experiment.n"],
                      n_grid=tuple(v["experiment.n_grid"]),
                      replications=v["experiment.replications"],
-                     kappa_rule=v["experiment.kappa_rule"], kappa_override=kappa,
+                     kappa_rule=v["experiment.kappa_rule"],
+                     kappa_override=v["experiment.kappa"],
                      effective_radii=tuple(radii) if radii is not None else None,
                      data_file=v["data.file"], out_dir=v["output.dir"],
                      seed=v["seed.master"],
@@ -531,13 +550,6 @@ def _cmd_rates(args) -> int:
 # kernel-check: randomized invariant suite
 # --------------------------------------------------------------------------
 
-def _random_pairs(rng, box: DomainBox, m: int, d: int):
-    lo, hi = box.lower(), box.upper()
-    X = rng.uniform(lo, hi, size=(m, 2 * d))
-    Y = rng.uniform(lo, hi, size=(m, 2 * d))
-    return X, Y
-
-
 def _fd_error(analytic, f, x, h=1e-5):
     """Max relative error of `analytic` against central differences of f."""
     worst = 0.0
@@ -559,7 +571,9 @@ def _kernel_check_suite(samples: int, seed: int):
         box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
         ctx = KernelContext(d, 0.4, box)
         m = max(2, samples // 3)
-        X, Y = _random_pairs(rng, box, m, d)
+        lo, hi = box.lower(), box.upper()
+        X = rng.uniform(lo, hi, size=(m, 2 * d))
+        Y = rng.uniform(lo, hi, size=(m, 2 * d))
 
         err = float(np.max(np.abs(kernel_values(X, X, ctx) - 1.0)))
         yield f"d={d} normalization K(x,x)=1", err, 1e-12

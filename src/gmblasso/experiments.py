@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernel import KernelContext
+from .kernel import KernelContext, _gauss
 from .geometry import near_radius, region_index_batch
 from .measures import DiscreteMeasure, reparametrize, tv_norm
 from .solver import (
@@ -151,8 +151,7 @@ def _l2_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """L2(R^d) inner products of the Gaussian densities at parameter rows x, y."""
     d = x.shape[-1] // 2
     dt = x[..., None, :d] - y[..., None, :, :d]
-    v = x[..., None, d:] ** 2 + y[..., None, :, d:] ** 2
-    return np.prod(np.exp(-dt**2 / (2 * v)) / np.sqrt(2 * np.pi * v), axis=-1)
+    return _gauss(dt, x[..., None, d:] ** 2 + y[..., None, :, d:] ** 2)
 
 
 def prediction_error(mu_hat_omega: DiscreteMeasure, mu0: DiscreteMeasure,
@@ -365,6 +364,8 @@ def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     n_grid = tuple(int(n) for n in n_grid)
+    if len(set(n_grid)) < len(n_grid):
+        raise ValueError(f"n_grid repeats a sample size: {n_grid}")
     radii = tuple(effective_radii) if effective_radii else (near_radius(scenario.d),)
     solver_cfg = solver if solver is not None else SolverConfig()
     args = [(scenario, n, i, rep, kappa_rule, tau_rule, seed, solver_cfg, radii)

@@ -139,14 +139,10 @@ def _semi_terms(A, B, C, dt):
     return dt**2 / A + _logcosh(0.5 * (np.log(B) - np.log(C)))
 
 
-def semi_distance_sq_pairs(x, y, ctx: KernelContext):
-    """Per-pair squared semi-distance; clamped at 0 against rounding."""
-    _, _, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
-    return np.maximum(_semi_terms(A, B, C, dt).sum(axis=0), 0.0)
-
-
 def semi_distance_pairs(x, y, ctx: KernelContext):
-    return np.sqrt(semi_distance_sq_pairs(x, y, ctx))
+    """Per-pair semi-distance; its square is clamped at 0 against rounding."""
+    _, _, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
+    return np.sqrt(np.maximum(_semi_terms(A, B, C, dt).sum(axis=0), 0.0))
 
 
 def _log_terms(A, B, C, dt):
@@ -216,8 +212,9 @@ def grad1_batch(x, y, ctx: KernelContext):
 
 
 def grad2_batch(x, y, ctx: KernelContext):
-    _, up, A, B, C, dt = _abc(*_firsts(x, y), ctx.tau)
-    return _rows(_kernel(A, B, C, dt) * _partial(up, C, A, dt))
+    """Gradient in the second argument, shape (..., 2d): the first-argument
+    pass with the arguments swapped, bit for bit (same A, B and C swapped, -dt)."""
+    return _rows(kernel_grad1_batch(y, x, ctx)[1])
 
 
 def _pack(T, keys, d, shape):
@@ -425,31 +422,34 @@ class MomentTable:
     def cells(self) -> int:
         return self.centers.shape[0]
 
-    def hermite_sums(self, t, delta, with_gradient: bool = False):
-        """U(t) = sum_i prod_k exp(-(X_ik - t_k)^2 / delta_k^2) at targets
-        t (m, d) with widths delta (m, d) >= width.
-
-        Returns [U] or [U, dU/dt_k, d^2U/dt_k^2] with shapes (m,), (m, d),
-        (m, d).  With s = (t - c)/delta and q = width/delta, a cell adds
-        sum_a q^a moments[c, a] h_a(s); d/dt lowers h_a to -h_{a+1}/delta.
-        """
-        t = np.asarray(t, dtype=float).reshape(-1, self.centers.shape[1])
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != t.shape:
-            delta = np.broadcast_to(delta, t.shape)
+    def gauss_sums(self, P, tau: float, with_gradient: bool = False):
+        """The sums of _direct_sums over the table's samples at location rows
+        P (m, 2d), whose widths delta = sqrt(2 (u^2 + tau^2)) are >= width,
+        through phi = exp(-z^2/delta^2) / (sqrt(pi) delta) and d/dv phi =
+        1/2 d^2/dt^2 phi.  With s = (t - c)/delta and q = width/delta, a cell
+        adds sum_a q^a moments[c, a] h_a(s) to sum_i exp(-z^2/delta^2); d/dt
+        lowers h_a to -h_{a+1}/delta."""
+        d = P.shape[1] // 2
+        t, u = P[:, :d], P[:, d:]
+        delta = np.sqrt(2 * (u**2 + tau**2))
         # the truncation bound has ample margin for a width a rounding error
         # below the cell width, as at an atom on the box face u = u_min
         if (delta < self.width * (1.0 - 1e-6)).any():
             raise ValueError("Gauss width below the moment table's cell width")
+        norm = (1.0 / (math.sqrt(math.pi) * delta)).prod(axis=1)
         extra = 2 if with_gradient else 0
-        d, p = t.shape[1], self.order
+        p = self.order
         step = max(1, _TABLE_CHUNK // (self.cells * max(d * (p + extra),
                                                         p ** (d - 1))))
         if len(t) <= step:
-            return self._sums(t, delta, extra)
-        parts = [self._sums(t[i:i + step], delta[i:i + step], extra)
-                 for i in range(0, len(t), step)]
-        return [np.concatenate(col) for col in zip(*parts)]
+            sums = self._sums(t, delta, extra)
+        else:
+            parts = [self._sums(t[i:i + step], delta[i:i + step], extra)
+                     for i in range(0, len(t), step)]
+            sums = [np.concatenate(col) for col in zip(*parts)]
+        if not with_gradient:
+            return [norm * sums[0]]
+        return [norm * sums[0], norm[:, None] * sums[1], norm[:, None] * u * sums[2]]
 
     def _sums(self, t, delta, extra):
         m, d = t.shape
@@ -731,6 +731,11 @@ def choose_pair_table(samples: np.ndarray, delta: float) -> Optional[MomentTable
                              _PAIR_COST[d - 1] * cells**2 * p**(d + 1) < n**2)
 
 
+def _gauss(z, v):
+    """prod_k phi(z_k; 0, v_k) over the last axis of offsets z and variances v."""
+    return np.prod(np.exp(-(z**2) / (2 * v)) / np.sqrt(2 * np.pi * v), axis=-1)
+
+
 def _direct_sums(P, X, tau, with_gradient):
     """Blocked direct sums over the samples of G = prod_k phi(X_ik; t_k, v_k):
     [sum G] or [sum G, sum G z/v, sum G u (z^2/v^2 - 1/v)] with z = X - t."""
@@ -740,29 +745,13 @@ def _direct_sums(P, X, tau, with_gradient):
     total = None
     for i0 in range(0, X.shape[0], _DIRECT_BLOCK):
         z = X[None, i0:i0 + _DIRECT_BLOCK, :] - t   # (m, block, d)
-        G = np.exp(-(z**2) / (2 * v)) / np.sqrt(2 * np.pi * v)
-        G = np.prod(G, axis=-1)                     # (m, block)
+        G = _gauss(z, v)                            # (m, block)
         part = [G.sum(axis=1)]
         if with_gradient:
             part.append(np.einsum("mn,mnd->md", G, z / v))
             part.append(np.einsum("mn,mnd->md", G, u * (z**2 / v**2 - 1.0 / v)))
         total = part if total is None else [a + b for a, b in zip(total, part)]
     return total
-
-
-def _table_sums(P, table: MomentTable, tau, with_gradient):
-    """The sums of _direct_sums from a moment table, through
-    phi = exp(-z^2/delta^2) / sqrt(pi) delta and d/dv phi = 1/2 d^2/dt^2 phi."""
-    d = P.shape[1] // 2
-    t, u = P[:, :d], P[:, d:]
-    delta = np.sqrt(2 * (u**2 + tau**2))
-    norm = (1.0 / (math.sqrt(math.pi) * delta)).prod(axis=1)
-    sums = table.hermite_sums(t, delta, with_gradient)
-    out = [norm * sums[0]]
-    if with_gradient:
-        out.append(norm[:, None] * sums[1])
-        out.append(norm[:, None] * u * sums[2])
-    return out
 
 
 def data_witness(x, samples: np.ndarray, ctx: KernelContext,
@@ -789,7 +778,7 @@ def data_witness(x, samples: np.ndarray, ctx: KernelContext,
     elif table.n != X.shape[0]:
         raise ValueError("moment table built from other samples")
     else:
-        sums = _table_sums(P, table, ctx.tau, with_gradient)
+        sums = table.gauss_sums(P, ctx.tau, with_gradient)
     W = weight_function(P, ctx.tau)
     n = X.shape[0]
     val = sums[0] / (n * W)

@@ -32,6 +32,7 @@ from .geometry import _from_halfplane, _halfplane, metric_diag_batch, near_radiu
 from .kernel import (
     KernelContext,
     MomentTable,
+    _sample_matrix,
     choose_pair_table,
     choose_table,
     data_witness,
@@ -65,9 +66,7 @@ class ObjectiveContext:
     the data terms (None: direct sums) and the cached data constant."""
 
     def __init__(self, samples: np.ndarray, kappa: float, ctx: KernelContext):
-        X = np.asarray(samples, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _sample_matrix(samples)
         if X.shape[0] < 1:
             raise ValueError("need at least one sample")
         if X.shape[1] != ctx.d:
@@ -250,8 +249,8 @@ def _halfplane_merge(pts: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
     return _from_halfplane(share @ t, share @ h, tau)
 
 
-def _prune(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig, ctx=None):
-    """Atoms at or above the prune threshold (ctx unused: a move's signature)."""
+def _prune(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig):
+    """Atoms at or above the prune threshold."""
     thr = cfg.prune_threshold if cfg.prune_threshold is not None \
         else 1e-6 * float(np.sum(w))
     keep = w >= thr
@@ -286,22 +285,22 @@ def prune_merge(w: np.ndarray, pts: np.ndarray, cfg: SolverConfig,
 _Point = namedtuple("_Point", "w pts J gw gx")   # w (s,), pts (s, 2d), J - C/2, dJ/dw, dJ/dx
 
 
-def _move(cur: _Point, w, pts, octx: ObjectiveContext, judged: bool = True):
+def _move(cur: _Point, w, pts, octx: ObjectiveContext):
     """The acceptance rule of cpgd_solve: (the point kept, the candidate's J)."""
     J, gw, gx = objective_gradient(w, pts, octx)
-    if not judged or (math.isfinite(J) and J <= cur.J):
+    if math.isfinite(J) and J <= cur.J:
         return _Point(w, pts, J, gw, gx), J
     return cur, J
 
 
-def _fewer_atoms(cur: _Point, moves, cfg, octx: ObjectiveContext, judged=True):
+def _fewer_atoms(cur: _Point, moves, cfg, octx: ObjectiveContext):
     """cur after the first candidate move(w, pts, cfg, ctx) of `moves` that is
     kept; one with as many atoms as cur is cur itself and ends the list."""
     for move in moves:
         w, pts = move(cur.w, cur.pts, cfg, octx.ctx)
         if len(w) == len(cur.w):
             break
-        new, _ = _move(cur, w, pts, octx, judged)
+        new, _ = _move(cur, w, pts, octx)
         if new is not cur:
             return new
     return cur
@@ -369,7 +368,9 @@ def cpgd_solve(init: DiscreteMeasure, octx: ObjectiveContext,
             converged = not stalled
             break
 
-    final = _fewer_atoms(cur, (_prune,), cfg, octx, judged=False)   # the one move not judged
+    w, pts = _prune(cur.w, cur.pts, cfg)   # the final prune, the one move not judged
+    final = cur if len(w) == len(cur.w) else \
+        _Point(w, pts, *objective_gradient(w, pts, octx))
     # if the prune dropped nothing, the last merge step judged this merge (an
     # abort after it does not move the point)
     if final is not cur or not merge_step:

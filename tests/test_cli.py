@@ -627,6 +627,26 @@ class TestRates:
         assert err.startswith("config") and "--threads" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("experiment.kappa", "-1", "must be positive and finite, got -1.0"),
+        ("experiment.n_grid", "200, 1", "entries must be at least 2"),
+        # the aggregates would pool two entries of one size into one row
+        ("experiment.n_grid", "200, 300, 200", "repeats the sample size 200"),
+        ("experiment.r_e", "0.5", "entries must lie in (0, 0.3025]"),
+        ("kernel.tau", "-1", "must be positive and finite, got -1.0"),
+        ("kernel.tau", "nan", "must be positive and finite, got nan")])
+    def test_range_error_at_its_value(self, tmp_path, capsys, key, value, message):
+        lines = [line for line in SEPARATED.splitlines()
+                 if not line.startswith(f"{key} =")]
+        if key != "experiment.n_grid":
+            lines.append("experiment.n_grid = 200")
+        lines += [f"output.dir = {tmp_path}/out", f"{key} = {value}"]
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        assert main(["rates", "--config", cfg]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"config:{len(lines)}:{len(key) + 4}: {key}: {message}"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("grid", ["1, 0", "300, 1"])
     def test_sample_size_below_2_exit_2(self, tmp_path, capsys, grid):
         text = (SEPARATED + f"experiment.n_grid = {grid}\n"

@@ -288,6 +288,15 @@ class TestRateSweep:
             rate_sweep(sep_mixture, [200], 1, "agnostic", "fixed", seed=5,
                        solver=quick_cfg, threads=threads)
 
+    def test_repeated_sample_size_rejected(self, sep_mixture, quick_cfg, monkeypatch):
+        # the aggregates group rows by n, so a repeated size would pool two
+        # grid entries into one row; it is refused before any replication
+        from gmblasso import experiments
+        monkeypatch.setattr(experiments, "_one_replication", None)
+        with pytest.raises(ValueError, match="repeats a sample size"):
+            rate_sweep(sep_mixture, [200, 400, 200], 1, "agnostic", "fixed", seed=5,
+                       solver=quick_cfg)
+
     @pytest.mark.parametrize("threads, jobs, cpus, workers", [
         (8, 4, 3, 3),        # bounded by the cores
         (8, 2, 16, 2),       # bounded by the jobs

@@ -162,10 +162,28 @@ class TestDerivatives:
             fd = fd_gradient(lambda z: float(kernel_values(x, z, ctx2)), y)
             assert rel_error(g, fd) < 1e-6
 
-    def test_grad1_equals_grad2_swapped(self, ctx2):
-        X, Y = self._pairs(ctx2, 30, 12)
-        np.testing.assert_allclose(grad1_batch(X, Y, ctx2),
-                                   grad2_batch(Y, X, ctx2), rtol=1e-12)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grad2_is_the_second_argument_formula(self, d):
+        # grad2_batch is the first-argument pass with x and y swapped; the
+        # oracle is the second-argument formula K * _partial(up, C, A, dt),
+        # bit for bit, on paired rows and on (m, 1, 2d) against (1, k, 2d),
+        # from C- and Fortran-ordered inputs
+        ctx = KernelContext(d, 0.4, DomainBox((-4.0,) * d, (4.0,) * d, 0.5, 2.0))
+        rng = np.random.default_rng(40 + d)
+        X = random_locations(rng, 7, ctx.box, margin=0.05)
+        Y = random_locations(rng, 5, ctx.box, margin=0.05)
+
+        def oracle(x, y):
+            x, y = kernel_module._firsts(x, y)
+            _, up, A, B, C, dt = kernel_module._abc(x, y, ctx.tau)
+            G = kernel_module._kernel(A, B, C, dt) * kernel_module._partial(up, C, A, dt)
+            return np.moveaxis(G, 0, -1)
+
+        for x, y in ((X[:5], Y), (X[:, None, :], Y[None, :, :])):
+            want = oracle(x, y)
+            assert np.array_equal(grad2_batch(x, y, ctx), want)
+            assert np.array_equal(grad2_batch(np.asfortranarray(x),
+                                              np.asfortranarray(y), ctx), want)
 
     def test_grad12_fd(self, ctx2):
         # rows index x-components, columns index y-components
@@ -521,6 +539,27 @@ class TestMomentTable:
         tail = sum(term(a, b) for a in range(200) for b in range(200)
                    if a >= p or b >= p)
         assert tail <= 2.0**-53
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_target_chunks_match_one_chunk(self, d, per_chunk, monkeypatch):
+        # the table evaluates its targets a chunk at a time; 11 targets in
+        # chunks of per_chunk (with the gradient) give the one-chunk value
+        # and gradient bit for bit
+        ctx = _table_ctx(d, 0.3)
+        rng = np.random.default_rng(36 + d)
+        X = rng.normal(0.0, 1.5, size=(500, d))
+        P = _table_targets(rng, ctx.box, 11)
+        table = _witness_table(X, ctx)
+        p = table.order
+        val = data_witness(P, X, ctx, table=table)
+        both = data_witness(P, X, ctx, with_gradient=True, table=table)
+        monkeypatch.setattr(kernel_module, "_TABLE_CHUNK", per_chunk * table.cells
+                            * max(d * (p + 2), p ** (d - 1)))
+        assert np.array_equal(data_witness(P, X, ctx, table=table), val)
+        chunked = data_witness(P, X, ctx, with_gradient=True, table=table)
+        assert np.array_equal(chunked[0], both[0])
+        assert np.array_equal(chunked[1], both[1])
 
     def test_rejects_width_below_cells(self, ctx1):
         X = np.linspace(-1.0, 1.0, 30)

@@ -28,7 +28,15 @@ lives in.  It prints
 * the weights, the coordinates and every trace row's objective, as float
   hex, of four `cpgd_solve` runs that together reach every branch of the
   solver's moves (see `solver_runs`), which the perfbench pools do not: the
-  pools never reach the final prune or the final merge.
+  pools never reach the final prune or the final merge;
+* every (name, max_error, tolerance) that the kernel-check suite yields at
+  300 samples and seed 0, errors and tolerances as float hex.  It reaches
+  `grad2_batch` (through the hess2 check), `moment_table` in d = 3, and the
+  table and pair-sum paths of the data constant C;
+* the sha256 of the value bytes of a value-only call and of the value and
+  gradient bytes of a value-and-gradient call of a table `data_witness` on
+  the separated scenario at n = 1e5, at 8 targets and at 2000 targets, more
+  than one target chunk of the table's evaluation (see `table_witness`).
 
 To compare two commits, run it in a checkout of each and `diff` the outputs,
 for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
@@ -237,6 +245,39 @@ def solver_runs(gm):
             print(f"solver {name} trace {row.iteration} objective={row.objective.hex()}")
 
 
+def kernel_check_values(gm):
+    """Every value of the kernel-check suite at 300 samples and seed 0."""
+    import gmblasso.cli
+
+    for name, err, tol in gmblasso.cli._kernel_check_suite(300, 0):
+        print(f"kernel-check {name}: {float(err).hex()} {float(tol).hex()}")
+
+
+def table_witness(gm):
+    """Hashes of table witness calls on the separated scenario (weights 0.5
+    at t = -13 and 13, u = 1, box [-20, 20] x [1, 1], tau = 1) at n = 1e5,
+    drawn with seed 1, at 8 and at 2000 uniform targets in the box; the
+    table serves widths down to sqrt(2 (u_min^2 + tau^2)), as a solve's."""
+    import math
+
+    import numpy as np
+
+    ctx = gm.KernelContext(1, 1.0, gm.DomainBox((-20.0,), (20.0,), 1.0, 1.0))
+    mixture = gm.GroundTruthMixture(gm.DiscreteMeasure.from_arrays(
+        np.full(2, 0.5), np.array([[-13.0, 1.0], [13.0, 1.0]])), ctx)
+    X = gm.sample(mixture, 100_000, 1)
+    table = gm.kernel.moment_table(X, math.sqrt(2 * (1.0**2 + ctx.tau**2)))
+    rng = np.random.default_rng(2)
+    for m in (8, 2000):
+        P = np.column_stack([rng.uniform(-20.0, 20.0, m), np.ones(m)])
+        only = gm.data_witness(P, X, ctx, table=table)
+        val, grad = gm.data_witness(P, X, ctx, with_gradient=True, table=table)
+        print(f"table_witness m={m} cells={table.cells} "
+              f"value_only={hashlib.sha256(only.tobytes()).hexdigest()} "
+              f"value={hashlib.sha256(val.tobytes()).hexdigest()} "
+              f"gradient={hashlib.sha256(grad.tobytes()).hexdigest()}")
+
+
 def main() -> int:
     worker = load_worker()
     gm = worker.load_gmblasso()
@@ -248,6 +289,8 @@ def main() -> int:
     gate5_reports(gm)
     u_range_reports(gm)
     solver_runs(gm)
+    kernel_check_values(gm)
+    table_witness(gm)
     return 0
 
 
