@@ -571,24 +571,16 @@ def _ray_targets(t_axes, u_axes, n: int) -> np.ndarray:
 def _ray_blocks(anchor: np.ndarray, targets: np.ndarray, ys: np.ndarray,
                 ctx: KernelContext):
     """The geodesics from the anchor to each target other than itself, at
-    the parameters ys, their points in order in fresh blocks of _EVAL_BLOCK
-    rows (the last one shorter).  Each ray is computed in pieces that fill
-    the current block, so no more than one block's rows are held at a time,
-    whatever the number of points per ray."""
-    pending, n = [], 0
-    for tgt in targets:
-        if np.array_equal(tgt, anchor):
-            continue
-        ray, lo = geodesic_spec(anchor, tgt, ctx), 0
-        while lo < len(ys):
-            piece = ray.point(ys[lo:lo + _EVAL_BLOCK - n])
-            pending.append(piece)
-            n, lo = n + len(piece), lo + len(piece)
-            if n == _EVAL_BLOCK:
-                yield np.concatenate(pending)
-                pending, n = [], 0
-    if pending:
-        yield np.concatenate(pending)
+    the parameters ys, their points in order (ray by ray, ys in order) in
+    fresh blocks of at most _EVAL_BLOCK rows.  Groups of up to
+    _EVAL_BLOCK // len(ys) rays are traced by one spec and one point call;
+    a ray longer than a block is evaluated in _EVAL_BLOCK-parameter pieces."""
+    targets = targets[~np.all(targets == anchor, axis=1)]
+    group = max(1, _EVAL_BLOCK // max(len(ys), 1))
+    for lo in range(0, len(targets), group):
+        rays = geodesic_spec(anchor, targets[lo:lo + group], ctx)
+        for start in range(0, len(ys), _EVAL_BLOCK):
+            yield rays.point(ys[start:start + _EVAL_BLOCK]).reshape(-1, 2 * ctx.d)
 
 
 def _row_block(certs: CertificateSet, r: float, P: np.ndarray):

@@ -146,6 +146,29 @@ def _to_float_list(s: str):
     return [float(tok) for tok in _tokens(s)]
 
 
+def _to_weights(s: str):
+    """Finite nonnegative weights that sum to 1 to within 1e-12, as
+    GroundTruthMixture requires."""
+    weights = _to_float_list(s)
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError("entries must be finite")
+    if min(weights) < 0:
+        raise ValueError("entries must be nonnegative")
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"entries must sum to 1, got {total!r}")
+    return weights
+
+
+def _to_bounds(s: str, d: int):
+    """d box bounds, or one for every coordinate."""
+    bounds = _to_float_list(s)
+    if len(bounds) not in (1, d):
+        raise ValueError(f"needs {'1 entry' if d == 1 else f'1 or {d} entries'}, "
+                         f"got {len(bounds)}")
+    return bounds * (d // len(bounds))
+
+
 def _to_sizes(s: str):
     """Distinct sample sizes of at least 2: the sweep groups its rows by n."""
     sizes = [_to_int(tok) for tok in _tokens(s)]
@@ -170,18 +193,26 @@ def _to_matrix(s: str, d: int):
     or a single row of d values without ';'."""
     if ";" in s:
         rows = [r for r in s.split(";") if r.strip()]
-    elif d == 1:
-        return [[v] for v in _to_float_list(s)]
     else:
-        rows = [s]
+        rows = _tokens(s) if d == 1 else [s]
     out = []
     for row in rows:
         vals = _to_float_list(row)
         if len(vals) != d:
             raise ValueError(f"row {row.strip()!r} has {len(vals)} values, expected {d}"
                              + ("" if ";" in s else "; separate rows with ';'"))
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("entries must be finite")
         out.append(vals)
     return out
+
+
+def _to_scales(s: str, d: int):
+    """_to_matrix rows of positive standard deviations."""
+    rows = _to_matrix(s, d)
+    if not all(v > 0 for row in rows for v in row):
+        raise ValueError("entries must be positive")
+    return rows
 
 
 def _choice(*options):
@@ -197,17 +228,17 @@ _SOLVER_PARSERS = {"int": _to_int, "float": float, "Optional[float]": float}
 
 # Every config key, in the order it is read: key -> (parser, default).  The
 # parsed values are the resolved configuration recorded in each sidecar.
-# _to_matrix rows and _to_radii are parsed with the kernel.d read before them;
+# The parsers in _BY_DIMENSION are called with the kernel.d read before them;
 # the solver defaults are SolverConfig's own.
 _KEYS = {
     "kernel.d": (_to_dimension, 1),
     "kernel.tau": (_to_positive, None),
     "kernel.tau_rule": (_choice("fixed", "prediction"), "fixed"),
-    "scenario.weights": (_to_float_list, _REQUIRED),
+    "scenario.weights": (_to_weights, _REQUIRED),
     "scenario.t": (_to_matrix, _REQUIRED),
-    "scenario.u": (_to_matrix, _REQUIRED),
-    "scenario.box.t_lo": (_to_float_list, _REQUIRED),
-    "scenario.box.t_hi": (_to_float_list, _REQUIRED),
+    "scenario.u": (_to_scales, _REQUIRED),
+    "scenario.box.t_lo": (_to_bounds, _REQUIRED),
+    "scenario.box.t_hi": (_to_bounds, _REQUIRED),
     "scenario.box.u_min": (float, _REQUIRED),
     "scenario.box.u_max": (float, _REQUIRED),
     **{f"solver.{f.name}": (_SOLVER_PARSERS[f.type], f.default)
@@ -223,6 +254,7 @@ _KEYS = {
     "output.dir": (str, "."),
     "seed.master": (_to_nonnegative, 0),
 }
+_BY_DIMENSION = (_to_bounds, _to_matrix, _to_radii, _to_scales)
 
 
 def _value(entries: dict, key: str, parse, default):
@@ -261,18 +293,10 @@ class RunConfig:
     resolved: dict = field(default_factory=dict)
 
 
-def _broadcast(vals, d, what):
-    if len(vals) == 1:
-        return tuple(vals) * d
-    if len(vals) != d:
-        raise ValueError(f"{what} needs 1 or {d} entries, got {len(vals)}")
-    return tuple(vals)
-
-
 def build_run_config(entries: dict) -> RunConfig:
     v = {}
     for key, (parse, default) in _KEYS.items():
-        if parse in (_to_matrix, _to_radii):
+        if parse in _BY_DIMENSION:
             parse = functools.partial(parse, d=v["kernel.d"])
         v[key] = _value(entries, key, parse, default)
     d, tau, radii = v["kernel.d"], v["kernel.tau"], v["experiment.r_e"]
@@ -284,9 +308,11 @@ def build_run_config(entries: dict) -> RunConfig:
         raise ConfigError(f"unknown key {key!r}", entries[key][1], 1)
 
     try:
-        box = DomainBox(_broadcast(v["scenario.box.t_lo"], d, "scenario.box.t_lo"),
-                        _broadcast(v["scenario.box.t_hi"], d, "scenario.box.t_hi"),
+        box = DomainBox(v["scenario.box.t_lo"], v["scenario.box.t_hi"],
                         v["scenario.box.u_min"], v["scenario.box.u_max"])
+        if tau is not None and tau > box.u_min:
+            raise ConfigError(f"kernel.tau: {tau!r} exceeds scenario.box.u_min = "
+                              f"{box.u_min!r}", *entries["kernel.tau"][1:])
         weights, t_rows, u_rows = v["scenario.weights"], v["scenario.t"], v["scenario.u"]
         if len(t_rows) != len(weights) or len(u_rows) != len(weights):
             raise ValueError("scenario.t / scenario.u row counts must match "
@@ -314,8 +340,7 @@ def build_run_config(entries: dict) -> RunConfig:
                      effective_radii=tuple(radii) if radii is not None else None,
                      data_file=v["data.file"], out_dir=v["output.dir"],
                      seed=v["seed.master"],
-                     resolved={**v, "scenario.box.t_lo": list(box.t_lo),
-                               "scenario.box.t_hi": list(box.t_hi)})
+                     resolved=v)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -609,13 +634,8 @@ def _kernel_check_suite(samples: int, seed: int):
         err = _christoffel_fd_error(Xs, ctx)
         yield f"d={d} christoffel vs metric derivatives", err, 1e-6
 
-        err = 0.0
-        for i in range(min(m, 200)):
-            a, b = X[i], Y[i]
-            spec = geodesic_spec(a, b, ctx)
-            p0, p1 = spec.point(0.0), spec.point(1.0)
-            err = max(err, float(np.max(np.abs(p0 - a))),
-                      float(np.max(np.abs(p1 - b))))
+        ends = geodesic_spec(X[:200], Y[:200], ctx).point(np.array([0.0, 1.0]))
+        err = float(np.max(np.abs(ends - np.stack([X[:200], Y[:200]], axis=1))))
         yield f"d={d} geodesic endpoints", err, 1e-10
 
         W = rng.normal(size=(min(m, 32), d))

@@ -86,78 +86,70 @@ def fr_distance_pairs(x, y, ctx: KernelContext) -> np.ndarray:
     return _fr_total(fr_distance_coord(*_firsts(x, y), ctx.tau))
 
 
+# numpy's log, tan, arctan2, hypot and x * x differ in the last bit from
+# libm's log, tan, atan2, hypot and pow(x, 2), which the geodesics keep
+_log, _tan, _atan2, _hypot, _pow = (np.vectorize(f, otypes=[float]) for f in (
+    math.log, math.tan, math.atan2, math.hypot, math.pow))
+
+
 @dataclass(frozen=True)
 class GeodesicSpec:
-    """Constant-speed Fisher-Rao geodesic between two locations.
+    """Constant-speed Fisher-Rao geodesics between broadcast pairs of
+    locations, one per leading index (...).
 
-    kinds[k] is "constant", "vertical-line", or "semicircle"; shares[k] is
-    the squared per-coordinate length fraction g_k (sum = 1 unless the
-    endpoints coincide); length is the total Fisher-Rao distance.
+    kinds[..., k] is "constant", "vertical-line", or "semicircle"; length
+    (...) is the total Fisher-Rao distance.
     """
 
-    x: np.ndarray
-    xp: np.ndarray
     tau: float
-    kinds: tuple[str, ...]
-    shares: np.ndarray
-    length: float
-    # per-coordinate traversal parameters (half-plane)
+    kinds: np.ndarray
+    length: np.ndarray
+    # per-coordinate start point and traversal parameters (half-plane), (..., d)
+    _t0: np.ndarray
+    _h0: np.ndarray
     _sig0: np.ndarray
     _sig1: np.ndarray
     _center: np.ndarray
     _radius: np.ndarray
 
     def point(self, y) -> np.ndarray:
-        """Coordinates at normalized parameter(s) y in [0, 1], shape (..., 2d)."""
+        """Coordinates at normalized parameter(s) y in [0, 1] along each
+        geodesic, shape (...) + y.shape + (2d,)."""
         y = np.asarray(y, dtype=float)
-        t0, h0 = _halfplane(self.x, self.tau)
-        kinds = np.array(self.kinds)
-        arc, line = kinds == "semicircle", kinds == "vertical-line"
-        sig = (1 - y[..., None]) * self._sig0 + y[..., None] * self._sig1
+        shape = self.length.shape + (1,) * y.ndim + self._sig0.shape[-1:]
+        t0, h0, sig0, sig1, center, radius, arc, line = (np.reshape(a, shape) for a in (
+            self._t0, self._h0, self._sig0, self._sig1, self._center, self._radius,
+            self.kinds == "semicircle", self.kinds == "vertical-line"))
+        sig = (1 - y[..., None]) * sig0 + y[..., None] * sig1
         e = np.exp(sig)
         theta = 2 * np.arctan(e)
-        t = np.where(arc, self._center + self._radius * np.cos(theta), t0)
-        h = np.where(arc, self._radius * np.sin(theta), np.where(line, e, h0))
+        t = np.where(arc, center + radius * np.cos(theta), t0)
+        h = np.where(arc, radius * np.sin(theta), np.where(line, e, h0))
         return _from_halfplane(t, h, self.tau)
 
 
 def geodesic_spec(x, xp, ctx: KernelContext) -> GeodesicSpec:
-    a = np.array(x, dtype=float)
-    b = np.array(xp, dtype=float)
-    d = len(a) // 2
-    tau = ctx.tau
-    t0, h0 = _halfplane(a, tau)
-    t1, h1 = _halfplane(b, tau)
-    per = fr_distance_coord(a, b, tau)
-    total = float(np.sqrt(np.sum(per**2)))
-    shares = per**2 / total**2 if total > 0 else np.zeros(d)
-
-    kinds = []
-    sig0 = np.zeros(d)
-    sig1 = np.zeros(d)
-    center = np.zeros(d)
-    radius = np.zeros(d)
-    for k in range(d):
-        dt = t1[k] - t0[k]
-        scale = max(1.0, abs(t0[k]), abs(t1[k]), h0[k], h1[k])
-        if per[k] == 0.0:
-            kinds.append("constant")
-        elif abs(dt) < _VERTICAL_RTOL * scale:
-            kinds.append("vertical-line")
-            sig0[k] = math.log(h0[k])
-            sig1[k] = math.log(h1[k])
-        else:
-            kinds.append("semicircle")
-            c = (t1[k] ** 2 + h1[k] ** 2 - t0[k] ** 2 - h0[k] ** 2) / (2 * dt)
-            R = math.hypot(t0[k] - c, h0[k])
-            th0 = math.atan2(h0[k], t0[k] - c)
-            th1 = math.atan2(h1[k], t1[k] - c)
-            center[k] = c
-            radius[k] = R
-            sig0[k] = math.log(math.tan(th0 / 2))
-            sig1[k] = math.log(math.tan(th1 / 2))
-    return GeodesicSpec(a, b, tau, tuple(kinds), shares, total,
-                        sig0, sig1, center, radius)
+    """The geodesics from rows x to rows xp (..., 2d), broadcast against each
+    other.  Coordinate k is constant at distance 0, a vertical line where
+    |dt_k| < _VERTICAL_RTOL max(1, |t_k|, |t'_k|, h_k, h'_k), else a semicircle."""
+    # copies: the spec keeps views of them
+    x, xp = np.broadcast_arrays(np.array(x, dtype=float), np.array(xp, dtype=float))
+    (t0, h0), (t1, h1) = _halfplane(x, ctx.tau), _halfplane(xp, ctx.tau)
+    per = fr_distance_coord(*_firsts(x, xp), ctx.tau)
+    dt = t1 - t0
+    scale = np.maximum(np.maximum(np.abs(t0), np.abs(t1)), np.maximum(h0, h1))
+    constant = np.moveaxis(per, 0, -1) == 0.0
+    line = ~constant & (np.abs(dt) < _VERTICAL_RTOL * np.maximum(scale, 1.0))
+    arc = ~constant & ~line
+    sig0, sig1, center, radius = (np.zeros(dt.shape) for _ in range(4))
+    sig0[line], sig1[line] = _log(h0[line]), _log(h1[line])
+    ta, ha, tb, hb = t0[arc], h0[arc], t1[arc], h1[arc]
+    c = (_pow(tb, 2) + _pow(hb, 2) - _pow(ta, 2) - _pow(ha, 2)) / (2 * dt[arc])
+    center[arc], radius[arc] = c, _hypot(ta - c, ha)
+    sig0[arc] = _log(_tan(_atan2(ha, ta - c) / 2))
+    sig1[arc] = _log(_tan(_atan2(hb, tb - c) / 2))
+    kinds = np.where(constant, "constant", np.where(line, "vertical-line", "semicircle"))
+    return GeodesicSpec(ctx.tau, kinds, _fr_total(per), t0, h0, sig0, sig1, center, radius)
 
 
 def _reached_points(P: np.ndarray, anchors: np.ndarray, r: float,

@@ -638,22 +638,31 @@ class TestGridPass:
         _assert_same_report(verify_nondegeneracy(certs, consts, spec),
                             _oracle_verify(certs, consts, spec))
 
-    def test_ray_blocks_are_filled_and_bounded(self, monkeypatch):
-        # rays of 16 points in blocks of 7 (a ray spans blocks) and of 40
-        # (blocks hold several rays); a target at the anchor adds no ray
+    def test_ray_blocks_are_bounded_and_in_order(self, monkeypatch):
+        # 5 rays of 16 points: in blocks of 7 a ray spans three blocks (one
+        # spec a ray); in blocks of 40 a spec traces 2 rays; at the default
+        # one spec and one block hold all of them; a target at the anchor
+        # adds no ray
         certs, consts, spec = _certify_case(2)
         anchor, ctx = certs.system.anchors[0], certs.system.ctx
-        targets = np.vstack([certs.system.anchors[1:], anchor[None], anchor + 0.1])
+        targets = np.vstack([certs.system.anchors[1:], anchor[None], anchor + 0.1,
+                             anchor - 0.1, anchor + [0.1, 0.0, 0.0, 0.0]])
         ys = np.linspace(0.0, 1.0, 17)[1:]
         rays = np.concatenate([geodesic_spec(anchor, tgt, ctx).point(ys)
                                for tgt in targets if not np.array_equal(tgt, anchor)])
-        for block in (7, 40):
+        specs = []
+        monkeypatch.setattr(certificates, "geodesic_spec",
+                            lambda *args: specs.append(1) or geodesic_spec(*args))
+        for block, sizes, n_specs in ((7, [7, 7, 2] * 5, 5), (40, [32, 32, 16], 3),
+                                      (4096, [80], 1)):
             monkeypatch.setattr(certificates, "_EVAL_BLOCK", block)
+            specs.clear()
             got = list(_ray_blocks(anchor, targets, ys, ctx))
-            assert [len(b) for b in got[:-1]] == [block] * (len(got) - 1)
-            assert 0 < len(got[-1]) <= block
-            assert all(b.flags.writeable and b.flags.owndata for b in got)
+            assert [len(b) for b in got] == sizes and len(specs) == n_specs
             assert np.concatenate(got).tobytes() == rays.tobytes()
+            assert all(b.flags.writeable and b.flags.c_contiguous for b in got)
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(got)
+                           for b in got[i + 1:] + [targets, ys])
         assert list(_ray_blocks(anchor, anchor[None], ys, ctx)) == []
 
     def test_ranges_split_the_first_axis_whose_tail_fits(self, monkeypatch):

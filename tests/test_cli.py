@@ -193,7 +193,27 @@ class TestBuildRunConfig:
                 f"output.dir = {tmp_path}/out\n")
         assert main(["certify", "--config", write_cfg(tmp_path, text)]) == 2
         assert capsys.readouterr().err.strip() == \
-            "config error: scenario.box.t_lo needs 1 or 2 entries, got 3"
+            "config:6:21: scenario.box.t_lo: needs 1 or 2 entries, got 3"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("scenario.weights", "0.5, 0.6", "entries must sum to 1, got 1.1"),
+        ("scenario.weights", "1.5, -0.5", "entries must be nonnegative"),
+        ("scenario.weights", "nan, 0.5", "entries must be finite"),
+        ("scenario.t", "-13, nan", "entries must be finite"),
+        ("scenario.u", "1, 0", "entries must be positive"),
+        ("scenario.box.t_lo", "-20, 3", "needs 1 entry, got 2"),
+        ("kernel.tau", "2.0", "2.0 exceeds scenario.box.u_min = 1.0")])
+    def test_scenario_value_error_at_its_value(self, tmp_path, capsys, key, value,
+                                               message):
+        lines = [line for line in SEPARATED.splitlines()
+                 if not line.startswith(f"{key} =")]
+        lines += ["experiment.n = 300", f"output.dir = {tmp_path}/out",
+                  f"{key} = {value}"]
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"config:{len(lines)}:{len(key) + 4}: {key}: {message}"
         assert not (tmp_path / "out").exists()
 
     def test_domain_error_becomes_config_error(self):

@@ -23,6 +23,7 @@ from gmblasso.geometry import (
     _from_halfplane,
     _halfplane,
     _reached_points,
+    fr_distance_coord,
     fr_distance_pairs,
     metric_diag_batch,
     near_radius,
@@ -39,6 +40,79 @@ from gmblasso.kernel import (
 from conftest import evaluated_samples, random_locations
 
 NEAR_RADIUS_1D = 0.3025
+GEODESIC_KINDS = ("constant", "vertical-line", "semicircle")
+
+
+def _loop_spec(x, xp, tau):
+    """The per-coordinate loop that geodesic_spec replaces, on one pair, with
+    math's functions and numpy scalars: kinds, length and the traversal
+    arrays sig0, sig1, center, radius."""
+    a, b = np.array(x, dtype=float), np.array(xp, dtype=float)
+    d = len(a) // 2
+    t0, h0 = _halfplane(a, tau)
+    t1, h1 = _halfplane(b, tau)
+    per = fr_distance_coord(a, b, tau)
+    kinds, (sig0, sig1, center, radius) = [], np.zeros((4, d))
+    for k in range(d):
+        dt = t1[k] - t0[k]
+        scale = max(1.0, abs(t0[k]), abs(t1[k]), h0[k], h1[k])
+        if per[k] == 0.0:
+            kinds.append("constant")
+        elif abs(dt) < 1e-9 * scale:
+            kinds.append("vertical-line")
+            sig0[k], sig1[k] = math.log(h0[k]), math.log(h1[k])
+        else:
+            kinds.append("semicircle")
+            c = (t1[k] ** 2 + h1[k] ** 2 - t0[k] ** 2 - h0[k] ** 2) / (2 * dt)
+            center[k], radius[k] = c, math.hypot(t0[k] - c, h0[k])
+            sig0[k] = math.log(math.tan(math.atan2(h0[k], t0[k] - c) / 2))
+            sig1[k] = math.log(math.tan(math.atan2(h1[k], t1[k] - c) / 2))
+    return tuple(kinds), float(np.sqrt(np.sum(per**2))), sig0, sig1, center, radius
+
+
+def _loop_point(x, kinds, sig0, sig1, center, radius, tau, y):
+    """A geodesic's points at parameters y from its start x and traversal
+    arrays, by a loop over coordinates and their kinds."""
+    y = np.asarray(y, dtype=float)
+    d = len(kinds)
+    _, h0 = _halfplane(x, tau)
+    t, h = np.empty(y.shape + (d,)), np.empty(y.shape + (d,))
+    sig = (1 - y[..., None]) * sig0 + y[..., None] * sig1
+    for k, kind in enumerate(kinds):
+        if kind == "constant":
+            t[..., k], h[..., k] = x[k], h0[k]
+        elif kind == "vertical-line":
+            t[..., k], h[..., k] = x[k], np.exp(sig[..., k])
+        else:
+            theta = 2 * np.arctan(np.exp(sig[..., k]))
+            t[..., k] = center[k] + radius[k] * np.cos(theta)
+            h[..., k] = radius[k] * np.sin(theta)
+    return _from_halfplane(t, h, tau)
+
+
+def _mixed_pairs(rng, m, box):
+    """m pairs (m, 2d) whose coordinates are drawn constant, vertical or
+    semicircular at random, a third each."""
+    d = box.d
+    x, y = random_locations(rng, m, box), random_locations(rng, m, box)
+    kinds = rng.integers(0, 3, size=(m, d))
+    for k in range(d):
+        y[kinds[:, k] < 2, k] = x[kinds[:, k] < 2, k]
+        y[kinds[:, k] == 0, d + k] = x[kinds[:, k] == 0, d + k]
+    return x, y, kinds
+
+
+def _spec_row(spec, i):
+    """Row i of a batch spec as _loop_spec's tuple."""
+    return (tuple(spec.kinds[i]), float(spec.length[i]), spec._sig0[i], spec._sig1[i],
+            spec._center[i], spec._radius[i])
+
+
+def _same_bits(a, b):
+    """Two _loop_spec tuples equal bit for bit."""
+    return a[:1] == b[:1] and all(np.float64(p).tobytes() == np.float64(q).tobytes()
+                                  if np.ndim(p) == 0 else p.tobytes() == q.tobytes()
+                                  for p, q in zip(a[1:], b[1:]))
 
 
 class TestMetric:
@@ -201,26 +275,7 @@ class TestGeodesics:
         # oracle, on d = 3 geodesics mixing the three kinds
         box = DomainBox((-5.0,) * 3, (5.0,) * 3, 0.5, 2.0)
         ctx = KernelContext(3, 0.4, box)
-
-        def loop_point(spec, y):
-            y = np.asarray(y, dtype=float)
-            a, d = spec.x, 3
-            _, h0 = _halfplane(a, spec.tau)
-            t, h = np.empty(y.shape + (d,)), np.empty(y.shape + (d,))
-            sig = (1 - y[..., None]) * spec._sig0 + y[..., None] * spec._sig1
-            for k, kind in enumerate(spec.kinds):
-                if kind == "constant":
-                    t[..., k], h[..., k] = a[k], h0[k]
-                elif kind == "vertical-line":
-                    t[..., k], h[..., k] = a[k], np.exp(sig[..., k])
-                else:
-                    theta = 2 * np.arctan(np.exp(sig[..., k]))
-                    t[..., k] = spec._center[k] + spec._radius[k] * np.cos(theta)
-                    h[..., k] = spec._radius[k] * np.sin(theta)
-            return _from_halfplane(t, h, spec.tau)
-
         rng = np.random.default_rng(91)
-        names = ("constant", "vertical-line", "semicircle")
         for kinds in [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 2, 1), (0, 0, 2), (1, 1, 1)]:
             x, y = random_locations(rng, 2, box)
             for k, kind in enumerate(kinds):
@@ -229,9 +284,57 @@ class TestGeodesics:
                 elif kind == 1:
                     y[k] = x[k]
             spec = geodesic_spec(x, y, ctx)
-            assert spec.kinds == tuple(names[k] for k in kinds)
+            assert tuple(spec.kinds) == tuple(GEODESIC_KINDS[k] for k in kinds)
             for ys in (rng.random(), rng.random(17)):
-                assert spec.point(ys).tobytes() == loop_point(spec, ys).tobytes()
+                loop = _loop_point(x, spec.kinds, spec._sig0, spec._sig1,
+                                   spec._center, spec._radius, ctx.tau, ys)
+                assert spec.point(ys).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_spec_matches_the_per_coordinate_loop(self, d):
+        # 3000 pairs mixing the three kinds in one call: kinds, length,
+        # traversal arrays and points equal the loop's bit for bit
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        x, y, kinds = _mixed_pairs(np.random.default_rng(40 + d), 3000, box)
+        spec = geodesic_spec(x, y, ctx)
+        ys = np.linspace(0.0, 1.0, 9)
+        P = spec.point(ys)
+        assert spec.kinds.shape == (3000, d) and P.shape == (3000, 9, 2 * d)
+        assert set(np.unique(spec.kinds)) == set(GEODESIC_KINDS)
+        for i in range(3000):
+            loop = _loop_spec(x[i], y[i], ctx.tau)
+            assert _same_bits(_spec_row(spec, i), loop)
+            assert P[i].tobytes() == _loop_point(x[i], *loop[:1], *loop[2:],
+                                                 ctx.tau, ys).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_rows_equal_single_pairs(self, d):
+        # (m, 1, 2d) against (1, k, 2d), and one anchor against (k, 2d): each
+        # row of the batch spec and of its points is its pair's spec bit for bit
+        box = DomainBox((-5.0,) * d, (5.0,) * d, 0.5, 2.0)
+        ctx = KernelContext(d, 0.4, box)
+        rng = np.random.default_rng(60 + d)
+        X, Y, _ = _mixed_pairs(rng, 6, box)
+        X, Y = X[:3], np.vstack([Y, X[:1]])
+        ys = rng.random((2, 5))
+        spec = geodesic_spec(X[:, None], Y[None, :], ctx)
+        P = spec.point(ys)
+        assert spec.length.shape == (3, 7) and spec.kinds.shape == (3, 7, d)
+        assert P.shape == (3, 7, 2, 5, 2 * d)
+        assert spec.point(0.5).shape == (3, 7, 2 * d)
+        for i, j in np.ndindex(3, 7):
+            one = geodesic_spec(X[i], Y[j], ctx)
+            assert one.length.shape == () and one.point(ys).shape == (2, 5, 2 * d)
+            assert _same_bits(_spec_row(spec, (i, j)), _spec_row(one, ()))
+            assert P[i, j].tobytes() == one.point(ys).tobytes()
+        fan = geodesic_spec(X[0], Y, ctx)
+        assert fan.point(ys).tobytes() == P[0].tobytes()
+        assert tuple(fan.kinds[-1]) == ("constant",) * d and fan.length[-1] == 0.0
+        # the specs do not follow later writes to the rows they were given
+        X[:], Y[:] = 0.0, 1.0
+        assert spec.point(ys).tobytes() == P.tobytes()
+        assert fan.point(ys).tobytes() == P[0].tobytes()
 
     def test_constant_coordinate_plane(self, ctx2):
         # the endpoints agree in plane 0 (t_0, u_0): it stays fixed along the
@@ -239,7 +342,7 @@ class TestGeodesics:
         x = np.array([0.5, -1.0, 0.8, 1.2])
         y = np.array([0.5, 2.0, 0.8, 0.7])
         spec = geodesic_spec(x, y, ctx2)
-        assert spec.kinds == ("constant", "semicircle")
+        assert tuple(spec.kinds) == ("constant", "semicircle")
         pts = spec.point(np.linspace(0.0, 1.0, 17))
         np.testing.assert_allclose(pts[:, [0, 2]], np.broadcast_to(x[[0, 2]], (17, 2)),
                                    rtol=1e-15)

@@ -22,6 +22,9 @@ lives in.  It prints
   u_min < u_max at reduced GridSpecs (see `u_range_reports`), where the
   grids have u axes longer than 1, which no pool config has, and with
   anchors at opposite corners of the box, whose near grids the box cuts;
+* for each anchor of those cases and of the 8 `certify_d2` pool configs, the
+  sha256 of its geodesic ray rows as `_ray_blocks` yields them, before the
+  box filter (see `ray_hashes`);
 * every `RateRow` but its runtime of `rate_sweep` on each pool entry of
   `sweep_large_n` and `sweep_small_n`, run as perfbench runs them (on 2
   worker processes), one line per row with every float as float hex;
@@ -41,8 +44,10 @@ lives in.  It prints
 To compare two commits, run it in a checkout of each and `diff` the outputs,
 for example after `git clone -q . DIR && git -C DIR checkout -q HEAD~1`.
 When the older commit's copy of this tool prints fewer cases, copy this one
-over it first (`cp tools/output_hashes.py DIR/tools/`): it calls only the
-public API and perfbench's worker, so it runs in older checkouts too.
+over it first (`cp tools/output_hashes.py DIR/tools/`): it calls the public
+API, perfbench's worker and three certificate helpers whose signatures have
+not changed (`_near_bounding_axes`, `_ray_targets`, `_ray_blocks`), so it
+runs in older checkouts too.
 It takes about 6 s on a 2-core host.
 """
 from __future__ import annotations
@@ -115,6 +120,33 @@ def sweep_rows(worker, gm, name: str, workdir: str):
             print(f"{name} {key} {fields}")
 
 
+def ray_hashes(gm, prefix: str, anchors, ctx, r: float, spec):
+    """Per anchor, the sha256 of its ray rows: the blocks of _ray_blocks
+    concatenated, before verify_nondegeneracy's box filter."""
+    import numpy as np
+
+    certificates = gm.certificates
+    ys = np.linspace(0.0, 1.0, spec.points_per_ray + 1)[1:]
+    for j, a in enumerate(anchors):
+        nt, nu = certificates._near_bounding_axes(a, r, ctx, spec)
+        targets = certificates._ray_targets(nt, nu, spec.rays_per_region)
+        rows = np.concatenate([np.empty((0, 2 * ctx.d))]
+                              + list(certificates._ray_blocks(a, targets, ys, ctx)))
+        print(f"{prefix} rays anchor={j} rows={len(rows)} "
+              f"sha256={hashlib.sha256(rows.tobytes()).hexdigest()}")
+
+
+def certify_rays(worker, gm):
+    """ray_hashes of each certify_d2 pool config, at the default GridSpec."""
+    workload = worker.WORKLOADS["certify_d2"]
+    for key in range(workload.pool_size):
+        run = gm.cli.build_run_config(gm.cli.parse_config_text(workload.config_text(key)))
+        ctx = gm.KernelContext(run.d, run.tau, run.box)
+        consts = gm.lpc_constants(run.d, run.mixture.measure.s, run.tau, run.box)
+        ray_hashes(gm, f"certify_d2 {key}", run.mixture.measure.coords, ctx,
+                   consts.r, gm.GridSpec())
+
+
 def gate5_reports(gm):
     """The clause reports of test_criterion_05_certificates."""
     from gmblasso import (DiscreteMeasure, DomainBox, GridSpec, KernelContext,
@@ -129,8 +161,10 @@ def gate5_reports(gm):
         locs = np.array([[t, 1.0] for t in anchors_t])
         mu0 = DiscreteMeasure.from_arrays(np.full(s, 1.0 / s), locs)
         certs = solve_certificates(build_upsilon(mu0.coords, ctx))
-        report = verify_nondegeneracy(certs, lpc_constants(1, s, 1.0, box), GridSpec())
+        consts = lpc_constants(1, s, 1.0, box)
+        report = verify_nondegeneracy(certs, consts, GridSpec())
         print_report(f"gate5 s={s}", report)
+        ray_hashes(gm, f"gate5 s={s}", locs, ctx, consts.r, GridSpec())
 
 
 def print_report(prefix: str, report):
@@ -174,6 +208,7 @@ def u_range_reports(gm):
         certs = gm.solve_certificates(gm.build_upsilon(anchors, ctx))
         consts = gm.lpc_constants(box.d, len(anchors), tau, box)
         print_report(name, gm.verify_nondegeneracy(certs, consts, spec))
+        ray_hashes(gm, name, anchors, ctx, consts.r, spec)
 
 
 def solver_runs(gm):
@@ -283,6 +318,7 @@ def main() -> int:
     gm = worker.load_gmblasso()
     with tempfile.TemporaryDirectory() as workdir:
         cli_hashes(worker, gm, "certify_d2", workdir)
+        certify_rays(worker, gm)
         cli_hashes(worker, gm, "solve_trace", workdir)
         sweep_rows(worker, gm, "sweep_large_n", workdir)
         sweep_rows(worker, gm, "sweep_small_n", workdir)
