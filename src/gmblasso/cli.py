@@ -128,11 +128,11 @@ def _to_nonnegative(s: str) -> int:
     return k
 
 
-def _to_dimension(s: str) -> int:
-    d = _to_int(s)
-    if d < 1:
-        raise ValueError(f"must be at least 1, got {d}")
-    return d
+def _to_positive_int(s: str) -> int:
+    k = _to_int(s)
+    if k < 1:
+        raise ValueError(f"must be at least 1, got {k}")
+    return k
 
 
 def _to_positive(s: str) -> float:
@@ -161,8 +161,10 @@ def _to_weights(s: str):
 
 
 def _to_bounds(s: str, d: int):
-    """d box bounds, or one for every coordinate."""
+    """d finite box bounds, or one for every coordinate."""
     bounds = _to_float_list(s)
+    if not all(math.isfinite(b) for b in bounds):
+        raise ValueError("entries must be finite")
     if len(bounds) not in (1, d):
         raise ValueError(f"needs {'1 entry' if d == 1 else f'1 or {d} entries'}, "
                          f"got {len(bounds)}")
@@ -231,7 +233,7 @@ _SOLVER_PARSERS = {"int": _to_int, "float": float, "Optional[float]": float}
 # The parsers in _BY_DIMENSION are called with the kernel.d read before them;
 # the solver defaults are SolverConfig's own.
 _KEYS = {
-    "kernel.d": (_to_dimension, 1),
+    "kernel.d": (_to_positive_int, 1),
     "kernel.tau": (_to_positive, None),
     "kernel.tau_rule": (_choice("fixed", "prediction"), "fixed"),
     "scenario.weights": (_to_weights, _REQUIRED),
@@ -239,13 +241,13 @@ _KEYS = {
     "scenario.u": (_to_scales, _REQUIRED),
     "scenario.box.t_lo": (_to_bounds, _REQUIRED),
     "scenario.box.t_hi": (_to_bounds, _REQUIRED),
-    "scenario.box.u_min": (float, _REQUIRED),
-    "scenario.box.u_max": (float, _REQUIRED),
+    "scenario.box.u_min": (_to_positive, _REQUIRED),
+    "scenario.box.u_max": (_to_positive, _REQUIRED),
     **{f"solver.{f.name}": (_SOLVER_PARSERS[f.type], f.default)
        for f in dataclasses.fields(SolverConfig)},
     "experiment.n": (_to_int, None),
     "experiment.n_grid": (_to_sizes, []),
-    "experiment.replications": (_to_nonnegative, 1),
+    "experiment.replications": (_to_positive_int, 1),
     "experiment.kappa_rule": (_choice("agnostic", "s_dependent", "small_reg"),
                               "agnostic"),
     "experiment.kappa": (_to_positive, None),
@@ -293,6 +295,46 @@ class RunConfig:
     resolved: dict = field(default_factory=dict)
 
 
+def _reject(entries: dict, key: str, message: str):
+    raise ConfigError(f"{key}: {message}", *entries[key][1:])
+
+
+def _outside(rows, lo, hi):
+    """The first row with an entry outside [lo, hi] in its coordinate, or None."""
+    for row in rows:
+        if not all(a <= x <= b for x, a, b in zip(row, lo, hi)):
+            return row
+    return None
+
+
+def _check_scenario(entries: dict, v: dict):
+    """The checks of DomainBox, KernelContext and GroundTruthMixture that
+    span several keys, each reported at the value of the key read later."""
+    lo, hi = v["scenario.box.t_lo"], v["scenario.box.t_hi"]
+    u_min, u_max, tau = v["scenario.box.u_min"], v["scenario.box.u_max"], v["kernel.tau"]
+    if not all(a < b for a, b in zip(lo, hi)):
+        _reject(entries, "scenario.box.t_hi",
+                f"{hi} must exceed scenario.box.t_lo = {lo} in every coordinate")
+    if u_max < u_min:
+        _reject(entries, "scenario.box.u_max",
+                f"{u_max!r} is below scenario.box.u_min = {u_min!r}")
+    if tau is not None and tau > u_min:
+        _reject(entries, "kernel.tau", f"{tau!r} exceeds scenario.box.u_min = {u_min!r}")
+    s = len(v["scenario.weights"])
+    for key in ("scenario.t", "scenario.u"):
+        if len(v[key]) != s:
+            _reject(entries, key, f"needs {s} rows, one per scenario.weights entry, "
+                                  f"got {len(v[key])}")
+    row = _outside(v["scenario.t"], lo, hi)
+    if row is not None:
+        _reject(entries, "scenario.t",
+                f"row {row} lies outside scenario.box.t_lo = {lo}, t_hi = {hi}")
+    row = _outside(v["scenario.u"], [u_min] * len(lo), [u_max] * len(lo))
+    if row is not None:
+        _reject(entries, "scenario.u",
+                f"row {row} lies outside scenario.box.u_min = {u_min!r}, u_max = {u_max!r}")
+
+
 def build_run_config(entries: dict) -> RunConfig:
     v = {}
     for key, (parse, default) in _KEYS.items():
@@ -306,17 +348,12 @@ def build_run_config(entries: dict) -> RunConfig:
     if unknown:
         key = min(unknown, key=lambda k: entries[k][1])
         raise ConfigError(f"unknown key {key!r}", entries[key][1], 1)
+    _check_scenario(entries, v)
 
     try:
         box = DomainBox(v["scenario.box.t_lo"], v["scenario.box.t_hi"],
                         v["scenario.box.u_min"], v["scenario.box.u_max"])
-        if tau is not None and tau > box.u_min:
-            raise ConfigError(f"kernel.tau: {tau!r} exceeds scenario.box.u_min = "
-                              f"{box.u_min!r}", *entries["kernel.tau"][1:])
         weights, t_rows, u_rows = v["scenario.weights"], v["scenario.t"], v["scenario.u"]
-        if len(t_rows) != len(weights) or len(u_rows) != len(weights):
-            raise ValueError("scenario.t / scenario.u row counts must match "
-                             "scenario.weights")
         locs = np.concatenate([np.asarray(t_rows, float),
                                np.asarray(u_rows, float)], axis=1)
         ctx = KernelContext(d, tau if tau is not None else box.u_min, box)

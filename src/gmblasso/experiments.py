@@ -363,6 +363,8 @@ def rate_sweep(scenario: GroundTruthMixture, n_grid: Sequence[int],
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     n_grid = tuple(int(n) for n in n_grid)
     if len(set(n_grid)) < len(n_grid):
         raise ValueError(f"n_grid repeats a sample size: {n_grid}")

@@ -1,4 +1,4 @@
-"""Fisher-Rao metric, Christoffel symbols, geodesics, and near/far regions.
+"""Fisher-Rao metric, geodesics, and near/far regions.
 
 The metric induced by the normalized kernel is diagonal,
 
@@ -11,7 +11,8 @@ constant speed in the hyperbolic arc-length parameter (log h on vertical
 lines, log tan(theta/2) along semicircles).  The d-dimensional geodesic runs
 every coordinate geodesic simultaneously, each completing its own arc on
 y in [0, 1]; coordinate k carries the arc-length share
-g_k = dist_k^2 / dist^2.
+g_k = dist_k^2 / dist^2.  The metric's Christoffel symbols live with the
+kernel derivatives that use them (kernel._christoffel_scales).
 """
 from __future__ import annotations
 

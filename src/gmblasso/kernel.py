@@ -38,6 +38,7 @@ same way.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -168,33 +169,42 @@ def _partial(v, V, A, sdt):
 
 def _tables(x, y, tau):
     """K, g1 = _partial in x, g2 = _partial in y, and the per-coordinate
-    higher partials of L_k, each (d, ...), of coordinate-first x and y; keys
-    name the differentiated slots.
-
-    c_** are the mixed second partials, mm_** the pure second-arg second
-    partials, and w3_*_** the third partials with one first-arg and two
-    second-arg derivatives.  Cross-coordinate partials of L_k vanish.
+    higher partials of L_k, each (d, ...), of coordinate-first x and y, as
+    blocks indexed by slot, 0 for t_k and 1 for u_k: mixed[a][b] is
+    d^2/dx_a dy_b, second[a][b] d^2/dy_a dy_b and third[a][b][c]
+    d^3/dx_a dy_b dy_c.  Cross-coordinate partials of L_k vanish.
     """
     u, up, A, B, C, dt = _abc(x, y, tau)
     A2 = A * A
     A3 = A2 * A
-    T = {
-        "c_tt": 1.0 / A,
-        "c_tu": 2 * up * dt / A2,
-        "c_ut": -2 * u * dt / A2,
-        "c_uu": 2 * u * up / A2 - 4 * u * up * dt**2 / A3,
-        "mm_tt": -1.0 / A,
-        "mm_tu": -2 * up * dt / A2,
-        "mm_uu": (1.0 / C - 4 * up**2 / C**2 - 1.0 / A + 2 * up**2 / A2
-                  + dt**2 / A2 - 4 * up**2 * dt**2 / A3),
-        "w3_t_tu": -2 * up / A2,
-        "w3_t_uu": 2 * dt / A2 - 8 * up**2 * dt / A3,
-        "w3_u_tt": 2 * u / A2,
-        "w3_u_tu": 8 * u * up * dt / A3,
-        "w3_u_uu": (2 * u / A2 - 8 * up**2 * u / A3 - 4 * u * dt**2 / A3
-                    + 24 * u * up**2 * dt**2 / A2 / A2),
-    }
-    return _kernel(A, B, C, dt), _partial(u, B, A, -dt), _partial(up, C, A, dt), T
+    mixed = ((1.0 / A, 2 * up * dt / A2),
+             (-2 * u * dt / A2, 2 * u * up / A2 - 4 * u * up * dt**2 / A3))
+    s_tu = -2 * up * dt / A2
+    second = ((-1.0 / A, s_tu),
+              (s_tu, 1.0 / C - 4 * up**2 / C**2 - 1.0 / A + 2 * up**2 / A2
+               + dt**2 / A2 - 4 * up**2 * dt**2 / A3))
+    t_tu = -2 * up / A2
+    u_tu = 8 * u * up * dt / A3
+    third = (((0.0, t_tu), (t_tu, 2 * dt / A2 - 8 * up**2 * dt / A3)),
+             ((2 * u / A2, u_tu),
+              (u_tu, 2 * u / A2 - 8 * up**2 * u / A3 - 4 * u * dt**2 / A3
+               + 24 * u * up**2 * dt**2 / A2 / A2)))
+    return (_kernel(A, B, C, dt), _partial(u, B, A, -dt), _partial(up, C, A, dt),
+            mixed, second, third)
+
+
+def _place(blocks, rank, d, shape):
+    """Coordinate-first array (2d, ..., 2d, ...) of rank coordinate axes
+    whose entry (a_1 d + k, ..., a_rank d + k) is blocks[a_1]...[a_rank][k];
+    entries across coordinates are zero."""
+    out = np.zeros((2 * d,) * rank + shape)
+    k = np.arange(d)
+    for slots in itertools.product((0, 1), repeat=rank):
+        block = blocks
+        for a in slots:
+            block = block[a]
+        out[tuple(a * d + k for a in slots)] = block
+    return out
 
 
 def kernel_grad1_batch(x, y, ctx: KernelContext):
@@ -217,43 +227,25 @@ def grad2_batch(x, y, ctx: KernelContext):
     return _rows(kernel_grad1_batch(y, x, ctx)[1])
 
 
-def _pack(T, keys, d, shape):
-    """Coordinate-first matrix (2d, 2d, ...) of second partials of sum_k L_k:
-    the tables named by keys = (tt, tu, ut, uu) fill coordinate k's four
-    entries, and entries across coordinates are zero."""
-    M = np.zeros((2 * d, 2 * d) + shape)
-    k = np.arange(d)
-    tt, tu, ut, uu = keys
-    M[k, k] = T[tt]
-    M[k, d + k] = T[tu]
-    M[d + k, k] = T[ut]
-    M[d + k, d + k] = T[uu]
-    return M
-
-
-_PAIR = ("c_tt", "c_tu", "c_ut", "c_uu")          # mixed second partials
-_SECOND = ("mm_tt", "mm_tu", "mm_tu", "mm_uu")    # second-arg second partials
-
-
 def _mixed(K, g1, g2, cc):
-    """d^2 K / dx dy, (2d, 2d, ...), from K, the first partials and the packed
-    c_** matrix."""
+    """d^2 K / dx dy, (2d, 2d, ...), from K, the first partials and the
+    placed mixed block."""
     return K * (g1[:, None] * g2[None, :] + cc)
 
 
 def grad12_batch(x, y, ctx: KernelContext):
     """Mixed derivative matrix d^2 K / dx dy, shape (..., 2d, 2d)."""
     x, y = _firsts(x, y)
-    K, g1, g2, T = _tables(x, y, ctx.tau)
-    return _rows(_mixed(K, g1, g2, _pack(T, _PAIR, len(x) // 2, K.shape)), 2)
+    K, g1, g2, mixed, _, _ = _tables(x, y, ctx.tau)
+    return _rows(_mixed(K, g1, g2, _place(mixed, 2, len(x) // 2, K.shape)), 2)
 
 
 def _hess2_grad2(x, y, tau):
     """Plain second derivative (2d, 2d, ...) and gradient (2d, ...) in the
     second argument of coordinate-first x and y, from one kernel evaluation
     and one table of partials."""
-    K, _, g2, T = _tables(x, y, tau)
-    M = g2[:, None] * g2[None, :] + _pack(T, _SECOND, len(x) // 2, K.shape)
+    K, _, g2, _, second, _ = _tables(x, y, tau)
+    M = g2[:, None] * g2[None, :] + _place(second, 2, len(x) // 2, K.shape)
     return K * M, K * g2
 
 
@@ -313,24 +305,14 @@ def grad1_rhess2_batch(x, y, ctx: KernelContext):
     """
     x, y = _firsts(x, y)
     d = len(x) // 2
-    K, g1, g2, T = _tables(x, y, ctx.tau)
-    shape = K.shape
-    mm = _pack(T, _SECOND, d, shape)
-    cc = _pack(T, _PAIR, d, shape)
-    thr = np.zeros((2 * d, 2 * d, 2 * d) + shape)
-    k = np.arange(d)
-    thr[k, k, d + k] = T["w3_t_tu"]
-    thr[k, d + k, k] = T["w3_t_tu"]
-    thr[k, d + k, d + k] = T["w3_t_uu"]
-    thr[d + k, k, k] = T["w3_u_tt"]
-    thr[d + k, k, d + k] = T["w3_u_tu"]
-    thr[d + k, d + k, k] = T["w3_u_tu"]
-    thr[d + k, d + k, d + k] = T["w3_u_uu"]
+    K, g1, g2, mixed, second, third = _tables(x, y, ctx.tau)
+    mm = _place(second, 2, d, K.shape)
+    cc = _place(mixed, 2, d, K.shape)
     out = np.einsum("b...,z...,w...->bzw...", g1, g2, g2)
     out += np.einsum("b...,zw...->bzw...", g1, mm)
     out += np.einsum("bz...,w...->bzw...", cc, g2)
     out += np.einsum("bw...,z...->bzw...", cc, g2)
-    out += thr
+    out += _place(third, 3, d, K.shape)
     out = K * out
     _subtract_christoffel(out, _mixed(K, g1, g2, cc), y, ctx.tau)
     return _rows(out, 3)

@@ -216,6 +216,38 @@ class TestBuildRunConfig:
             f"config:{len(lines)}:{len(key) + 4}: {key}: {message}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, at, message", [
+        ("scenario.box.u_min", "0", None, "must be positive and finite, got 0.0"),
+        ("scenario.box.u_min", "-1", None, "must be positive and finite, got -1.0"),
+        ("scenario.box.u_min", "nan", None, "must be positive and finite, got nan"),
+        ("scenario.box.u_max", "inf", None, "must be positive and finite, got inf"),
+        ("scenario.box.t_hi", "inf", None, "entries must be finite"),
+        ("scenario.box.t_lo", "nan", None, "entries must be finite"),
+        ("scenario.box.t_lo", "30", "scenario.box.t_hi",
+         "[20.0] must exceed scenario.box.t_lo = [30.0] in every coordinate"),
+        ("scenario.box.u_max", "0.5", None, "0.5 is below scenario.box.u_min = 1.0"),
+        ("scenario.t", "-13, 25", None,
+         "row [25.0] lies outside scenario.box.t_lo = [-20.0], t_hi = [20.0]"),
+        ("scenario.u", "1, 2", None,
+         "row [2.0] lies outside scenario.box.u_min = 1.0, u_max = 1.0"),
+        ("scenario.t", "-13, 13, 0", None,
+         "needs 2 rows, one per scenario.weights entry, got 3"),
+        ("scenario.u", "1", None, "needs 2 rows, one per scenario.weights entry, got 1")])
+    def test_scenario_error_at_the_key_read_later(self, tmp_path, capsys, key, value,
+                                                  at, message):
+        # single-key checks report at their own value, checks across keys at
+        # the value of the key read later
+        at = at or key
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in SEPARATED.splitlines()]
+        lines += ["experiment.n = 300", f"output.dir = {tmp_path}/out"]
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{at} ="))
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"config:{line}:{len(at) + 4}: {at}: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_domain_error_becomes_config_error(self):
         text = SEPARATED.replace("scenario.weights = 0.5, 0.5",
                                  "scenario.weights = 0.7, 0.5")
@@ -621,7 +653,7 @@ class TestRates:
         assert err.startswith("config:") and "seed.master: must be a nonnegative" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("count, code", [("-1", 2), ("0", 0)])
+    @pytest.mark.parametrize("count, code", [("-1", 2), ("0", 2)])
     def test_replications_range_at_its_line(self, tmp_path, capsys, count, code):
         self._config(tmp_path)
         text = (tmp_path / "rates.cfg").read_text().replace(
@@ -631,7 +663,7 @@ class TestRates:
         err = capsys.readouterr().err.strip()
         if code:
             assert err == (f"config:{line}:27: experiment.replications: "
-                           f"must be a nonnegative integer, got {count}")
+                           f"must be at least 1, got {count}")
             assert not (tmp_path / "out").exists()
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):

@@ -288,6 +288,14 @@ class TestRateSweep:
             rate_sweep(sep_mixture, [200], 1, "agnostic", "fixed", seed=5,
                        solver=quick_cfg, threads=threads)
 
+    def test_zero_replications_rejected(self, sep_mixture, quick_cfg, monkeypatch):
+        # no replication would leave the sweep's CSVs with a header only
+        from gmblasso import experiments
+        monkeypatch.setattr(experiments, "_one_replication", None)
+        with pytest.raises(ValueError, match="replications must be at least 1, got 0"):
+            rate_sweep(sep_mixture, [200], 0, "agnostic", "fixed", seed=5,
+                       solver=quick_cfg)
+
     def test_repeated_sample_size_rejected(self, sep_mixture, quick_cfg, monkeypatch):
         # the aggregates group rows by n, so a repeated size would pool two
         # grid entries into one row; it is refused before any replication

@@ -259,6 +259,100 @@ class TestDerivatives:
             np.testing.assert_allclose(fn(x, y, ctx1), fn(X, Y, ctx1)[0])
 
 
+def _keyed_tables(x, y, tau):
+    """Oracle: the string-keyed per-coordinate partials of L_k, placed by
+    hand below, of coordinate-first x and y."""
+    u, up, A, B, C, dt = kernel_module._abc(x, y, tau)
+    A2 = A * A
+    A3 = A2 * A
+    T = {
+        "c_tt": 1.0 / A,
+        "c_tu": 2 * up * dt / A2,
+        "c_ut": -2 * u * dt / A2,
+        "c_uu": 2 * u * up / A2 - 4 * u * up * dt**2 / A3,
+        "mm_tt": -1.0 / A,
+        "mm_tu": -2 * up * dt / A2,
+        "mm_uu": (1.0 / C - 4 * up**2 / C**2 - 1.0 / A + 2 * up**2 / A2
+                  + dt**2 / A2 - 4 * up**2 * dt**2 / A3),
+        "w3_t_tu": -2 * up / A2,
+        "w3_t_uu": 2 * dt / A2 - 8 * up**2 * dt / A3,
+        "w3_u_tt": 2 * u / A2,
+        "w3_u_tu": 8 * u * up * dt / A3,
+        "w3_u_uu": (2 * u / A2 - 8 * up**2 * u / A3 - 4 * u * dt**2 / A3
+                    + 24 * u * up**2 * dt**2 / A2 / A2),
+    }
+    K = kernel_module._kernel(A, B, C, dt)
+    return K, kernel_module._partial(u, B, A, -dt), kernel_module._partial(up, C, A, dt), T
+
+
+def _keyed_pack(T, keys, d, shape):
+    M = np.zeros((2 * d, 2 * d) + shape)
+    k = np.arange(d)
+    tt, tu, ut, uu = keys
+    M[k, k] = T[tt]
+    M[k, d + k] = T[tu]
+    M[d + k, k] = T[ut]
+    M[d + k, d + k] = T[uu]
+    return M
+
+
+_KEYED_PAIR = ("c_tt", "c_tu", "c_ut", "c_uu")
+_KEYED_SECOND = ("mm_tt", "mm_tu", "mm_tu", "mm_uu")
+
+
+def _keyed_derivatives(x, y, tau):
+    """Oracle outputs of grad12_batch, hess2_batch, rhess2_batch and
+    grad1_rhess2_batch from the keyed tables and the hand-placed rank-3
+    array, as rows."""
+    x, y = kernel_module._firsts(x, y)
+    d = len(x) // 2
+    K, g1, g2, T = _keyed_tables(x, y, tau)
+    shape = K.shape
+    mm = _keyed_pack(T, _KEYED_SECOND, d, shape)
+    cc = _keyed_pack(T, _KEYED_PAIR, d, shape)
+    H = K * (g2[:, None] * g2[None, :] + mm)
+    R = H.copy()
+    kernel_module._subtract_christoffel(R[None], (K * g2)[None], y, tau)
+    thr = np.zeros((2 * d, 2 * d, 2 * d) + shape)
+    k = np.arange(d)
+    thr[k, k, d + k] = T["w3_t_tu"]
+    thr[k, d + k, k] = T["w3_t_tu"]
+    thr[k, d + k, d + k] = T["w3_t_uu"]
+    thr[d + k, k, k] = T["w3_u_tt"]
+    thr[d + k, k, d + k] = T["w3_u_tu"]
+    thr[d + k, d + k, k] = T["w3_u_tu"]
+    thr[d + k, d + k, d + k] = T["w3_u_uu"]
+    out = np.einsum("b...,z...,w...->bzw...", g1, g2, g2)
+    out += np.einsum("b...,zw...->bzw...", g1, mm)
+    out += np.einsum("bz...,w...->bzw...", cc, g2)
+    out += np.einsum("bw...,z...->bzw...", cc, g2)
+    out += thr
+    out = K * out
+    mixed = K * (g1[:, None] * g2[None, :] + cc)
+    kernel_module._subtract_christoffel(out, mixed, y, tau)
+    rows = kernel_module._rows
+    return rows(mixed, 2), rows(H, 2), rows(R, 2), rows(out, 3)
+
+
+class TestDerivativeBlocks:
+    """The derivative blocks placed by one rule give the arrays of the keyed
+    tables placed by hand, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bits_as_the_keyed_tables(self, d):
+        ctx = KernelContext(d, 0.4, DomainBox((-4.0,) * d, (4.0,) * d, 0.5, 2.0))
+        rng = np.random.default_rng(60 + d)
+        X = random_locations(rng, 7, ctx.box, margin=0.05)
+        Y = random_locations(rng, 9, ctx.box, margin=0.05)
+        funcs = (grad12_batch, hess2_batch, rhess2_batch, grad1_rhess2_batch)
+        cases = ((X, Y[:7]), (X[:, None, :], Y[None, :, :]), (X[0], Y[0]), (X, X))
+        for x, y in cases:
+            for fn, want in zip(funcs, _keyed_derivatives(x, y, ctx.tau)):
+                got = fn(x, y, ctx)
+                assert got.shape == want.shape, fn.__name__
+                assert got.tobytes() == want.tobytes(), fn.__name__
+
+
 def _layouts(X):
     """X (m, 2d) as C-ordered, Fortran-ordered and a strided transposed view
     of a coordinate-first buffer, with the same values."""

@@ -36,6 +36,11 @@ lives in.  It prints
   300 samples and seed 0, errors and tolerances as float hex.  It reaches
   `grad2_batch` (through the hess2 check), `moment_table` in d = 3, and the
   table and pair-sum paths of the data constant C;
+* one sha256 per (function, d, layout) of the bytes of `grad12_batch`,
+  `hess2_batch`, `rhess2_batch` and `grad1_rhess2_batch`, and of every key
+  of `operator_norms_batch`, in d = 1, 2 and 3 with u_min < u_max, on
+  paired rows, on (7, 1, 2d) against (1, 9, 2d), on one pair and on
+  coincident rows (see `kernel_derivatives`);
 * the sha256 of the value bytes of a value-only call and of the value and
   gradient bytes of a value-and-gradient call of a table `data_witness` on
   the separated scenario at n = 1e5, at 8 targets and at 2000 targets, more
@@ -288,6 +293,36 @@ def kernel_check_values(gm):
         print(f"kernel-check {name}: {float(err).hex()} {float(tol).hex()}")
 
 
+def kernel_derivatives(gm):
+    """Hashes of the kernel's derivative arrays and of operator_norms_batch's
+    keys, per dimension and input layout."""
+    import numpy as np
+
+    funcs = ("grad12_batch", "hess2_batch", "rhess2_batch", "grad1_rhess2_batch")
+    for d in (1, 2, 3):
+        box = gm.DomainBox((-4.0,) * d, (4.0,) * d, 0.5, 2.0)
+        ctx = gm.KernelContext(d, 0.4, box)
+        rng = np.random.default_rng(70 + d)
+
+        def rows(m):
+            return np.column_stack([rng.uniform(-4.0, 4.0, (m, d)),
+                                    rng.uniform(0.5, 2.0, (m, d))])
+
+        X, Y = rows(7), rows(9)
+        layouts = (("paired", X, Y[:7]), ("broadcast", X[:, None, :], Y[None, :, :]),
+                   ("pair", X[0], Y[0]), ("coincident", X, X))
+        for layout, x, y in layouts:
+            prefix = f"derivatives d={d} {layout}"
+            for name in funcs:
+                out = getattr(gm.kernel, name)(x, y, ctx)
+                print(f"{prefix} {name} shape={list(out.shape)} "
+                      f"sha256={hashlib.sha256(out.tobytes()).hexdigest()}")
+            for key, out in sorted(gm.certificates.operator_norms_batch(x, y, ctx).items()):
+                out = np.asarray(out)
+                print(f"{prefix} operator_norms {key} shape={list(out.shape)} "
+                      f"sha256={hashlib.sha256(out.tobytes()).hexdigest()}")
+
+
 def table_witness(gm):
     """Hashes of table witness calls on the separated scenario (weights 0.5
     at t = -13 and 13, u = 1, box [-20, 20] x [1, 1], tau = 1) at n = 1e5,
@@ -326,6 +361,7 @@ def main() -> int:
     u_range_reports(gm)
     solver_runs(gm)
     kernel_check_values(gm)
+    kernel_derivatives(gm)
     table_witness(gm)
     return 0
 
